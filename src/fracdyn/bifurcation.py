@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
@@ -62,66 +63,60 @@ def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
             params[gi] = float(gam)
         params = tuple(params)
         zeros = sa.scan_zeros(family, scan_interval, resolution, params)
-        pts = []
-        for z in zeros:
-            d = numeric_derivative(family, 0, [z], 0, params)
-            pts.append(BranchPoint(float(gam), z, d))
-        per_gamma.append(tuple(pts))
+        derivs = numeric_derivative(family, 0, np.reshape(zeros, (-1, 1)), 0, params)
+        per_gamma.append(tuple(
+            BranchPoint(float(gam), z, d) for z, d in zip(zeros, derivs.tolist())
+        ))
     return BifurcationDiagram(gammas, tuple(per_gamma))
 
 
-def _fold_exponent(diag, i_trans, gamma_star, high_count):
-    """Fitted exponent of the branch amplitude above the fold."""
+def _power_fit(gs, amps, gamma_star):
+    """(exponent, residual) of the least-squares line log amp ~ log(gamma - gamma*)."""
+    coef, res, *_ = np.polyfit(np.log(gs - gamma_star), np.log(amps), 1, full=True)
+    return float(coef[0]), float(res[0]) if len(res) else 0.0
+
+
+def _fold_exponent(diag, i_trans, high_count, cell):
+    """Fitted exponent of the branch amplitude above the fold.
+
+    The fold lies in cell = (lo, hi): at lo when lo == hi (a degenerate grid
+    point), else where the amplitudes fit a power law best.
+    """
     gs, amps = [], []
     for g, pts in zip(diag.gammas[i_trans:], diag.points[i_trans:]):
-        if len(pts) != high_count or g <= gamma_star:
+        if len(pts) != high_count or g <= cell[0]:
             continue
         zeros = [p.zero for p in pts]
         amps.append((max(zeros) - min(zeros)) / 2.0)
-        gs.append(g - gamma_star)
+        gs.append(g)
         if len(gs) >= FOLD_FIT_POINTS:
             break
     if len(gs) < 3 or min(amps) <= 0:
         return math.nan
-    slope = np.polyfit(np.log(gs), np.log(amps), 1)[0]
-    return float(slope)
+    gs, amps = np.asarray(gs), np.asarray(amps)
+    gamma_star = cell[0]
+    if cell[0] < cell[1]:
+        gamma_star = minimize_scalar(
+            lambda g: _power_fit(gs, amps, g)[1], bounds=cell, method="bounded",
+            options={"xatol": 1e-12},
+        ).x
+    return _power_fit(gs, amps, gamma_star)[0]
 
 
 def classify(diag: BifurcationDiagram) -> str:
     """Label the diagram 'saddle-node', 'pitchfork' or 'none'."""
-    counts = diag.counts()
     # Collapse degenerate folds (a single |g'|~0 zero) onto the transition.
-    effective = []
-    for pts in diag.points:
-        if len(pts) == 1 and pts[0].degenerate:
-            effective.append(None)  # fold point itself
-        else:
-            effective.append(len(pts))
-    transitions = []
-    prev = None
-    prev_idx = None
-    for i, c in enumerate(effective):
-        if c is None:
-            continue
-        if prev is not None and c != prev:
-            transitions.append((prev_idx, i, prev, c))
-        prev, prev_idx = c, i
+    kept = [(i, len(pts)) for i, pts in enumerate(diag.points)
+            if not (len(pts) == 1 and pts[0].degenerate)]
+    transitions = [(i, j, a, b) for (i, a), (j, b) in zip(kept, kept[1:]) if a != b]
     if len(transitions) != 1:
         return "none"
     i_lo, i_hi, low, high = transitions[0]
-    # Fold location: a flagged degenerate point if present, else the midpoint.
-    fold_idx = None
-    for i in range(i_lo, i_hi + 1):
-        pts = diag.points[i]
-        if any(p.degenerate for p in pts):
-            fold_idx = i
-            break
-    if fold_idx is not None:
-        gamma_star = float(diag.gammas[fold_idx])
-    else:
-        gamma_star = float(0.5 * (diag.gammas[i_lo] + diag.gammas[i_hi]))
-
-    expo = _fold_exponent(diag, i_hi, gamma_star, high)
+    # Fold location: a flagged degenerate point if present, else fitted in the cell.
+    folds = [i for i in range(i_lo, i_hi + 1) if any(p.degenerate for p in diag.points[i])]
+    g = diag.gammas
+    cell = (g[folds[0]], g[folds[0]]) if folds else (g[i_lo], g[i_hi])
+    expo = _fold_exponent(diag, i_hi, high, cell)
     sqrt_like = not math.isnan(expo) and abs(expo - 0.5) <= 0.1
 
     if low == 0 and high == 2 and sqrt_like:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field_expr import FieldDef, FieldEvalError
+from .field_expr import FieldDef, eval_field
 
 __all__ = [
     "CaputoProblem",
@@ -105,8 +105,12 @@ def _weights(alpha, n_steps):
     return b, c, ka, ka1
 
 
-def _pece_loop(alpha, fld, params, forcing, dt, eval_fns):
-    """Shared predictor-corrector recurrence; forcing has shape (N+1, d)."""
+def _pece_loop(alpha, fld, params, forcing, dt):
+    """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
+
+    A step whose field fails (overflow, complex value) or whose state leaves
+    +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
+    """
     n_steps = forcing.shape[0] - 1
     d = forcing.shape[1]
     b, c, ka, ka1 = _weights(alpha, n_steps)
@@ -123,53 +127,51 @@ def _pece_loop(alpha, fld, params, forcing, dt, eval_fns):
     escape_index = None
     escape_sign = 0
     params = tuple(params)
+    eval_fns = fld.compiled()
 
     def evaluate(x):
         xs = x.tolist()  # plain floats are noticeably faster than numpy scalars
-        return [fn(xs, params) for fn in eval_fns]
+        # dtype=float turns a complex value (e.g. x^0.5 at x < 0) into TypeError.
+        return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
 
-    try:
-        fvals[0] = evaluate(states[0])
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise FieldEvalError(f"non-finite field value at t=0: {exc}") from exc
+    eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
+    fvals[0] = evaluate(states[0])
 
     N = n_steps
-    for n in range(n_steps):
-        pred = forcing[n + 1] + cp * (brev[N - n : N + 1] @ fvals[: n + 1])
-        # a0 is the trapezoid weight of the j=0 node at step n+1.
-        a0 = ka1[n] - (n - alpha) * ka[n + 1]
-        hist = crev[N - n : N] @ fvals[1 : n + 1] if n > 0 else 0.0
-        base = forcing[n + 1] + cc * (a0 * fvals[0] + hist)
+    # Overflow on the way to an escape is expected; the escape check catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            pred = forcing[n + 1] + cp * (brev[N - n : N + 1] @ fvals[: n + 1])
+            # a0 is the trapezoid weight of the j=0 node at step n+1.
+            a0 = ka1[n] - (n - alpha) * ka[n + 1]
+            hist = crev[N - n : N] @ fvals[1 : n + 1] if n > 0 else 0.0
+            base = forcing[n + 1] + cc * (a0 * fvals[0] + hist)
 
-        x = pred
-        residual = math.inf
-        iters = 0
-        try:
-            for iters in range(1, CORRECTOR_MAX_ITER + 1):
-                fx = evaluate(x)
-                x_new = base + cc * np.asarray(fx)
-                residual = float(np.max(np.abs(x_new - x)))
-                x = x_new
-                if residual <= CORRECTOR_TOL:
-                    break
-            fvals[n + 1] = evaluate(x)
-        except (ZeroDivisionError, OverflowError, ValueError, FieldEvalError):
-            # Treat blow-up inside the field as escape at this step.
-            x = np.where(np.isfinite(x), x, np.sign(states[n]) * ESCAPE_THRESHOLD)
-            states[n + 1 :] = x
-            escape_index = n + 1
-            escape_sign = int(np.sign(x[int(np.argmax(np.abs(x)))]))
-            break
-
-        states[n + 1] = x
-        meta.corrector_iterations = max(meta.corrector_iterations, iters)
-        meta.max_residual = max(meta.max_residual, residual)
-
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > ESCAPE_THRESHOLD:
-            states[n + 1 :] = states[n + 1]
-            escape_index = n + 1
-            escape_sign = int(np.sign(x[int(np.argmax(np.abs(x)))]))
-            break
+            x = pred
+            residual = math.inf
+            iters = 0
+            try:
+                for iters in range(1, CORRECTOR_MAX_ITER + 1):
+                    x_new = base + cc * evaluate(x)
+                    residual = float(np.max(np.abs(x_new - x)))
+                    x = x_new
+                    if residual <= CORRECTOR_TOL:
+                        break
+                fvals[n + 1] = evaluate(x)
+                meta.corrector_iterations = max(meta.corrector_iterations, iters)
+                meta.max_residual = max(meta.max_residual, residual)
+                escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD  # true for nan
+            except (ArithmeticError, ValueError, TypeError):
+                escaped = True
+            if escaped:
+                # nan takes the sign of the last state; +-inf clamps like any overflow.
+                x = np.where(np.isnan(x), np.sign(states[n]) * ESCAPE_THRESHOLD, x)
+                x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
+                states[n + 1 :] = x
+                escape_index = n + 1
+                escape_sign = int(np.sign(x[int(np.argmax(np.abs(x)))]))
+                break
+            states[n + 1] = x
 
     times = dt * np.arange(n_steps + 1)
     return Trajectory(
@@ -181,7 +183,7 @@ def solve_pece(p: CaputoProblem) -> Trajectory:
     """Solve the Caputo FDE with constant term x0 (integral form AIE)."""
     n_steps = int(round(p.t_end / p.dt))
     forcing = np.tile(np.asarray(p.x0, dtype=float), (n_steps + 1, 1))
-    return _pece_loop(p.alpha, p.fld, p.params, forcing, p.dt, p.fld.compiled())
+    return _pece_loop(p.alpha, p.fld, p.params, forcing, p.dt)
 
 
 def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
@@ -207,7 +209,7 @@ def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
         f_on_grid = np.column_stack(
             [np.interp(times, grid, vals[:, j]) for j in range(vals.shape[1])]
         )
-    return _pece_loop(alpha, fld, params, f_on_grid, dt, fld.compiled())
+    return _pece_loop(alpha, fld, params, f_on_grid, dt)
 
 
 def convergence_order(p: CaputoProblem, levels: int = 4):

@@ -9,21 +9,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
 
 from . import __version__
 from . import bifurcation as bif
 from . import catalog
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
-from .field_expr import FieldDef, ParseError
+from .field_expr import FieldDef, FieldEvalError, ParseError
 from .function_space_semigroup import (
     RhoParams,
     SampledFunction,
     semigroup_defect,
     state_space_defect,
 )
-from .mittag_leffler import MLDomainError, MLOverflowError, MLQuery, ml_eval
+from .mittag_leffler import MLOverflowError, MLQuery, ml_eval
 from .triangular_systems import (
     TriangularField,
     componentwise_limits,
@@ -124,11 +123,7 @@ def cmd_ml(args, parser):
         return 0
     if args.alpha is None or args.z is None:
         parser.error("--alpha and --z are required unless --batch is given")
-    try:
-        value = ml_eval(MLQuery(args.alpha, args.beta, args.z))
-    except (MLDomainError, MLOverflowError) as exc:
-        parser.error(str(exc))
-    print(_fmt(value))
+    print(_fmt(ml_eval(MLQuery(args.alpha, args.beta, args.z))))
     return 0
 
 
@@ -439,7 +434,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (ParseError, ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

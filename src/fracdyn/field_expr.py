@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -33,6 +36,7 @@ __all__ = [
     "parse_expr",
     "eval_ast",
     "eval_field",
+    "eval_points",
     "numeric_derivative",
 ]
 
@@ -43,6 +47,7 @@ FUNCTIONS = {
     "tanh": math.tanh,
     "abs": abs,
 }
+NP_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 class ParseError(ValueError):
@@ -356,6 +361,11 @@ def _codegen(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _lambda(ast, functions):
+    """Compile one component's _codegen source against a function table."""
+    return eval(compile(f"lambda s, p: {_codegen(ast)}", "<field>", "eval"), dict(functions))
+
+
 @dataclass(frozen=True)
 class FieldDef:
     """A parsed, evaluable vector field with named parameters."""
@@ -382,40 +392,62 @@ class FieldDef:
 
     def compiled(self):
         if not self._compiled:
-            env = dict(FUNCTIONS)
-            for ast in self.components:
-                fn = eval(compile(f"lambda s, p: {_codegen(ast)}", "<field>", "eval"), env)
-                self._compiled.append(fn)
+            self._compiled.extend(_lambda(ast, FUNCTIONS) for ast in self.components)
         return self._compiled
+
+
+@lru_cache(maxsize=256)
+def _array_fn(ast):
+    # Bound to numpy ufuncs, s[i] is coordinate i of every point at once.
+    return _lambda(ast, NP_FUNCTIONS)
+
+
+def eval_points(f, points, params=()):
+    """Evaluate a FieldDef, or one component AST, at every row of an (n, d)
+    array: an (n, d) result for a field, (n,) for a single AST.
+
+    Raises FieldEvalError(component=i) when component i is complex or
+    non-finite at any point.
+    """
+    pts = np.asarray(points, dtype=float)
+    if isinstance(f, FieldDef):
+        if pts.shape[1] != f.dimension:
+            raise ValueError(f"state length {pts.shape[1]} != dimension {f.dimension}")
+        if len(params) != len(f.params):
+            raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
+        comps = f.components
+    else:
+        comps = (f,)
+    cols = np.ascontiguousarray(pts.T)
+    p = np.asarray(params, dtype=float)
+    out = np.empty((pts.shape[0], len(comps)))
+    with np.errstate(all="ignore"):
+        for i, ast in enumerate(comps):
+            try:
+                v = _array_fn(ast)(cols, p)
+                ok = not np.iscomplexobj(v) and np.isfinite(v).all()
+            except ArithmeticError:  # constant subexpressions use Python floats
+                ok = False
+            if not ok:
+                raise FieldEvalError(f"complex or non-finite value in component {i}",
+                                     component=i)
+            out[:, i] = v
+    return out if isinstance(f, FieldDef) else out[:, 0]
 
 
 def eval_field(f: FieldDef, state, params=()):
     """Evaluate every component at the given state; deterministic and pure."""
-    if len(state) != f.dimension:
-        raise ValueError(f"state length {len(state)} != dimension {f.dimension}")
-    if len(params) != len(f.params):
-        raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
-    out = []
-    for i, fn in enumerate(f.compiled()):
-        try:
-            v = fn(state, params)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise FieldEvalError(
-                f"non-finite value in component {i}: {exc}", component=i
-            ) from exc
-        if isinstance(v, complex) or not math.isfinite(v):
-            raise FieldEvalError(f"non-finite value in component {i}", component=i)
-        out.append(v)
-    return out
+    return eval_points(f, [state], params)[0].tolist()
 
 
 def numeric_derivative(f: FieldDef, component: int, state, coordinate: int, params=()):
-    """Central-difference partial derivative of one component."""
-    h = max(1e-6, 1e-6 * abs(state[coordinate]))
-    up = list(state)
-    dn = list(state)
-    up[coordinate] += h
-    dn[coordinate] -= h
-    hi = eval_field(f, up, params)[component]
-    lo = eval_field(f, dn, params)[component]
-    return (hi - lo) / (2.0 * h)
+    """Central-difference partial derivative of one component, at one state
+    or at every row of an (n, d) stack of states."""
+    x = np.asarray(state, dtype=float)
+    pts = np.atleast_2d(x)
+    h = np.maximum(1e-6, 1e-6 * np.abs(pts[:, coordinate]))
+    step = np.zeros_like(pts)
+    step[:, coordinate] = h
+    vals = eval_points(f, np.concatenate([pts + step, pts - step]), params)[:, component]
+    d = (vals[: len(pts)] - vals[len(pts) :]) / (2.0 * h)
+    return float(d[0]) if x.ndim == 1 else d

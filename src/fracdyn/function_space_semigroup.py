@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caputo_solver import solve_svie
+from .field_expr import eval_points
 from .mittag_leffler import ml
 
 __all__ = [
@@ -67,11 +68,10 @@ class SampledFunction:
         return cls(grid, np.tile(x0, (n + 1, 1)))
 
     @classmethod
-    def from_callable(cls, fn, theta_max, dt, dimension=1):
+    def from_callable(cls, fn, theta_max, dt):
         n = int(round(theta_max / dt))
         grid = dt * np.arange(n + 1)
         vals = np.array([np.atleast_1d(fn(t)) for t in grid], dtype=float)
-        del dimension
         return cls(grid, vals)
 
     def at(self, t):
@@ -149,9 +149,7 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
         return SampledFunction(out_grid, shifted)
 
     traj = solve_svie(f, fld, params, alpha, tau_snap, dt)
-    gvals = np.array(
-        [[fn(tuple(s), tuple(params)) for fn in fld.compiled()] for s in traj.states]
-    )
+    gvals = eval_points(fld, traj.states, tuple(params))
 
     # Product-trapezoidal memory integral int_0^tau (tau+theta-s)^(a-1) g ds,
     # exact for piecewise-linear g-values; kernel is smooth for theta > 0.

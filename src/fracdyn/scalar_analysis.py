@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caputo_solver import CaputoProblem, Trajectory, solve_pece
-from .field_expr import FieldDef, eval_field, numeric_derivative
+from .field_expr import FieldDef, eval_points, numeric_derivative
 from .mittag_leffler import ml_decay
 
 __all__ = [
@@ -138,15 +138,33 @@ class EnvelopeReport:
 
 
 def _scalar_fn(fld: FieldDef, params=()):
+    """g on a 1-D array of points."""
     if fld.dimension != 1:
         raise ValueError(f"scalar analysis needs d=1, got d={fld.dimension}")
-    fn = fld.compiled()[0]
-    p = tuple(params)
-    return lambda x: fn((x,), p)
+    return lambda xs: eval_points(fld, np.reshape(xs, (-1, 1)), params)[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis checks
+
+
+def certify_h1(fld, a, b, points, region, params=()):
+    """Sampled <x, g(x)> <= a - b |x|^2 at every row of points (n, d).
+
+    The witness of a failure is the worst point: a float for d = 1, else a
+    tuple.
+    """
+    g = eval_points(fld, points, params)
+    margins = a - b * np.sum(points * points, axis=1) - np.sum(g * points, axis=1)
+    k = int(np.argmin(margins))
+    worst = float(margins[k])
+    if worst < 0.0:
+        x = points[k]
+        witness = float(x[0]) if len(x) == 1 else tuple(x.tolist())
+        raise DissipativityError(
+            f"dissipativity fails at x={witness} (margin {worst:.3g})", witness=witness
+        )
+    return DissipativityCertificate(a, b, region, worst)
 
 
 def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), n_samples=2000, params=()):
@@ -159,35 +177,8 @@ def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), n_samples=2000, params=()):
         raise ValueError(f"need a, b > 0, got a={a}, b={b}")
     if n_samples < 1000:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
-    g = _scalar_fn(fld, params)
     xs = np.linspace(scan_interval[0], scan_interval[1], n_samples)
-    worst = math.inf
-    worst_x = xs[0]
-    for x in xs:
-        margin = a - b * x * x - g(x) * x
-        if margin < worst:
-            worst = margin
-            worst_x = x
-    if worst < 0.0:
-        raise DissipativityError(
-            f"dissipativity fails at x={worst_x:.6g} (margin {worst:.3g})",
-            witness=float(worst_x),
-        )
-    return DissipativityCertificate(a, b, tuple(scan_interval), float(worst))
-
-
-def _bisect(g, lo, hi):
-    flo = g(lo)
-    while hi - lo > ZERO_BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fmid = g(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return certify_h1(fld, a, b, xs[:, None], tuple(scan_interval), params)
 
 
 def scan_zeros(fld, scan_interval, resolution=2000, params=()):
@@ -196,16 +187,23 @@ def scan_zeros(fld, scan_interval, resolution=2000, params=()):
         raise ValueError(f"need resolution >= 1000, got {resolution}")
     g = _scalar_fn(fld, params)
     xs = np.linspace(scan_interval[0], scan_interval[1], resolution + 1)
-    vals = np.array([g(x) for x in xs])
-    zeros = []
-    for i in range(resolution):
-        if vals[i] == 0.0:
-            zeros.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(_bisect(g, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        zeros.append(float(xs[-1]))
-    return sorted(zeros)
+    vals = g(xs)
+    exact = xs[vals == 0.0]
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    # Bisect every bracketing cell at once; a cell stops when it is narrow
+    # enough or its midpoint is an exact zero.
+    lo, hi, flo = xs[cells], xs[cells + 1], vals[cells]
+    active = hi - lo > ZERO_BISECTION_WIDTH
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        fmid = g(mid)
+        left = (flo < 0.0) == (fmid < 0.0)
+        hit = fmid == 0.0
+        lo = np.where(active & (left | hit), mid, lo)
+        hi = np.where(active & (~left | hit), mid, hi)
+        flo = np.where(left, fmid, flo)
+        active = hi - lo > ZERO_BISECTION_WIDTH
+    return sorted(np.concatenate([exact, 0.5 * (lo + hi)]).tolist())
 
 
 def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
@@ -216,16 +214,14 @@ def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
     the scan interval is too small.
     """
     zeros = scan_zeros(fld, scan_interval, resolution, params)
-    derivs = []
-    for z in zeros:
-        d = numeric_derivative(fld, 0, [z], 0, params)
+    derivs = numeric_derivative(fld, 0, np.reshape(zeros, (-1, 1)), 0, params).tolist()
+    for z, d in zip(zeros, derivs):
         if abs(d) < H2_DERIVATIVE_FLOOR:
             raise DegenerateZeroError(
                 f"zero at x={z:.9g} has |g'|={abs(d):.3g} < {H2_DERIVATIVE_FLOOR} "
                 "(non-degeneracy fails)",
                 zero=z,
             )
-        derivs.append(d)
     if zeros and len(zeros) % 2 == 0:
         warnings.warn(
             f"found an even number of zeros ({len(zeros)}); "
@@ -277,24 +273,20 @@ def gamma_rate_constant(fld, x_star, eta, params=(), grid_points=1000):
     eps = abs(zeta) / 2.0
     while eps > 1e-12:
         ws = np.linspace(-eps, eps, grid_points)
-        ok = all(abs(f(w)) >= half_slope * abs(w) for w in ws)
-        if ok:
+        if np.all(np.abs(f(ws)) >= half_slope * np.abs(ws)):
             break
         eps *= 0.5
     if zshift >= -eps:
         return half_slope
 
     ws = np.linspace(zshift, -eps, grid_points)
-    ratios = []
-    for w in ws:
-        fw = f(w)
-        if fw <= 0.0:
-            raise DegenerateBasinError(
-                f"field changes sign between eta={eta} and x_star={x_star}; "
-                "seed lies at or beyond an adjacent zero"
-            )
-        ratios.append(fw / abs(w))
-    return float(min(half_slope, min(ratios)))
+    fw = f(ws)
+    if np.any(fw <= 0.0):
+        raise DegenerateBasinError(
+            f"field changes sign between eta={eta} and x_star={x_star}; "
+            "seed lies at or beyond an adjacent zero"
+        )
+    return float(min(half_slope, np.min(fw / np.abs(ws))))
 
 
 def envelope_check(traj: Trajectory, x_star, gamma_rate, eta=None) -> EnvelopeReport:
@@ -346,7 +338,7 @@ def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=(), n_samples=2000):
     if half == 0.0:
         half = 0.1
     xs = np.linspace(mid - half, mid + half, n_samples)
-    return float(max(abs(numeric_derivative(fld, 0, [x], 0, params)) for x in xs))
+    return float(np.max(np.abs(numeric_derivative(fld, 0, xs[:, None], 0, params))))
 
 
 # ---------------------------------------------------------------------------

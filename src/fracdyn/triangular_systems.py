@@ -9,13 +9,12 @@ componentwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scalar_analysis as sa
-from .field_expr import BinOp, FieldDef, Neg, Num, Param, Var, Call
+from .field_expr import BinOp, Call, FieldDef, Neg, Var, eval_points
 
 __all__ = [
     "TriangularField",
@@ -120,19 +119,16 @@ class TriangularReport:
     zero_sets: tuple
 
 
+def _box_points(box, n_samples, seed):
+    """Seeded uniform draws over the box, one point per row."""
+    lo, hi = np.asarray(box, dtype=float).T
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n_samples, len(box)))
+
+
 def _sample_h(tf, i, box, n_samples, params):
-    """Sample h_i over the first i coordinates of the box."""
-    if i == 0:
-        fld = FieldDef(tf.dimension, (tf.h_factors[0],) * tf.dimension, tf.params)
-        v = fld.compiled()[0]((0.0,) * tf.dimension, tuple(params))
-        return np.array([v])
-    rng = np.random.default_rng(20_240_801 + i)
-    fld = FieldDef(tf.dimension, (tf.h_factors[i],) * tf.dimension, tf.params)
-    fn = fld.compiled()[0]
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = rng.uniform(lo, hi, size=(n_samples, tf.dimension))
-    return np.array([fn(tuple(p), tuple(params)) for p in pts])
+    """Sample h_i over the first i coordinates of the box (h_1 is constant)."""
+    pts = _box_points(box, n_samples, 20_240_801 + i) if i else np.zeros((1, tf.dimension))
+    return eval_points(tf.h_factors[i], pts, params)
 
 
 def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a=None, b=None):
@@ -156,36 +152,14 @@ def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a
 
     cert = None
     if a is not None and b is not None:
-        cert = _check_h1_vector(tf.assembled(), a, b, box, n_samples, params)
+        cert = sa.certify_h1(tf.assembled(), a, b, _box_points(box, n_samples, 977),
+                             tuple(map(tuple, box)), params)
 
     zero_sets = []
     for i in range(tf.dimension):
         fld_i = tf.signed_scalar_factor(i, signs[i])
         zero_sets.append(sa.find_zeros(fld_i, box[i], params=params))
     return TriangularReport(tuple(signs), tuple(min_abs), cert, tuple(zero_sets))
-
-
-def _check_h1_vector(fld, a, b, box, n_samples, params):
-    """Sampled <x, g(x)> <= a - b |x|^2 over the box."""
-    rng = np.random.default_rng(977)
-    lo = np.array([bb[0] for bb in box])
-    hi = np.array([bb[1] for bb in box])
-    fns = fld.compiled()
-    worst = math.inf
-    worst_x = None
-    for _ in range(n_samples):
-        x = rng.uniform(lo, hi)
-        xs = tuple(x)
-        gx = sum(fn(xs, params) * xi for fn, xi in zip(fns, x))
-        margin = a - b * float(np.dot(x, x)) - gx
-        if margin < worst:
-            worst, worst_x = margin, x
-    if worst < 0.0:
-        raise sa.DissipativityError(
-            f"dissipativity fails on the box at {worst_x} (margin {worst:.3g})",
-            witness=tuple(worst_x),
-        )
-    return sa.DissipativityCertificate(a, b, tuple(map(tuple, box)), float(worst))
 
 
 def product_attractor(tf: TriangularField, box=None, params=None) -> ProductAttractor:

@@ -1,0 +1,37 @@
+"""The traced benchmark rebinds fracdyn names; every one must still exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from fracdyn.field_expr import FieldDef
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    for layer in mod.SPANNED:  # the tracer finds layers in sys.modules
+        importlib.import_module("fracdyn." + layer)
+    return mod
+
+
+def test_every_spanned_name_resolves():
+    tracing = load_tracing()
+    for layer, names in tracing.SPANNED.items():
+        mod = importlib.import_module("fracdyn." + layer)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"fracdyn.{layer}.{name}"
+    assert callable(FieldDef.compiled)
+
+
+def test_install_and_uninstall_restore_originals():
+    tracing = load_tracing()
+    original = FieldDef.compiled
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert FieldDef.compiled is not original
+    tracer.uninstall()
+    assert FieldDef.compiled is original

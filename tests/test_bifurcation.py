@@ -61,6 +61,17 @@ class TestClassification:
         # transition outside the window: zero count is 0 throughout
         assert bif.classify(bif.sweep(shifted, (-1.0, 1.0), 51)) == "none"
 
+    @pytest.mark.parametrize("gamma_range", [(-0.7459, 0.4889), (-0.3946, 0.805)])
+    @pytest.mark.parametrize("family,label", [
+        (SADDLE, "saddle-node"), (PITCHFORK, "pitchfork"),
+    ], ids=["saddle", "pitchfork"])
+    def test_fold_between_grid_values(self, family, label, gamma_range):
+        # gamma = 0 is not on these grids; the fold is fitted inside the
+        # transition cell together with the amplitude exponent
+        diag = bif.sweep(family, gamma_range, 201)
+        assert 0.0 not in diag.gammas
+        assert bif.classify(diag) == label
+
     def test_wrong_exponent_is_rejected(self):
         # gamma - x^4 jumps 0 -> 2 but the branch amplitude grows like
         # gamma^(1/4), outside the square-root window

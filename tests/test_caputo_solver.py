@@ -1,6 +1,7 @@
 """Fractional Adams predictor-corrector solver: exactness, accuracy, order."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestEscape:
         assert traj.states.shape[0] == len(traj.times)
         # endpoint() reports the state at escape, not the padded tail
         assert traj.endpoint()[0] == traj.states[traj.escape_index][0]
+
+    def test_overflow_escape_is_finite_and_silent(self):
+        # x^8 overflows to inf within a step from x0 = 2; the stored state
+        # is clamped to the escape threshold and no numpy warning leaks.
+        p = CaputoProblem(0.5, FieldDef.parse(["x*x*x*x*x*x*x*x"]), (), (2.0,), 5.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_pece(p)
+        assert traj.escape_sign == +1
+        assert np.all(np.isfinite(traj.endpoint()))
+        assert np.all(np.isfinite(traj.states))
 
     def test_bounded_problem_does_not_escape(self):
         traj = solve_pece(CaputoProblem(0.5, CUBIC, (), (2.0,), 10.0, 0.01))

@@ -33,6 +33,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr != ""
 
+    def test_complex_field_at_start_is_two(self):
+        proc = run("simulate", "--component", "x^0.5", "--x0=-1",
+                   "--alpha", "0.5", "--t-end", "1", "--dt", "0.1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_complex_field_mid_solve_is_an_escape(self):
+        proc = run("simulate", "--component=-1 - x^0.5", "--x0=0.5",
+                   "--alpha", "0.5", "--t-end", "2", "--dt", "0.1", "--out", "-")
+        assert proc.returncode == 0
+        assert "escape at" in proc.stderr and "sign -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_ml_batch_overflow_is_two(self):
+        proc = run("ml", "--batch", stdin="0.5 1 -1\n0.05 1 3\n")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
     def test_verify_failure_is_one(self):
         proc = run("verify", "--suite", "scalar", "--fault", "inflate-gamma")
         assert proc.returncode == 1

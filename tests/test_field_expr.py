@@ -14,6 +14,7 @@ from fracdyn.field_expr import (
     UnknownIdentifierError,
     eval_ast,
     eval_field,
+    eval_points,
     numeric_derivative,
     parse_expr,
     to_source,
@@ -95,28 +96,49 @@ class TestFieldDef:
 
     def test_compiled_matches_ast_walker(self):
         f = FieldDef.parse(["x*(1 - x^2) + cos(y)", "tanh(x) - y^3"])
-        fns = f.compiled()
+        # the second field covers the rest of the function table
+        f2 = FieldDef.parse(["abs(x)^1.5 - exp(-y)", "sin(x*y) / 2"])
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            s = tuple(rng.uniform(-3, 3, size=2))
-            for i, fn in enumerate(fns):
-                assert fn(s, ()) == pytest.approx(
-                    eval_ast(f.components[i], s, ()), rel=1e-14, abs=1e-14
-                )
+        pts = rng.uniform(-3, 3, size=(200, 2))
+        for fld in (f, f2):
+            fns = fld.compiled()
+            arr = eval_points(fld, pts)
+            assert arr.shape == (200, 2)
+            for row, s in enumerate(map(tuple, pts)):
+                for i, fn in enumerate(fns):
+                    expect = eval_ast(fld.components[i], s, ())
+                    assert fn(s, ()) == pytest.approx(expect, rel=1e-14, abs=1e-14)
+                    assert arr[row, i] == pytest.approx(expect, rel=1e-14, abs=1e-14)
+            # one component AST on its own gives that column
+            assert np.array_equal(eval_points(fld.components[1], pts), arr[:, 1])
 
     def test_eval_error_carries_component(self):
         f = FieldDef.parse(["x", "exp(x^2)"])
         with pytest.raises(FieldEvalError) as exc:
             eval_field(f, (1.0e6, 0.0))
         assert exc.value.component == 1
+        # the same on a stack where only one row is bad
+        with pytest.raises(FieldEvalError) as exc:
+            eval_points(f, [(0.0, 0.0), (1.0e6, 0.0), (1.0, 1.0)])
+        assert exc.value.component == 1
+        # a complex value is an error too (the oracle agrees)
+        g = FieldDef.parse(["1", "y^0.5"])
+        with pytest.raises(FieldEvalError):
+            eval_ast(g.components[1], (0.0, -1.0), ())
+        with pytest.raises(FieldEvalError) as exc:
+            eval_points(g, [(0.0, 4.0), (0.0, -1.0)])
+        assert exc.value.component == 1
 
     def test_numeric_derivative(self):
         f = FieldDef.parse(["x - x^3"])
-        for x in (-1.0, 0.0, 1.0, 2.0):
+        xs = (-1.0, 0.0, 1.0, 2.0)
+        stacked = numeric_derivative(f, 0, np.array(xs)[:, None], 0)
+        for x, d in zip(xs, stacked):
             expect = 1.0 - 3.0 * x * x
             assert numeric_derivative(f, 0, [x], 0) == pytest.approx(
                 expect, rel=1e-6, abs=1e-6
             )
+            assert d == numeric_derivative(f, 0, [x], 0)
 
     def test_param_names_validated(self):
         f = FieldDef.parse(["gamma*x"], ("gamma",))
