@@ -76,7 +76,7 @@ class Trajectory:
     states: np.ndarray  # (n_points, d)
     meta: SolverMeta = field(default_factory=SolverMeta)
     escape_index: int | None = None
-    escape_sign: int = 0
+    escape_sign: int = 0  # +-1 past +-ESCAPE_THRESHOLD, 0 when the field failed
 
     @property
     def dt(self):
@@ -169,7 +169,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                 x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
                 states[n + 1 :] = x
                 escape_index = n + 1
-                escape_sign = int(np.sign(x[int(np.argmax(np.abs(x)))]))
+                peak = x[int(np.argmax(np.abs(x)))]
+                escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
                 break
             states[n + 1] = x
 

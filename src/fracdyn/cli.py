@@ -22,7 +22,7 @@ from .function_space_semigroup import (
     semigroup_defect,
     state_space_defect,
 )
-from .mittag_leffler import MLOverflowError, MLQuery, ml_eval
+from .mittag_leffler import MLConvergenceError, MLOverflowError, MLQuery, ml_eval
 from .triangular_systems import (
     TriangularField,
     componentwise_limits,
@@ -143,8 +143,9 @@ def cmd_simulate(args, parser):
     rows = [(float(t), *map(float, s)) for t, s in zip(traj.times, traj.states)]
     _write_csv(args.out, header, rows)
     if traj.escape_index is not None:
-        print(f"escape at t={traj.times[traj.escape_index]:.6g} "
-              f"(sign {traj.escape_sign:+d})", file=sys.stderr)
+        t = traj.times[traj.escape_index]
+        print(f"escape at t={t:.6g} (sign {traj.escape_sign:+d})" if traj.escape_sign
+              else f"field failed at t={t:.6g}; state held from there", file=sys.stderr)
     return 0
 
 
@@ -434,7 +435,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError) as exc:
+    except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError,
+            MLConvergenceError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

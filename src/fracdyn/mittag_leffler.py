@@ -2,9 +2,10 @@
 
 E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha*k + beta) generalizes the
 exponential and governs the decay envelopes of Caputo fractional dynamics.
-Evaluation switches between the defining series, a real-line integral
-representation and the negative-axis asymptotic expansion, depending on
-where the argument falls.
+Positive arguments are summed from the defining series.  Negative ones invert
+the Laplace transform s^(alpha-beta) / (s^alpha - z) at t = 1 by the trapezoidal
+rule on Garrappa's optimal parabolic contour (SIAM J. Numer. Anal. 53 (2015)
+1350), plus the residues of poles right of the contour; one rule serves an array.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-from scipy.integrate import quad
+import numpy as np
 from scipy.special import gammaln, rgamma
 
 __all__ = [
@@ -28,19 +28,17 @@ __all__ = [
 ]
 
 GAMMA_OVERFLOW_LIMIT = 170.0
-SERIES_RADIUS = 5.0
-SERIES_MAX_TERMS = 500
 SERIES_RELATIVE_CUTOFF = 1e-16
-SERIES_CANCELLATION_LIMIT = 1e3
-# Positive arguments have no alternative regime; small alpha needs a long
-# tail before Gamma(alpha k + beta) wins over z^k.
-SERIES_MAX_TERMS_POSITIVE = 50_000
+# Small alpha needs a long tail before Gamma(alpha k + beta) wins over z^k.
+SERIES_MAX_TERMS = 50_000
 LOG_DOUBLE_MAX = 709.0
 
-# Above this order the branch-cut integral degenerates (its weight function
-# collapses to a point mass as alpha -> 1), so negative arguments beyond the
-# series radius are summed in extended precision instead.
-INTEGRAL_ALPHA_LIMIT = 0.95
+# The contour rule targets an absolute error of 1e-15, loosened tenfold (up to
+# 1e-2) while it would need more than CONTOUR_MAX_NODES nodes per side, as for
+# beta well above alpha + 1.  The round-off unit bounds how far right it reaches.
+CONTOUR_LOG_TOL = math.log(1e-15)
+CONTOUR_MAX_NODES = 200
+LOG_EPS = math.log(np.finfo(float).eps)
 
 
 class MLDomainError(ValueError):
@@ -52,7 +50,7 @@ class MLOverflowError(OverflowError):
 
 
 class MLConvergenceError(RuntimeError):
-    """No evaluation regime produced a converged value (internal bug)."""
+    """No evaluation path produced a converged value (e.g. beta far above alpha + 1)."""
 
 
 @dataclass(frozen=True)
@@ -82,134 +80,145 @@ def gamma(x: float) -> float:
 
 
 def _series(alpha: float, beta: float, z: float) -> float:
-    # Kahan-compensated Taylor sum of the definition, terms built in log
-    # space so intermediate powers cannot overflow before the terms decay.
-    # For negative z the sum alternates; if the largest term dwarfs the
-    # result the cancellation destroys double precision and the regime is
-    # rejected so a fallback can take over.
+    # Kahan-compensated Taylor sum of the definition for z > 0, terms built in
+    # log space so intermediate powers cannot overflow before the terms decay.
     total = 0.0
     comp = 0.0
-    peak = 0.0
-    log_absz = math.log(abs(z))
-    sign = 1.0
-    neg = z < 0.0
-    max_terms = SERIES_MAX_TERMS if neg else SERIES_MAX_TERMS_POSITIVE
-    for k in range(max_terms):
-        log_term = k * log_absz - gammaln(alpha * k + beta)
+    log_z = math.log(z)
+    for k in range(SERIES_MAX_TERMS):
+        log_term = k * log_z - gammaln(alpha * k + beta)
         if log_term > LOG_DOUBLE_MAX:
-            if neg:
-                raise MLConvergenceError(
-                    f"series terms for E_({alpha},{beta})({z}) overflow "
-                    "before the tail decays"
-                )
             raise MLOverflowError(
                 f"series for E_({alpha},{beta})({z}) overflows double precision"
             )
-        term = sign * math.exp(log_term)
-        peak = max(peak, abs(term))
+        term = math.exp(log_term)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if neg:
-            sign = -sign
-        if abs(term) < SERIES_RELATIVE_CUTOFF * max(abs(total), 1e-300) and k > 2:
-            if neg and peak > SERIES_CANCELLATION_LIMIT * max(abs(total), 1e-300):
-                raise MLConvergenceError(
-                    f"series for E_({alpha},{beta})({z}) loses too many digits "
-                    f"to cancellation (peak/result = {peak / abs(total):.1e})"
-                )
+        if term < SERIES_RELATIVE_CUTOFF * max(total, 1e-300) and k > 2:
             return total
     raise MLConvergenceError(
         f"series for E_({alpha},{beta})({z}) did not converge in "
-        f"{max_terms} terms"
+        f"{SERIES_MAX_TERMS} terms"
     )
 
 
-def _asymptotic(alpha: float, beta: float, z: float) -> float:
-    # E_{alpha,beta}(z) ~ -sum_{k>=1} z^{-k} / Gamma(beta - alpha k), z -> -inf.
-    n_terms = int(math.floor(10.0 / alpha))
-    total = 0.0
-    zinv = 1.0 / z
-    zk = zinv
-    for k in range(1, n_terms + 1):
-        total -= zk * rgamma(beta - alpha * k)
-        zk *= zinv
-    return total
+# Garrappa's parameter selection at t = 1.  phi = (Re s* + |s*|) / 2 is the mu
+# at which the parabola s = mu (1 + iu)^2 passes through a singularity s*; p and
+# q are the strengths of the singularities left and right of a region.  Each
+# helper returns (N, mu, h), nodes u = h k for |k| <= N, or N = inf if none do.
 
 
-def _integral(alpha: float, beta: float, z: float) -> float:
-    # Real-line spectral representation for 0 < alpha < 1, z < 0, valid for
-    # beta < 1 + alpha.  beta is reduced below 1 through the recurrence
-    # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which keeps the
-    # integrand's endpoint exponent (1-beta)/alpha nonnegative; stopping at
-    # beta just under 1 + alpha would leave a nearly non-integrable r^(-1)
-    # endpoint that quadrature cannot resolve.
-    if beta > 1.0:
-        lower = _integral(alpha, beta - alpha, z)
-        return (lower - rgamma(beta - alpha)) / z
-
-    s1 = math.sin(math.pi * (1.0 - beta))
-    s2 = math.sin(math.pi * (1.0 - beta + alpha))
-    c = math.cos(math.pi * alpha)
-    inv_alpha = 1.0 / alpha
-    pref = 1.0 / (alpha * math.pi)
-    expo = (1.0 - beta) * inv_alpha
-
-    def smooth(r):
-        # kernel with the algebraic endpoint factor r**expo removed
-        num = r * s1 - z * s2
-        den = r * r - 2.0 * r * z * c + z * z
-        return pref * math.exp(-(r**inv_alpha)) * num / den
-
-    def kernel(r):
-        if r <= 0.0:
-            return 0.0
-        return r**expo * smooth(r)
-
-    # The r**expo factor (expo in (-1, 0] once beta > 1) defeats plain
-    # adaptive quadrature near 0; the algebraic-weight rule absorbs it.
-    head, err1 = quad(smooth, 0.0, 1.0, weight="alg", wvar=(expo, 0.0),
-                      epsabs=1e-13, epsrel=1e-13, limit=400)
-    tail, err2 = quad(kernel, 1.0, math.inf, epsabs=1e-13, epsrel=1e-13,
-                      limit=400)
-    val = head + tail
-    err = err1 + err2
-    if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1.0):
-        raise MLConvergenceError(
-            f"integral representation for E_({alpha},{beta})({z}) failed "
-            f"(estimated error {err})"
-        )
-    return val
+def _unbounded_region(phi, p, log_tol):
+    """Contour right of every singularity, the rightmost at phi with strength p."""
+    sq_phi = math.sqrt(phi)
+    phibar = 1.01 * phi if phi > 0.0 else 0.01
+    sq_phibar = math.sqrt(phibar)
+    while True:
+        log_ratio = log_tol / phibar
+        n = math.ceil(phibar / math.pi
+                      * (1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
+        a = math.pi * n / phibar
+        sq_mu = sq_phibar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        fbar = ((sq_phibar - sq_phi) / sq_mu) ** -p
+        if p < 1e-14 or 1.0 < fbar < 10.0:
+            break
+        sq_phibar = 5.0 ** (-1.0 / p) * sq_mu + sq_phi
+        phibar = sq_phibar**2
+    mu = sq_mu**2
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    threshold = log_tol - LOG_EPS
+    if mu > threshold:
+        # Pull the contour back so exp(s) stays inside the round-off budget.
+        q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * sq_mu
+        phibar = (q + sq_phi) ** 2
+        if phibar >= threshold:
+            return math.inf, 0.0, 0.0
+        w = math.sqrt(LOG_EPS / (LOG_EPS - log_tol))
+        u = math.sqrt(-phibar / LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi * (u * w - 1.0)))
+        h = w / n
+    return n, mu, h
 
 
-def _highprec_series(alpha: float, beta: float, z: float) -> float:
-    # Extended-precision sum; absorbs the cancellation of the alternating
-    # series for strongly negative arguments.
-    extra_digits = int(0.87 * abs(z)) + 20
-    with mpmath.workdps(extra_digits):
-        total = mpmath.mpf(0)
-        zm = mpmath.mpf(z)
-        # Gamma arguments must be formed in working precision; building
-        # alpha*k + beta in doubles first leaks the rounding error into the
-        # heavily cancelling sum.
-        am = mpmath.mpf(alpha)
-        bm = mpmath.mpf(beta)
-        term = mpmath.mpf(1) / mpmath.gamma(bm)
-        zk = mpmath.mpf(1)
-        k = 0
-        while True:
-            total += term
-            k += 1
-            zk *= zm
-            term = zk / mpmath.gamma(am * k + bm)
-            if abs(term) < mpmath.mpf(10) ** (-extra_digits) and k > 3:
-                break
-            if k > 20000:
-                raise MLConvergenceError(
-                    f"high-precision series for E_({alpha},{beta})({z}) stalled"
-                )
-        return float(total)
+def _bounded_region(phi, p, log_tol):
+    """Contour between the origin (strength p) and two poles at phi (strength 1)."""
+    f_max = math.exp(log_tol - LOG_EPS)
+    sq1 = min(math.sqrt(phi), 2.0 * math.sqrt(log_tol - LOG_EPS))
+    sq0 = 0.0
+    if p < 1e-14:
+        fbar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+        sq1 = 2.0 * sq1 / (2.0 + 1.0 / fbar)
+    else:
+        f_min = 1.01 * sq1 / sq1 ** max(p, 1.0)
+        if f_min >= f_max:
+            return math.inf, 0.0, 0.0
+        f_min = max(f_min, 1.5)
+        fbar = f_min + f_min / f_max * (f_max - f_min)
+        fp = fbar ** (-1.0 / p)
+        fq = 1.0 / fbar
+        w = -phi / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        sq0 = fp * sq1 / den
+        sq1 = (2.0 + w - (1.0 + w) * fp) * sq1 / den
+    log_tol -= math.log(fbar)
+    w = -sq1**2 / log_tol
+    mu = (((1.0 + w) * sq0 + sq1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (sq1 - sq0) / ((1.0 + w) * sq0 + sq1)
+    n = math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+    return n, mu, h
+
+
+def _cheapest_rule(p0, phi):
+    """(N, mu, h, poles_right) of the admissible region with the fewest nodes.
+
+    p0 is the strength of the branch point at the origin; phi places the pole
+    pair, or is 0 when no pole lies off the branch cut.
+    """
+    for loosening in range(14):  # targets 1e-15, 1e-14, ..., 1e-2
+        log_tol = CONTOUR_LOG_TOL + loosening * math.log(10.0)
+        # Past phi = log_tol - LOG_EPS only the region left of the poles is
+        # admissible; _unbounded_region then returns N = inf by itself.
+        regions = [(*_bounded_region(phi, p0, log_tol), True)] if phi else []
+        regions.append((*_unbounded_region(phi, 1.0 if phi else p0, log_tol), False))
+        best = min(regions, key=lambda r: r[0])
+        if best[0] <= CONTOUR_MAX_NODES:
+            return best
+    raise MLConvergenceError(f"no contour rule meets a 1e-2 target (p0={p0}, phi={phi})")
+
+
+def _trapezoid(alpha, beta, z, n, mu, h):
+    """(1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds on s = mu (1 + iu)^2."""
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    log_s = np.log(s)
+    weight = np.exp(s + (alpha - beta) * log_s) * (2.0 * mu * (1j - u))
+    terms = weight / (np.exp(alpha * log_s) - z[:, None])
+    return (h / (2j * np.pi) * terms.sum(axis=1)).real
+
+
+def _contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for an array of z < 0."""
+    p0 = max(0.0, 2.0 * (beta - alpha - 1.0))
+    if alpha <= 1.0:
+        # No pole of 1/(s^alpha - z) lies off the branch cut (at alpha = 1 it
+        # sits on it), so one parameter set serves every z.
+        out = _trapezoid(alpha, beta, z, *_cheapest_rule(p0, 0.0)[:3])
+    else:
+        out = np.empty(z.shape)
+        for i, zi in enumerate(z):
+            # Conjugate poles |z|^(1/alpha) e^(+-i pi/alpha), residues e^s s^(1-beta) / alpha
+            pole = abs(zi) ** (1.0 / alpha) * np.exp(1j * math.pi / alpha)
+            phi = 0.5 * (pole.real + abs(pole))
+            n, mu, h, poles_right = _cheapest_rule(p0, phi if phi > 1e-15 else 0.0)
+            out[i] = _trapezoid(alpha, beta, z[i : i + 1], n, mu, h)[0]
+            if poles_right:
+                out[i] += 2.0 / alpha * (np.exp(pole) * pole ** (1.0 - beta)).real
+    if not np.all(np.isfinite(out)):
+        raise MLConvergenceError(f"contour for E_({alpha},{beta}) is not finite")
+    return out
 
 
 def ml_eval(q: MLQuery) -> float:
@@ -219,19 +228,7 @@ def ml_eval(q: MLQuery) -> float:
         return rgamma(beta)
     if z > 0.0:
         return _series(alpha, beta, z)
-    if z >= -SERIES_RADIUS:
-        # The series is preferred but rejects itself when it converges too
-        # slowly or cancels too strongly (both happen for small alpha).
-        try:
-            return _series(alpha, beta, z)
-        except (MLConvergenceError, MLOverflowError):
-            pass
-    z_big = max(10.0, 10.0 * 5.0**alpha)
-    if alpha <= INTEGRAL_ALPHA_LIMIT:
-        if z <= -z_big:
-            return _asymptotic(alpha, beta, z)
-        return _integral(alpha, beta, z)
-    return _highprec_series(alpha, beta, z)
+    return float(_contour(alpha, beta, np.array([z]))[0])
 
 
 def ml(alpha: float, beta: float, z: float) -> float:
@@ -239,12 +236,21 @@ def ml(alpha: float, beta: float, z: float) -> float:
     return ml_eval(MLQuery(alpha, beta, z))
 
 
-def ml_decay(alpha: float, gamma_rate: float, t: float) -> float:
-    """The decay profile E_alpha(-gamma_rate * t^alpha), in (0, 1] for t >= 0."""
+def ml_decay(alpha: float, gamma_rate: float, t):
+    """The decay profile E_alpha(-gamma_rate * t^alpha), in (0, 1] for t >= 0.
+
+    `t` may be a scalar or an array; the result is a float or an array of
+    the same shape, and exactly 1.0 wherever t = 0.
+    """
     if not 0.0 < alpha < 1.0:
         raise MLDomainError(f"ml_decay requires alpha in (0, 1), got {alpha}")
     if not gamma_rate > 0.0:
         raise MLDomainError(f"ml_decay requires gamma > 0, got {gamma_rate}")
-    if t < 0.0:
-        raise MLDomainError(f"ml_decay requires t >= 0, got {t}")
-    return ml_eval(MLQuery(alpha, 1.0, -gamma_rate * t**alpha))
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = -gamma_rate * t**alpha  # nan for t < 0
+    if not np.all(np.isfinite(z)):
+        raise MLDomainError(f"ml_decay requires finite t >= 0, got {t[~np.isfinite(z)][0]}")
+    out = np.ones(z.shape)
+    out[z < 0.0] = _contour(alpha, 1.0, z[z < 0.0])
+    return float(out) if out.ndim == 0 else out

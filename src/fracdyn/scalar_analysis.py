@@ -103,8 +103,8 @@ class ZeroSet:
         return tuple(z for z, d in zip(self.zeros, self.derivs) if d < 0)
 
     def distance(self, x):
-        """Euclidean distance from x to the (finite) zero set."""
-        return min(abs(x - z) for z in self.zeros)
+        """Euclidean distance from x (a scalar or an array) to the zero set."""
+        return np.min(np.abs(np.subtract.outer(x, self.zeros)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -289,24 +289,24 @@ def gamma_rate_constant(fld, x_star, eta, params=(), grid_points=1000):
     return float(min(half_slope, np.min(fw / np.abs(ws))))
 
 
+def _envelope_report(lhs, allowed, upper) -> EnvelopeReport:
+    # The ratio is inf wherever the bound vanishes (a seed on the zero).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(allowed > 0.0, lhs / allowed, math.inf)
+    bad = np.flatnonzero(lhs > allowed if upper else lhs < allowed)
+    first_bad = int(bad[0]) if bad.size else None
+    worst = float(ratio.max() if upper else ratio.min())
+    return EnvelopeReport(first_bad is None, worst, first_bad, ENVELOPE_SLACK)
+
+
 def envelope_check(traj: Trajectory, x_star, gamma_rate, eta=None) -> EnvelopeReport:
     """Verify |x(t) - x_star| <= E_alpha(-gamma t^alpha) |eta - x_star| (1+slack)."""
     x = traj.scalar()
     if eta is None:
         eta = float(x[0])
     d0 = abs(eta - x_star)
-    worst = 0.0
-    first_bad = None
-    for i, t in enumerate(traj.times):
-        bound = ml_decay(traj.alpha, gamma_rate, float(t)) * d0 if t > 0 else d0
-        lhs = abs(float(x[i]) - x_star)
-        allowed = bound * (1.0 + ENVELOPE_SLACK)
-        ratio = lhs / allowed if allowed > 0 else math.inf
-        if ratio > worst:
-            worst = ratio
-        if lhs > allowed and first_bad is None:
-            first_bad = i
-    return EnvelopeReport(first_bad is None, worst, first_bad, ENVELOPE_SLACK)
+    allowed = ml_decay(traj.alpha, gamma_rate, traj.times) * d0 * (1.0 + ENVELOPE_SLACK)
+    return _envelope_report(np.abs(x - x_star), allowed, upper=True)
 
 
 def lower_bound_check(traj: Trajectory, zs: ZeroSet, L) -> EnvelopeReport:
@@ -315,18 +315,8 @@ def lower_bound_check(traj: Trajectory, zs: ZeroSet, L) -> EnvelopeReport:
         raise ValueError(f"need L > 0, got {L}")
     x = traj.scalar()
     d0 = zs.distance(float(x[0]))
-    worst = math.inf
-    first_bad = None
-    for i, t in enumerate(traj.times):
-        bound = (ml_decay(traj.alpha, L, float(t)) if t > 0 else 1.0) * d0
-        lhs = zs.distance(float(x[i]))
-        allowed = bound * (1.0 - ENVELOPE_SLACK)
-        ratio = lhs / allowed if allowed > 0 else math.inf
-        if ratio < worst:
-            worst = ratio
-        if lhs < allowed and first_bad is None:
-            first_bad = i
-    return EnvelopeReport(first_bad is None, worst, first_bad, ENVELOPE_SLACK)
+    allowed = ml_decay(traj.alpha, L, traj.times) * d0 * (1.0 - ENVELOPE_SLACK)
+    return _envelope_report(zs.distance(x), allowed, upper=False)
 
 
 def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=(), n_samples=2000):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from fracdyn import mittag_leffler
 from fracdyn.field_expr import FieldDef
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -25,13 +26,17 @@ def test_every_spanned_name_resolves():
         for name in names:
             assert callable(getattr(mod, name, None)), f"fracdyn.{layer}.{name}"
     assert callable(FieldDef.compiled)
+    assert callable(getattr(mittag_leffler, "ml_eval", None))
 
 
 def test_install_and_uninstall_restore_originals():
     tracing = load_tracing()
     original = FieldDef.compiled
+    original_ml = mittag_leffler.ml_eval
     tracer = tracing.Tracer()
     tracer.install()
     assert FieldDef.compiled is not original
+    assert mittag_leffler.ml_eval is not original_ml
     tracer.uninstall()
     assert FieldDef.compiled is original
+    assert mittag_leffler.ml_eval is original_ml

@@ -89,6 +89,12 @@ class TestDivergence:
     def test_saddle_family_cases(self, gamma, x0, expect):
         assert bif.divergence_check(SADDLE, gamma, 0.5, x0, 50.0) is expect
 
+    def test_field_failure_is_not_divergence(self):
+        # x^0.5 turns complex once the state goes negative (about -0.109);
+        # the solve stops there, but the state never ran off to -infinity
+        family = FieldDef.parse(["gamma - x^0.5"], ("gamma",))
+        assert bif.divergence_check(family, -1.0, 0.5, 0.5, 2.0, dt=0.1) is False
+
     def test_apriori_bound_dominates_before_escape(self):
         # for g = gamma - x^2, g <= gamma, so x(t) <= eta + gamma t^a/Gamma(1+a)
         gamma, alpha, eta = 0.25, 0.5, 0.0

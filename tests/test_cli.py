@@ -43,7 +43,7 @@ class TestExitCodes:
         proc = run("simulate", "--component=-1 - x^0.5", "--x0=0.5",
                    "--alpha", "0.5", "--t-end", "2", "--dt", "0.1", "--out", "-")
         assert proc.returncode == 0
-        assert "escape at" in proc.stderr and "sign -1" in proc.stderr
+        assert "field failed at t=0.1" in proc.stderr and "escape" not in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_ml_batch_overflow_is_two(self):

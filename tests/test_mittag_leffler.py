@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +39,34 @@ def ml_series_200(alpha, beta, z):
         total += zk / math.gamma(alpha * k + beta)
         zk *= z
     return total
+
+
+def ml_quadrature_mp(alpha, x):
+    """E_alpha(-x) for 0 < alpha < 1, x > 0, by 30-digit quadrature of
+
+    sin(alpha pi)/(alpha pi) int_0^inf exp(-(x u)^(1/alpha)) / (u^2 + 2u cos(alpha pi) + 1) du.
+    """
+    with mpmath.workdps(30):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        c = mpmath.cos(a * mpmath.pi)
+        f = lambda u: mpmath.exp(-((x * u) ** (1 / a))) / (u * u + 2 * u * c + 1)
+        # for small alpha the exponential factor drops like a step at u = 1/x
+        nodes = sorted({mpmath.mpf(0), 1 / x, mpmath.mpf(1)}) + [mpmath.inf]
+        return float(mpmath.sin(a * mpmath.pi) / (a * mpmath.pi) * mpmath.quad(f, nodes))
+
+
+def ml_series_mp(alpha, beta, z):
+    """The defining series summed with enough digits to absorb its cancellation."""
+    digits = int(abs(z) ** (1.0 / alpha) / 2.3) + 30  # largest term ~ exp(|z|^(1/alpha))
+    with mpmath.workdps(digits):
+        a, b, zm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = zm**k / mpmath.gamma(a * k + b)
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -digits and k > 3:
+                return float(total)
+            k += 1
 
 
 # Frozen high-precision sums of the defining series (adaptive-precision
@@ -105,6 +134,31 @@ class TestFrozenOracles:
         assert ml(alpha, beta, z) == pytest.approx(expect, rel=1e-8)
 
 
+class TestContourAccuracy:
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.99, 1.0])
+    def test_against_quadrature(self, alpha):
+        for z in (-1000.0, -180.0, -35.0, -6.0, -1.0, -0.2, -1e-3, 0.0):
+            if z == 0.0:
+                expect = 1.0
+            elif alpha == 1.0:
+                expect = math.exp(z)
+            else:
+                expect = ml_quadrature_mp(alpha, -z)
+            assert abs(ml(alpha, 1.0, z) - expect) <= 1e-12, z
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.75, 2.0])
+    def test_poles_against_series(self, alpha):
+        for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for z in (-60.0, -25.0, -7.0, -1.5, -0.3, -1e-3):
+                assert abs(ml(alpha, beta, z) - ml_series_mp(alpha, beta, z)) <= 1e-12, (beta, z)
+
+    def test_beta_against_series(self):
+        for alpha in (0.5, 0.8, 1.0):
+            for beta in (0.5, 1.5, 2.0, 3.0, 6.0):
+                for z in (-8.0, -1.0, -0.1):
+                    assert abs(ml(alpha, beta, z) - ml_series_mp(alpha, beta, z)) <= 1e-12
+
+
 class TestAsymptotics:
     def test_algebraic_plateau(self):
         # t^alpha E_alpha(-gamma t^alpha) -> 1/(gamma Gamma(1-alpha))
@@ -129,13 +183,13 @@ class TestAsymptotics:
             assert np.all(np.diff(vals) > 0.0)
 
     def test_regime_boundaries_are_continuous(self):
-        # values on both sides of each internal dispatch switch must agree
+        # values on both sides of each edge must agree; z = 0 switches from
+        # the contour to the series
         for alpha in (0.3, 0.5, 0.9):
             z_big = max(10.0, 10.0 * 5.0**alpha)
-            for edge in (5.0, z_big):
-                lo = ml(alpha, 1.0, -(edge * (1.0 + 1e-9)))
-                hi = ml(alpha, 1.0, -(edge * (1.0 - 1e-9)))
-                assert lo == pytest.approx(hi, rel=1e-7)
+            edges = [(-(e * (1.0 + 1e-9)), -(e * (1.0 - 1e-9))) for e in (5.0, z_big)]
+            for lo, hi in edges + [(-1e-9, 1e-9)]:
+                assert ml(alpha, 1.0, lo) == pytest.approx(ml(alpha, 1.0, hi), rel=1e-7)
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ import pytest
 
 from fracdyn import CaputoProblem, FieldDef, solve_pece
 from fracdyn import scalar_analysis as sa
-from fracdyn.mittag_leffler import ml_decay
+from fracdyn.mittag_leffler import MLDomainError, ml_decay
 
 LINEAR = FieldDef.parse(["-x"])
 CUBIC = FieldDef.parse(["x - x^3"])
@@ -105,6 +105,22 @@ class TestDecayRate:
             sa.gamma_rate_constant(CUBIC, 1.0, -0.5)
 
 
+def pointwise_report(traj, dist, rate, d0, upper):
+    """Reference envelope report built one grid point at a time."""
+    sign = 1.0 if upper else -1.0
+    worst = 0.0 if upper else math.inf
+    first_bad = None
+    for i, t in enumerate(traj.times):
+        bound = (ml_decay(traj.alpha, rate, float(t)) if t > 0 else 1.0) * d0
+        lhs = dist(float(traj.scalar()[i]))
+        allowed = bound * (1.0 + sign * sa.ENVELOPE_SLACK)
+        ratio = lhs / allowed if allowed > 0 else math.inf
+        worst = max(worst, ratio) if upper else min(worst, ratio)
+        if sign * (lhs - allowed) > 0 and first_bad is None:
+            first_bad = i
+    return sa.EnvelopeReport(first_bad is None, worst, first_bad, sa.ENVELOPE_SLACK)
+
+
 class TestEnvelopes:
     def _cubic_traj(self, alpha=0.6, eta=0.5, t_end=30.0, dt=0.002):
         return solve_pece(CaputoProblem(alpha, CUBIC, (), (eta,), t_end, dt))
@@ -145,6 +161,34 @@ class TestEnvelopes:
         t = float(traj.times[i])
         bound = ml_decay(0.6, gamma, t) * 0.5 * (1.0 + sa.ENVELOPE_SLACK)
         assert abs(traj.scalar()[i] - 1.0) <= bound
+        # the array form is the scalar form pointwise, and exactly 1 at t = 0
+        profile = ml_decay(0.6, gamma, traj.times)
+        pointwise = np.array([ml_decay(0.6, gamma, float(s)) for s in traj.times])
+        assert profile[0] == 1.0 and pointwise[0] == 1.0
+        assert np.max(np.abs(profile - pointwise)) <= 1e-15
+        for bad in ([0.0, -1.0], [0.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(MLDomainError):
+                ml_decay(0.6, gamma, np.array(bad))
+        # both checks equal their per-point definitions, passing and failing
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        for rate, holds in ((gamma, True), (10.0 * gamma, False)):
+            self._assert_same_report(
+                sa.envelope_check(traj, 1.0, rate),
+                pointwise_report(traj, lambda x: abs(x - 1.0), rate, 0.5, upper=True),
+                holds,
+            )
+        for L, holds in ((sa.default_lipschitz_bound(CUBIC, 0.5, zs), True), (1e-6, False)):
+            self._assert_same_report(
+                sa.lower_bound_check(traj, zs, L),
+                pointwise_report(traj, zs.distance, L, zs.distance(0.5), upper=False),
+                holds,
+            )
+
+    @staticmethod
+    def _assert_same_report(got, expect, holds):
+        assert got.holds is expect.holds is holds
+        assert got.first_violation_index == expect.first_violation_index
+        assert got.worst_ratio == pytest.approx(expect.worst_ratio, rel=1e-12)
 
 
 class TestLimits:
