@@ -4,10 +4,13 @@ Solves the integral form
 
     x(t) = x0 + (1/Gamma(alpha)) * int_0^t (t-s)^(alpha-1) g(x(s)) ds
 
-on a uniform grid with product-rectangle predictor weights and
-product-trapezoidal corrector weights, the corrector iterated as a fixed
-point.  The same recurrence with x0 replaced by a forcing function f(t_n)
-solves the forced singular Volterra integral equation.
+on a uniform grid by product integration (Diethelm, Ford & Freed 2002):
+the predictor holds g constant on each step (rectangle rule), the corrector
+takes g linear on each step (trapezoid rule) and is iterated as a fixed
+point.  Both rules, and the memory integral of the function-space
+semigroup, take their weights from one per-offset rule, `_weights`.  The
+same recurrence with x0 replaced by a forcing function f(t_n) solves the
+forced singular Volterra integral equation.
 """
 
 from __future__ import annotations
@@ -92,17 +95,29 @@ class Trajectory:
         return self.states[:, 0]
 
 
-def _weights(alpha, n_steps):
-    # b[m] drives the rectangle predictor, c[m] the trapezoid corrector
-    # history; both depend only on the step offset m = n + 1 - j.
-    k = np.arange(n_steps + 2, dtype=float)
-    ka = k**alpha
-    ka1 = k ** (alpha + 1.0)
-    b = ka[1:] - ka[:-1]  # b[m] = (m+1)^a - m^a, m = 0..n_steps
-    c = np.empty(n_steps + 1)
-    c[0] = 0.0
-    c[1:] = ka1[2 : n_steps + 2] - 2.0 * ka1[1 : n_steps + 1] + ka1[: n_steps]
-    return b, c, ka, ka1
+def _weights(alpha, n):
+    """Product-integration weights of I^alpha on a unit grid, per offset k = 0..n.
+
+    The one rule behind every memory integral here: with u the distance to
+    the target time in steps, the step between offsets k-1 and k carries
+
+        rect[k] = int_{k-1}^{k} u^(alpha-1) du,
+
+    which g constant on the step multiplies, and for g linear on the step
+    the split rect[k] = far[k] + near[k]: far[k] weights g at the node k
+    steps back, near[k] at the node k-1 steps back.  Entry 0 is zero.
+    Differences of powers are taken through expm1/log1p, so the relative
+    error grows like k * eps rather than k^2 * eps.
+    """
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
+        em = np.expm1(alpha * np.log1p(-1.0 / k))  # (1 - 1/k)^alpha - 1
+    k_alpha = k**alpha
+    rect = -k_alpha * em / alpha
+    near = k_alpha * (-(k + alpha) * em - alpha) / (alpha * (alpha + 1.0))
+    zero = np.zeros(1)
+    return (np.concatenate((zero, rect)), np.concatenate((zero, rect - near)),
+            np.concatenate((zero, near)))
 
 
 def _pece_loop(alpha, fld, params, forcing, dt):
@@ -111,17 +126,19 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
     """
-    n_steps = forcing.shape[0] - 1
-    d = forcing.shape[1]
-    b, c, ka, ka1 = _weights(alpha, n_steps)
-    brev = np.ascontiguousarray(b[::-1])  # brev[N - m] = b[m]
-    crev = np.ascontiguousarray(c[::-1])
-    h_a = dt**alpha
-    cp = h_a / math.gamma(alpha + 1.0)
-    cc = h_a / math.gamma(alpha + 2.0)
+    N, d = forcing.shape[0] - 1, forcing.shape[1]
+    rect, far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
+    scale = dt**alpha / math.gamma(alpha)
+    # Reversed so that step n reads contiguous slices: rrev[N - k] = rect[k] and
+    # hrev[N - 1 - k] = far[k] + near[k + 1], the trapezoid weight of the node
+    # k steps back, which is far of the step before it plus near of the step after.
+    rrev = scale * rect[::-1]
+    hrev = scale * (far[:-1] + near[1:])[::-1]
+    far = scale * far
+    w_self = scale * near[1]
 
-    states = np.empty((n_steps + 1, d))
-    fvals = np.empty((n_steps + 1, d))
+    states = np.empty((N + 1, d))
+    fvals = np.empty((N + 1, d))
     states[0] = forcing[0]
     meta = SolverMeta()
     escape_index = None
@@ -137,22 +154,18 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
     fvals[0] = evaluate(states[0])
 
-    N = n_steps
     # Overflow on the way to an escape is expected; the escape check catches it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            pred = forcing[n + 1] + cp * (brev[N - n : N + 1] @ fvals[: n + 1])
-            # a0 is the trapezoid weight of the j=0 node at step n+1.
-            a0 = ka1[n] - (n - alpha) * ka[n + 1]
-            hist = crev[N - n : N] @ fvals[1 : n + 1] if n > 0 else 0.0
-            base = forcing[n + 1] + cc * (a0 * fvals[0] + hist)
-
-            x = pred
+        for n in range(N):
+            # Node j of 0..n lies n + 1 - j steps behind the new node n + 1.
+            x = forcing[n + 1] + rrev[N - n - 1 : N] @ fvals[: n + 1]
+            base = (forcing[n + 1] + far[n + 1] * fvals[0]
+                    + hrev[N - 1 - n : N - 1] @ fvals[1 : n + 1])
             residual = math.inf
             iters = 0
             try:
                 for iters in range(1, CORRECTOR_MAX_ITER + 1):
-                    x_new = base + cc * evaluate(x)
+                    x_new = base + w_self * evaluate(x)
                     residual = float(np.max(np.abs(x_new - x)))
                     x = x_new
                     if residual <= CORRECTOR_TOL:
@@ -174,7 +187,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                 break
             states[n + 1] = x
 
-    times = dt * np.arange(n_steps + 1)
+    times = dt * np.arange(N + 1)
     return Trajectory(
         alpha, times, states, meta, escape_index=escape_index, escape_sign=escape_sign
     )

@@ -193,11 +193,7 @@ def cmd_heteroclinic(args, parser):
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
     eta = args.eta
-    idx = None
-    for j in range(len(zs.zeros) - 1):
-        if zs.zeros[j] < eta < zs.zeros[j + 1]:
-            idx = j
-            break
+    idx = zs.open_interval(eta)
     if idx is None:
         parser.error(f"eta={eta} is not strictly between adjacent zeros")
     orbit = sa.heteroclinic_orbit(
@@ -249,6 +245,8 @@ def cmd_triangular(args, parser):
     }
     if args.x0:
         x0 = tuple(float(v) for v in args.x0.split(","))
+        if len(x0) != tf.dimension:
+            parser.error(f"--x0 has {len(x0)} values, the field has dimension {tf.dimension}")
         out["predicted_limits"] = list(componentwise_limits(tf, x0, box))
         if args.alpha is not None:
             _check_alpha(args.alpha, parser)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo_solver import solve_svie
+from .caputo_solver import _weights, solve_svie
 from .field_expr import eval_points
 from .mittag_leffler import ml
 
@@ -66,13 +66,6 @@ class SampledFunction:
         grid = dt * np.arange(n + 1)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         return cls(grid, np.tile(x0, (n + 1, 1)))
-
-    @classmethod
-    def from_callable(cls, fn, theta_max, dt):
-        n = int(round(theta_max / dt))
-        grid = dt * np.arange(n + 1)
-        vals = np.array([np.atleast_1d(fn(t)) for t in grid], dtype=float)
-        return cls(grid, vals)
 
     def at(self, t):
         """Linear interpolation, extended by the last value beyond the grid."""
@@ -149,24 +142,18 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
         return SampledFunction(out_grid, shifted)
 
     traj = solve_svie(f, fld, params, alpha, tau_snap, dt)
-    gvals = eval_points(fld, traj.states, tuple(params))
+    g = eval_points(fld, traj.states, tuple(params))
 
-    # Product-trapezoidal memory integral int_0^tau (tau+theta-s)^(a-1) g ds,
-    # exact for piecewise-linear g-values; kernel is smooth for theta > 0.
-    s_left = traj.times[:-1]  # (m,)
-    big_t = tau_snap + out_grid[1:, None]  # (n_out, 1)
-    u_l = big_t - s_left[None, :]  # (n_out, m)
-    u_r = u_l - dt
-    ua_l = u_l**alpha
-    ua_r = u_r**alpha
-    i0 = (ua_l - ua_r) / alpha
-    i1 = (u_l * i0 - (u_l * ua_l - u_r * ua_r) / (alpha + 1.0)) / dt
-    w_left = i0 - i1  # weight of g at s_j
-    w_right = i1  # weight of g at s_{j+1}
-    integral = w_left @ gvals[:-1] + w_right @ gvals[1:]  # (n_out, d)
-
-    out = shifted.copy()
-    out[1:] += integral / math.gamma(alpha)
+    # Memory integral over [0, tau] at tau + theta_i by the solver's trapezoid
+    # rule: sum_j far[m+i-j] g_j + near[m+i-j] g_{j+1}, one pair of
+    # convolutions per component.  Row i = 0 is the solver's own last step;
+    # the endpoint replaces it.
+    _, far, near = _weights(alpha, m + n_out)
+    memory = np.column_stack([
+        np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
+        for c in range(g.shape[1])
+    ])
+    out = shifted + dt**alpha / math.gamma(alpha) * memory
     out[0] = traj.states[-1]
     return SampledFunction(out_grid, out)
 

@@ -106,6 +106,19 @@ class ZeroSet:
         """Euclidean distance from x (a scalar or an array) to the zero set."""
         return np.min(np.abs(np.subtract.outer(x, self.zeros)), axis=-1)
 
+    def open_interval(self, eta):
+        """Index j with zeros[j] < eta < zeros[j+1], or None.
+
+        None means eta lies on a zero or outside [zeros[0], zeros[-1]]; a
+        non-finite eta raises ValueError.
+        """
+        if not math.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta}")
+        j = int(np.searchsorted(self.zeros, eta)) - 1  # zeros[j] < eta <= zeros[j+1]
+        if 0 <= j < len(self.zeros) - 1 and eta != self.zeros[j + 1]:
+            return j
+        return None
+
 
 @dataclass(frozen=True)
 class AttractorInterval:
@@ -345,19 +358,12 @@ def classify_limit(fld, zs: ZeroSet, eta, params=()):
     zeros = zs.zeros
     if not zeros:
         raise ValueError("empty zero set")
-    for z in zeros:
-        if eta == z:
-            return z
-    if eta < zeros[0]:
-        return zeros[0]
-    if eta > zeros[-1]:
-        return zeros[-1]
-    for j in range(len(zeros) - 1):
-        if zeros[j] < eta < zeros[j + 1]:
-            # g' > 0 at the left zero means g > 0 on the interval, so the
-            # flow runs toward the right zero; otherwise leftward.
-            return zeros[j + 1] if zs.derivs[j] > 0 else zeros[j]
-    raise AssertionError("unreachable: eta not located in the zero set")
+    j = zs.open_interval(eta)
+    if j is None:  # on a zero, or outside the attractor: the nearest zero
+        return min(zeros, key=lambda z: abs(z - eta))
+    # g' > 0 at the left zero means g > 0 on the interval, so the flow runs
+    # toward the right zero; otherwise leftward.
+    return zeros[j + 1] if zs.derivs[j] > 0 else zeros[j]
 
 
 def rate_fit(traj: Trajectory, x_star):
@@ -392,22 +398,16 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
     """
     if zs is None:
         zs = find_zeros(fld, (-abs(eta) - 10.0, abs(eta) + 10.0), params=params)
-    zeros = zs.zeros
-    for z in zeros:
-        if eta == z:
-            return eta
-    bracket = None
-    for j in range(len(zeros) - 1):
-        if zeros[j] < eta < zeros[j + 1]:
-            bracket = (zeros[j], zeros[j + 1])
-            break
-    if bracket is None:
+    if eta in zs.zeros:
+        return eta
+    j = zs.open_interval(eta)
+    if j is None:
         raise BracketFailureError(
             f"eta={eta} is not strictly between adjacent zeros; backward "
             "solutions leave every compact set there"
         )
-    lo = np.nextafter(bracket[0], bracket[1])
-    hi = np.nextafter(bracket[1], bracket[0])
+    lo = np.nextafter(zs.zeros[j], zs.zeros[j + 1])
+    hi = np.nextafter(zs.zeros[j + 1], zs.zeros[j])
     flo = _forward_endpoint(fld, params, alpha, lo, t_back, dt) - eta
     fhi = _forward_endpoint(fld, params, alpha, hi, t_back, dt) - eta
     if flo == 0.0:
@@ -441,15 +441,11 @@ def heteroclinic_orbit(
     interval_index i selects (zeros[i], zeros[i+1]); the orbit joins its
     endpoints, running from the unstable zero (t -> -inf) to the stable one.
     """
-    zeros = zs.zeros
-    if not 0 <= interval_index < len(zeros) - 1:
+    if zs.open_interval(eta) != interval_index:
         raise ValueError(
-            f"interval index {interval_index} does not select a pair of "
-            f"adjacent zeros (have {len(zeros)})"
+            f"eta={eta} is not in open interval {interval_index} of the zeros {zs.zeros}"
         )
-    left, right = zeros[interval_index], zeros[interval_index + 1]
-    if not left < eta < right:
-        raise ValueError(f"eta={eta} outside the open interval ({left}, {right})")
+    left, right = zs.zeros[interval_index], zs.zeros[interval_index + 1]
     # Sign convention: in g>0 intervals flow runs left->right, else right->left.
     g_positive = zs.derivs[interval_index] > 0
     source, target = (left, right) if g_positive else (right, left)

@@ -4,7 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from fracdyn import mittag_leffler
+from fracdyn import caputo_solver, mittag_leffler
 from fracdyn.field_expr import FieldDef
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -27,6 +27,9 @@ def test_every_spanned_name_resolves():
             assert callable(getattr(mod, name, None)), f"fracdyn.{layer}.{name}"
     assert callable(FieldDef.compiled)
     assert callable(getattr(mittag_leffler, "ml_eval", None))
+    # Tracer.solver_metrics counts capped and unconverged solves against these.
+    assert isinstance(caputo_solver.CORRECTOR_MAX_ITER, int)
+    assert isinstance(caputo_solver.CORRECTOR_TOL, float)
 
 
 def test_install_and_uninstall_restore_originals():

@@ -3,11 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fracdyn import CaputoProblem, FieldDef, convergence_order, solve_pece, solve_svie
-from fracdyn.caputo_solver import EXACT_ORDER
+from fracdyn.caputo_solver import EXACT_ORDER, _weights
 from fracdyn.function_space_semigroup import SampledFunction
 from fracdyn.mittag_leffler import ml
 
@@ -40,6 +41,37 @@ class TestExactCases:
                 t = float(traj.times[i])
                 expect = ml(alpha, 1.0, -(t**alpha))
                 assert traj.scalar()[i] == pytest.approx(expect, abs=1e-3)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.99])
+    def test_against_extended_precision(self, alpha):
+        # rect = int_{k-1}^{k} u^(a-1) du, far/near its split for g linear on
+        # the step; 50 digits leave ~39 after the cancellation at k = 2e5.
+        n = 200_000
+        rect, far, near = _weights(alpha, n)
+        assert rect[0] == far[0] == near[0] == 0.0
+        offsets = sorted({*range(1, 40), *np.geomspace(40, n, 60).astype(int).tolist()})
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            for k in offsets:
+                k_ = mpmath.mpf(k)
+                r = (k_**a - (k_ - 1) ** a) / a
+                p = (k_ ** (a + 1) - (k_ - 1) ** (a + 1)) / (a + 1)
+                for got, want in ((rect[k], r), (far[k], p - (k_ - 1) * r),
+                                  (near[k], k_ * r - p)):
+                    assert abs(got - want) <= 1e-9 * want, (k, got, want)
+
+    def test_first_step_closed_form(self):
+        # g = lam x: x1 = x0 (1 + cc alpha lam) / (1 - cc lam) with
+        # cc = dt^alpha / Gamma(alpha + 2), pinning the weight of node 0 and
+        # the corrector's self-weight.
+        alpha, dt, lam, x0 = 0.4, 0.001, -0.5, 1.3  # cc lam = -0.025 contracts fast
+        cc = dt**alpha / math.gamma(alpha + 2.0)
+        fld = FieldDef.parse(["lam*x"], ("lam",))
+        traj = solve_pece(CaputoProblem(alpha, fld, (lam,), (x0,), 2 * dt, dt))
+        expect = x0 * (1.0 + cc * alpha * lam) / (1.0 - cc * lam)
+        assert traj.scalar()[1] == pytest.approx(expect, rel=1e-13)
 
 
 class TestForcedEquation:

@@ -27,11 +27,15 @@ class TestExitCodes:
         ("attractor", "--component", "x +* 2"),       # parse error
         ("attractor", "--catalog", "nosuchfield"),
         ("bifurcate", "--family", "saddle", "--gamma-range", "nonsense"),
+        ("triangular", "--catalog", "fig2", "--x0", "0.5"),          # x0 too short
+        ("triangular", "--catalog", "fig2", "--x0", "0.5,0.5,0.5"),  # x0 too long
+        ("limits", "--catalog", "cubic", "--eta", "nan"),
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
         assert proc.returncode == 2
         assert proc.stderr != ""
+        assert "Traceback" not in proc.stderr
 
     def test_complex_field_at_start_is_two(self):
         proc = run("simulate", "--component", "x^0.5", "--x0=-1",

@@ -217,6 +217,15 @@ class TestLimits:
         assert sa.classify_limit(logistic, zs, 0.5) == pytest.approx(1.0, abs=1e-9)
         assert sa.classify_limit(logistic, zs, 1.4) == pytest.approx(1.0, abs=1e-9)
 
+    def test_open_interval_lookup(self):
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        for eta in (-3.0, *zs.zeros, -0.5, 0.25, 0.999, 7.0, *np.nextafter(zs.zeros, 9.0)):
+            loop = [j for j in range(len(zs) - 1) if zs.zeros[j] < eta < zs.zeros[j + 1]]
+            assert zs.open_interval(eta) == (loop[0] if loop else None), eta
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sa.classify_limit(CUBIC, zs, eta)
+
     def test_rate_fit_requires_data(self):
         traj = solve_pece(CaputoProblem(0.5, LINEAR, (), (0.0,), 1.0, 0.01))
         with pytest.raises(sa.InsufficientDataError):

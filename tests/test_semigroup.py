@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fracdyn import FieldDef
+from fracdyn import FieldDef, solve_svie
+from fracdyn.field_expr import eval_points
 from fracdyn.function_space_semigroup import (
     RhoParams,
     SampledFunction,
@@ -21,6 +22,20 @@ from fracdyn.mittag_leffler import ml
 LINEAR = FieldDef.parse(["-x"])
 CUBIC = FieldDef.parse(["x - x^3"])
 ZERO = FieldDef.parse(["0"])
+ROT = FieldDef.parse(["y - x", "-x - y^3"])
+
+
+def dense_memory(tau, f, fld, alpha, dt, theta_max):
+    """Memory tail of T_tau f from the (n_out x m) product-trapezoid matrix."""
+    m, n_out = int(round(tau / dt)), int(round(theta_max / dt))
+    traj = solve_svie(f, fld, (), alpha, m * dt, dt)
+    gvals = eval_points(fld, traj.states, ())
+    u_l = m * dt + dt * np.arange(1, n_out + 1)[:, None] - traj.times[None, :-1]
+    u_r = u_l - dt
+    ua_l, ua_r = u_l**alpha, u_r**alpha
+    i0 = (ua_l - ua_r) / alpha
+    i1 = (u_l * i0 - (u_l * ua_l - u_r * ua_r) / (alpha + 1.0)) / dt
+    return ((i0 - i1) @ gvals[:-1] + i1 @ gvals[1:]) / math.gamma(alpha)
 
 
 class TestSampledFunction:
@@ -96,6 +111,20 @@ class TestApplyT:
         g = apply_T(tau, f, LINEAR, (), alpha, 0.01, theta_max=1.0)
         expect = ml(alpha, 1.0, -(tau**alpha)) * f0
         assert g.values[0, 0] == pytest.approx(expect, abs=1e-3)
+
+    @pytest.mark.parametrize("fld, f0, tau, alpha", [
+        (CUBIC, [0.5], 3.0, 0.6),
+        (CUBIC, [1.5], 0.05, 0.3),  # m = 1: one step of memory
+        (ROT, [1.0, -0.5], 2.0, 0.4),
+        (ROT, [0.2, 0.7], 0.05, 0.8),
+    ])
+    def test_memory_tail_matches_dense_matrix(self, fld, f0, tau, alpha):
+        dt, theta = 0.05, 4.0
+        f = SampledFunction.constant(f0, tau + theta + 1.0, dt)
+        g = apply_T(tau, f, fld, (), alpha, dt, theta_max=theta)
+        tail = g.values[1:] - f.at(tau + g.theta_grid[1:])
+        ref = dense_memory(tau, f, fld, alpha, dt, theta)
+        assert np.max(np.abs(tail - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_off_grid_tau_warns(self):
         f = SampledFunction.constant([1.0], 25.0, 0.05)
