@@ -203,27 +203,15 @@ def solve_pece(p: CaputoProblem) -> Trajectory:
 def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
     """Solve the forced singular Volterra equation x(t) = f(t) + I^alpha g(x).
 
-    `forcing` is a SampledFunction (anything with .theta_grid and .values);
-    it is resampled onto the solver grid by linear interpolation when the
-    spacing differs.
+    `forcing` is a SampledFunction; `forcing.at` resamples it onto the
+    solver grid by linear interpolation.
     """
-    n_steps = int(round(t_end / dt))
-    times = dt * np.arange(n_steps + 1)
-    grid = np.asarray(forcing.theta_grid, dtype=float)
-    vals = np.atleast_2d(np.asarray(forcing.values, dtype=float))
-    if vals.shape[0] != grid.shape[0]:
-        vals = vals.T
-    if grid[-1] < times[-1] - 1e-12:
+    times = dt * np.arange(int(round(t_end / dt)) + 1)
+    if forcing.horizon < times[-1] - 1e-12:
         raise ValueError(
-            f"forcing covers [0, {grid[-1]}] but the solve needs [0, {times[-1]}]"
+            f"forcing covers [0, {forcing.horizon}] but the solve needs [0, {times[-1]}]"
         )
-    if grid.shape[0] == times.shape[0] and np.allclose(grid, times, atol=1e-12):
-        f_on_grid = vals.copy()
-    else:
-        f_on_grid = np.column_stack(
-            [np.interp(times, grid, vals[:, j]) for j in range(vals.shape[1])]
-        )
-    return _pece_loop(alpha, fld, params, f_on_grid, dt)
+    return _pece_loop(alpha, fld, params, forcing.at(times), dt)
 
 
 def convergence_order(p: CaputoProblem, levels: int = 4):

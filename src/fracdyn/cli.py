@@ -135,8 +135,6 @@ def cmd_simulate(args, parser):
         fld, params = entry.fld.assembled(), ()
     else:
         fld, params, _ = _resolve_scalar_field(args, parser)
-        if fld.dimension != len(x0) and len(args.component) > 1:
-            parser.error("x0 length must match the number of components")
     p = CaputoProblem(args.alpha, fld, params, x0, args.t_end, args.dt)
     traj = solve_pece(p)
     header = ["t"] + [f"x{i + 1}" for i in range(fld.dimension)]
@@ -332,7 +330,7 @@ def cmd_verify(args, parser):
         parser.error(str(exc))
     report = {
         "version": __version__,
-        "config": {"suite": args.suite or "all", "fault": args.fault},
+        "config": {"suite": args.suite or "quick", "fault": args.fault},
         "results": [r.to_record() for r in results],
     }
     _emit_json(report)
@@ -420,8 +418,9 @@ def build_parser():
     p.set_defaults(fn=cmd_semigroup)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    p.add_argument("--suite", help="restrict to one suite (ml, solver, scalar, "
-                                   "triangular, bifurcation, semigroup)")
+    p.add_argument("--suite", help="run one suite (ml, solver, scalar, triangular, "
+                                   "bifurcation, semigroup, paper); default: all "
+                                   "but paper")
     p.add_argument("--fault", help="inject a named fault (inflate-gamma)")
     p.set_defaults(fn=cmd_verify)
 

@@ -198,8 +198,11 @@ def scan_zeros(fld, scan_interval, resolution=2000, params=()):
     """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
     if resolution < 1000:
         raise ValueError(f"need resolution >= 1000, got {resolution}")
+    start, stop = (float(v) for v in scan_interval)
+    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
+        raise ValueError(f"scan interval needs finite lo < hi, got {start}:{stop}")
     g = _scalar_fn(fld, params)
-    xs = np.linspace(scan_interval[0], scan_interval[1], resolution + 1)
+    xs = np.linspace(start, stop, resolution + 1)
     vals = g(xs)
     exact = xs[vals == 0.0]
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)

@@ -1,190 +1,55 @@
-"""Acceptance battery: eleven end-to-end checks of the package's headline
-claims, each printing one pass/fail line.
+"""Acceptance battery: every check registered in `fracdyn.verification.SUITES`,
+one test each, with ids like `scalar/envelope_check`.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The decay-rate and product-attractor checks dominate the runtime
-(a few minutes total).
+The claims and their thresholds live in the registry only; this file adds
+the time budgets.  `pytest tests/test_acceptance.py -v -s` prints one line
+per check; `-k paper` runs the paper-scale suite (a few minutes), and
+`-k "not paper"` the quick suites that `fracdyn verify` runs (about 30 s).
 """
 
-import math
-import time
+import functools
 
-import numpy as np
 import pytest
 
-from fracdyn import CaputoProblem, FieldDef, convergence_order, solve_pece
-from fracdyn import scalar_analysis as sa
-from fracdyn.bifurcation import classify, divergence_check, sweep
-from fracdyn.catalog import get
-from fracdyn.function_space_semigroup import (
-    SampledFunction,
-    semigroup_defect,
-    state_space_defect,
-)
-from fracdyn.mittag_leffler import ml
-from fracdyn.triangular_systems import componentwise_limits, product_attractor
+from fracdyn.verification import SUITES, run_check
 
-CUBIC = get("cubic").fld
-LINEAR = get("linear").fld
+CHECKS = [(suite, name) for suite, checks in SUITES.items() for name in checks]
+SUITE_OF = {name: suite for suite, name in CHECKS}
 
-
-def report(number, name, ok):
-    print(f"acceptance {number:2d} ({name}): {'PASS' if ok else 'FAIL'}")
-    assert ok, f"acceptance criterion {number} ({name}) failed"
-
-
-def test_01_cubic_attractor_interval():
-    t0 = time.monotonic()
-    zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-    iv = sa.attractor_interval(zs)
-    ok = (
-        abs(iv.lo + 1.0) <= 1e-9
-        and abs(iv.hi - 1.0) <= 1e-9
-        and time.monotonic() - t0 < 1.0
-    )
-    report(1, "attractor [-1,1] to 1e-9 in <1s", ok)
+# Seconds.  A budget shared by several checks bounds their sum; checks not
+# named here have none.
+BUDGETS = {
+    ("attractor_cubic",): 1.0,
+    ("ml_exp_identity", "ml_cosh_identity", "ml_erfc_identity"): 1.0,
+    ("state_space_defect",): 1.0,
+    ("envelope_check",): 60.0,
+    ("solver_order_linear",): 60.0,
+    ("rate_fit_cubic_0.3",): 120.0,
+    ("rate_fit_cubic_0.5",): 120.0,
+    ("rate_fit_cubic_0.7",): 120.0,
+    ("bifurcation_labels", "divergence_cases"): 120.0,
+    ("semigroup_refinement",): 120.0,
+    ("heteroclinic_round_trip",): 120.0,
+    ("order_preservation_100_pairs",): 300.0,
+    ("product_attractor_fig2", "componentwise_limits_25_seeds"): 300.0,
+}
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-def test_02_algebraic_convergence_rate(alpha):
-    t0 = time.monotonic()
-    traj = solve_pece(CaputoProblem(alpha, CUBIC, (), (2.0,), 1.0e4, 0.05))
-    slope = sa.rate_fit(traj, 1.0)
-    elapsed = time.monotonic() - t0
-    ok = abs(slope - (-alpha)) <= 0.1 and elapsed < 120.0
-    report(2, f"decay slope {slope:+.4f} ~ -{alpha} in {elapsed:.0f}s", ok)
+@functools.cache
+def result(name):
+    return run_check(SUITE_OF[name], name)
 
 
-def test_03_mittag_leffler_envelope():
-    t0 = time.monotonic()
-    gamma = sa.gamma_rate_constant(CUBIC, 1.0, 0.5)
-    traj = solve_pece(CaputoProblem(0.6, CUBIC, (), (0.5,), 30.0, 0.002))
-    rep = sa.envelope_check(traj, 1.0, gamma)
-    ok = rep.holds and rep.slack == 1e-3 and time.monotonic() - t0 < 60.0
-    report(3, "decay envelope holds at slack 1+1e-3", ok)
+def test_budgets_name_registered_checks():
+    assert {name for group in BUDGETS for name in group} <= set(SUITE_OF)
 
 
-def test_04_order_preservation_100_pairs():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(20260823)
-    fields = [(LINEAR, ()), (CUBIC, ()), (get("pitchfork").fld, (1.0,))]
-    ok = True
-    for i in range(100):
-        fld, params = fields[i % len(fields)]
-        alpha = float(rng.uniform(0.2, 0.9))
-        lo = float(rng.uniform(-1.5, 1.5 - 1e-3))
-        hi = lo + float(rng.uniform(1e-3, 1.0))
-        # dt = 0.002 keeps the first corrector step order-faithful down to
-        # alpha near 0.2, where the kernel weight dt^alpha is large
-        t_lo = solve_pece(CaputoProblem(alpha, fld, params, (lo,), 10.0, 0.002))
-        t_hi = solve_pece(CaputoProblem(alpha, fld, params, (hi,), 10.0, 0.002))
-        if not np.all(t_hi.scalar() > t_lo.scalar()):
-            ok = False
-            break
-    ok = ok and time.monotonic() - t0 < 300.0
-    report(4, "100 seed pairs stay strictly ordered", ok)
-
-
-def test_05_solver_convergence_order():
-    t0 = time.monotonic()
-    p = CaputoProblem(0.5, LINEAR, (), (1.0,), 1.0, 0.02)
-    slope = convergence_order(p, levels=4)
-    ok = slope >= 1.2 and time.monotonic() - t0 < 60.0
-    report(5, f"solver self-convergence order {slope:.2f} >= 1.2", ok)
-
-
-def test_06_mittag_leffler_identities():
-    t0 = time.monotonic()
-    ok = True
-    for z in np.linspace(-10.0, 10.0, 41):
-        ok &= abs(ml(1.0, 1.0, float(z)) - math.exp(z)) <= 1e-10 * math.exp(z)
-    for z in np.linspace(0.0, 10.0, 21):
-        expect = math.cosh(math.sqrt(z))
-        ok &= abs(ml(2.0, 1.0, float(z)) - expect) <= 1e-10 * expect
-    erfc_val = math.e * math.erfc(1.0)
-    ok &= abs(ml(0.5, 1.0, -1.0) - erfc_val) <= 1e-8 * erfc_val
-    ok &= time.monotonic() - t0 < 1.0
-    report(6, "exp/cosh/erfc identities at 1e-10/1e-8", ok)
-
-
-def test_07_state_space_is_not_a_semigroup():
-    t0 = time.monotonic()
-    defects = [state_space_defect(a, 1.0, 1.0, 1.0) for a in (0.3, 0.5, 0.8)]
-    ok = all(d > 0.01 for d in defects) and time.monotonic() - t0 < 1.0
-    report(7, "state-space concatenation defect > 0.01", ok)
-
-
-def test_08_function_space_semigroup_defect():
-    t0 = time.monotonic()
-    ok = True
-    for fld, f0 in ((LINEAR, 1.0), (CUBIC, 0.5)):
-        defects = []
-        for dt in (0.05, 0.025, 0.0125):
-            f = SampledFunction.constant([f0], 25.0, dt)
-            defects.append(semigroup_defect(0.5, 0.5, f, fld, (), 0.5, dt))
-        ok &= defects[0] / defects[1] >= 1.5 and defects[1] / defects[2] >= 1.5
-    ok &= time.monotonic() - t0 < 120.0
-    report(8, "semigroup defect shrinks >= 1.5x per halving", ok)
-
-
-def test_09_product_attractor_and_seeds():
-    t0 = time.monotonic()
-    tf = get("fig2").fld
-    box = [(-3.0, 3.0), (-3.0, 3.0)]
-    attractor = product_attractor(tf, box)
-    ok = all(
-        abs(iv.lo + 1.0) <= 1e-9 and abs(iv.hi - 1.0) <= 1e-9
-        for iv in attractor.intervals
-    )
-    fld = tf.assembled()
-    zeros = (-1.0, 0.0, 1.0)
-    rng = np.random.default_rng(271828)
-    n_checked = 0
-    while n_checked < 25:
-        # seeds stay within the dt = 0.05 stability range of the cubic factors
-        x0 = tuple(float(v) for v in rng.uniform(-1.5, 1.5, size=2))
-        # steer clear of the unstable separatrices
-        if any(min(abs(c - z) for z in zeros) < 0.01 for c in x0):
-            continue
-        pred = componentwise_limits(tf, x0, box)
-        traj = solve_pece(CaputoProblem(0.6, fld, (), x0, 1.0e3, 0.05))
-        ok &= bool(np.allclose(traj.endpoint(), pred, atol=0.05))
-        n_checked += 1
-    ok &= time.monotonic() - t0 < 300.0
-    report(9, "fig2 box [-1,1]^2 and 25 seed endpoints", ok)
-
-
-def test_10_bifurcation_sweeps_and_divergence():
-    t0 = time.monotonic()
-    saddle = get("saddle").fld
-    d_saddle = sweep(saddle, (-1.0, 1.0), 201)
-    d_pitch = sweep(get("pitchfork").fld, (-1.0, 1.0), 201)
-    ok = (
-        d_saddle.counts()[0] == 0
-        and d_saddle.counts()[-1] == 2
-        and classify(d_saddle) == "saddle-node"  # gate includes exponent 0.5 +- 0.1
-        and d_pitch.counts()[0] == 1
-        and d_pitch.counts()[-1] == 3
-        and classify(d_pitch) == "pitchfork"
-    )
-    cases = [(-0.5, 0.0, True), (0.25, 0.0, False), (0.25, -1.0, True)]
-    for gamma, x0, expect in cases:
-        ok &= divergence_check(saddle, gamma, 0.5, x0, 50.0) is expect
-    ok &= time.monotonic() - t0 < 120.0
-    report(10, "saddle-node/pitchfork sweeps and divergence", ok)
-
-
-def test_11_heteroclinic_orbit():
-    t0 = time.monotonic()
-    zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-    alpha, eta, dt = 0.6, 0.5, 0.01
-    zeta = sa.backward_extend(CUBIC, alpha, eta, 50.0, dt, tol=1e-8, zs=zs)
-    fwd = solve_pece(CaputoProblem(alpha, CUBIC, (), (eta,), 60.0, dt))
-    rt = solve_pece(CaputoProblem(alpha, CUBIC, (), (zeta,), 50.0, dt))
-    ok = (
-        abs(zeta - 0.0) <= 1e-2
-        and abs(fwd.scalar()[-1] - 1.0) <= 1e-2
-        and abs(rt.scalar()[-1] - eta) <= 1e-6
-        and time.monotonic() - t0 < 120.0
-    )
-    report(11, "heteroclinic: 0 <- eta -> 1 with 1e-6 round trip", ok)
+@pytest.mark.parametrize("suite,name", CHECKS, ids=[f"{s}/{n}" for s, n in CHECKS])
+def test_claim(suite, name):
+    res = result(name)
+    print(f"{suite}/{name}: {res.status.upper()} in {res.seconds:.2f}s ({res.details})")
+    assert res.passed, res.details
+    for group, budget in BUDGETS.items():
+        if name in group:
+            spent = sum(result(n).seconds for n in group)
+            assert spent < budget, f"{' + '.join(group)} took {spent:.1f}s (budget {budget:g}s)"

@@ -30,6 +30,10 @@ class TestExitCodes:
         ("triangular", "--catalog", "fig2", "--x0", "0.5"),          # x0 too short
         ("triangular", "--catalog", "fig2", "--x0", "0.5,0.5,0.5"),  # x0 too long
         ("limits", "--catalog", "cubic", "--eta", "nan"),
+        ("attractor", "--catalog", "cubic", "--scan", "5.0001:-5.0003"),  # reversed
+        ("attractor", "--catalog", "cubic", "--scan", "1:1"),             # zero width
+        ("simulate", "--component", "y", "--component", "x", "--x0", "1",
+         "--alpha", "0.5", "--t-end", "1", "--dt", "0.1"),                # x0 too short
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
