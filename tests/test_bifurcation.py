@@ -34,6 +34,11 @@ class TestSweep:
             assert zeros[1] == pytest.approx(math.sqrt(gam), abs=1e-9)
             assert pts[0].stable != pts[1].stable
 
+    def test_pitchfork_zero_counts(self):
+        diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
+        assert diag.counts()[0] == 1
+        assert diag.counts()[-1] == 3
+
     def test_gamma_free_family_sweeps_unchanged(self):
         diag = bif.sweep(FieldDef.parse(["-x"]), (-1.0, 1.0), 11)
         assert all(c == 1 for c in diag.counts())
@@ -44,6 +49,12 @@ class TestSweep:
 
 
 class TestClassification:
+    def test_saddle_node_label(self):
+        assert bif.classify(bif.sweep(SADDLE, (-1.0, 1.0), 201)) == "saddle-node"
+
+    def test_pitchfork_label(self):
+        assert bif.classify(bif.sweep(PITCHFORK, (-1.0, 1.0), 201)) == "pitchfork"
+
     def test_no_transition_label(self):
         assert bif.classify(bif.sweep(FieldDef.parse(["-x"]), (-1.0, 1.0), 11)) == "none"
         shifted = FieldDef.parse(["gamma - 2 - x^2"], ("gamma",))
@@ -70,6 +81,14 @@ class TestClassification:
 
 
 class TestDivergence:
+    @pytest.mark.parametrize("gamma,x0,expect", [
+        (-0.5, 0.0, True),   # no steady states: everything runs to -infinity
+        (0.25, 0.0, False),  # seed above the unstable branch converges
+        (0.25, -1.0, True),  # seed below the unstable branch -sqrt(gamma)
+    ])
+    def test_saddle_family_cases(self, gamma, x0, expect):
+        assert bif.divergence_check(SADDLE, gamma, 0.5, x0, 50.0) is expect
+
     def test_field_failure_is_not_divergence(self):
         # x^0.5 turns complex once the state goes negative (about -0.109);
         # the solve stops there, but the state never ran off to -infinity

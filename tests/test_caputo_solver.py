@@ -105,6 +105,12 @@ class TestForcedEquation:
 
 
 class TestConvergenceOrder:
+    def test_linear_order_exceeds_floor(self):
+        p = CaputoProblem(0.5, LINEAR, (), (1.0,), 1.0, 0.02)
+        slope = convergence_order(p, levels=4)
+        assert slope != EXACT_ORDER
+        assert slope >= 1.2
+
     def test_exact_sentinel_for_trivial_field(self):
         p = CaputoProblem(0.5, FieldDef.parse(["0"]), (), (2.0,), 1.0, 0.1)
         assert convergence_order(p, levels=3) == EXACT_ORDER

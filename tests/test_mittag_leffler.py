@@ -87,6 +87,15 @@ ORACLE = [
 
 
 class TestClosedForms:
+    def test_exp_identity(self):
+        for z in np.linspace(-10.0, 10.0, 41):
+            assert ml(1.0, 1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-10)
+
+    def test_cosh_identity(self):
+        for z in np.linspace(0.0, 10.0, 21):
+            expect = math.cosh(math.sqrt(z))
+            assert ml(2.0, 1.0, float(z)) == pytest.approx(expect, rel=1e-10)
+
     def test_beta_two_identity(self):
         # E_{1,2}(z) = (e^z - 1)/z
         for z in (-6.0, -2.0, -0.5, 0.5, 3.0, 8.0):

@@ -161,6 +161,10 @@ class TestSemigroupDefect:
 
 
 class TestStateSpaceDefect:
+    def test_positive_for_fractional_orders(self):
+        for alpha in (0.3, 0.5, 0.8):
+            assert state_space_defect(alpha, 1.0, 1.0) > 0.01
+
     def test_vanishes_in_the_classical_limit(self):
         # alpha -> 1 recovers exp, where the flow property is exact
         assert state_space_defect(0.999999, 1.0, 1.0) < 1e-5
