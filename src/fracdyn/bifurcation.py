@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
@@ -23,6 +22,7 @@ __all__ = [
 
 DEGENERATE_DERIVATIVE = 1e-6
 FOLD_FIT_POINTS = 10
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,28 @@ def _power_fit(gs, amps, gamma_star):
     return float(coef[0]), float(res[0]) if len(res) else 0.0
 
 
+def _golden_min(f, lo, hi, tol):
+    """A minimiser of f inside (lo, hi): golden-section search to width tol."""
+    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(max(0, math.ceil(math.log(tol / (hi - lo)) / math.log(INV_PHI)))):
+        if fc < fd:  # a minimum lies in (lo, d)
+            hi, d, fd = d, c, fc
+            c = hi - INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INV_PHI * (hi - lo)
+            fd = f(d)
+    return c if fc < fd else d
+
+
 def _fold_exponent(diag, i_trans, high_count, cell):
     """Fitted exponent of the branch amplitude above the fold.
 
     The fold lies in cell = (lo, hi): at lo when lo == hi (a degenerate grid
-    point), else where the amplitudes fit a power law best.
+    point), else where the amplitudes fit a power law best, found by a
+    golden-section search over the cell to 1e-12.
     """
     gs, amps = [], []
     for g, pts in zip(diag.gammas[i_trans:], diag.points[i_trans:]):
@@ -96,10 +113,7 @@ def _fold_exponent(diag, i_trans, high_count, cell):
     gs, amps = np.asarray(gs), np.asarray(amps)
     gamma_star = cell[0]
     if cell[0] < cell[1]:
-        gamma_star = minimize_scalar(
-            lambda g: _power_fit(gs, amps, g)[1], bounds=cell, method="bounded",
-            options={"xatol": 1e-12},
-        ).x
+        gamma_star = _golden_min(lambda g: _power_fit(gs, amps, g)[1], *cell, 1e-12)
     return _power_fit(gs, amps, gamma_star)[0]
 
 

@@ -2,10 +2,11 @@
 
 E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha*k + beta) generalizes the
 exponential and governs the decay envelopes of Caputo fractional dynamics.
-Positive arguments are summed from the defining series.  Negative ones invert
-the Laplace transform s^(alpha-beta) / (s^alpha - z) at t = 1 by the trapezoidal
-rule on Garrappa's optimal parabolic contour (SIAM J. Numer. Anal. 53 (2015)
-1350), plus the residues of poles right of the contour; one rule serves an array.
+Positive arguments are summed from the defining series, with Gamma values from
+the standard library's `math`.  Negative ones invert the Laplace transform
+s^(alpha-beta) / (s^alpha - z) at t = 1 by the trapezoidal rule on Garrappa's
+optimal parabolic contour (SIAM J. Numer. Anal. 53 (2015) 1350), plus the
+residues of poles right of the contour; one rule serves an array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, rgamma
 
 __all__ = [
     "MLQuery",
@@ -38,6 +38,9 @@ LOG_DOUBLE_MAX = 709.0
 # beta well above alpha + 1.  The round-off unit bounds how far right it reaches.
 CONTOUR_LOG_TOL = math.log(1e-15)
 CONTOUR_MAX_NODES = 200
+# Placing the contour right of a branch point of strength p takes about 0.4 p
+# refinements; past p ~ 240 the powers overflow, and p = inf never settles.
+CONTOUR_MAX_REFINEMENTS = 200
 LOG_EPS = math.log(np.finfo(float).eps)
 
 
@@ -64,8 +67,8 @@ class MLQuery:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise MLDomainError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.beta > 0.0:
-            raise MLDomainError(f"beta must be > 0, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise MLDomainError(f"beta must be finite and > 0, got {self.beta}")
         if not math.isfinite(self.z):
             raise MLDomainError(f"z must be finite, got {self.z}")
 
@@ -86,7 +89,10 @@ def _series(alpha: float, beta: float, z: float) -> float:
     comp = 0.0
     log_z = math.log(z)
     for k in range(SERIES_MAX_TERMS):
-        log_term = k * log_z - gammaln(alpha * k + beta)
+        try:
+            log_term = k * log_z - math.lgamma(alpha * k + beta)
+        except OverflowError:  # log Gamma beyond double range: this and later terms are 0
+            return total
         if log_term > LOG_DOUBLE_MAX:
             raise MLOverflowError(
                 f"series for E_({alpha},{beta})({z}) overflows double precision"
@@ -115,7 +121,7 @@ def _unbounded_region(phi, p, log_tol):
     sq_phi = math.sqrt(phi)
     phibar = 1.01 * phi if phi > 0.0 else 0.01
     sq_phibar = math.sqrt(phibar)
-    while True:
+    for _ in range(CONTOUR_MAX_REFINEMENTS):
         log_ratio = log_tol / phibar
         n = math.ceil(phibar / math.pi
                       * (1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
@@ -126,6 +132,8 @@ def _unbounded_region(phi, p, log_tol):
             break
         sq_phibar = 5.0 ** (-1.0 / p) * sq_mu + sq_phi
         phibar = sq_phibar**2
+    else:
+        return math.inf, 0.0, 0.0
     mu = sq_mu**2
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
     threshold = log_tol - LOG_EPS
@@ -181,8 +189,12 @@ def _cheapest_rule(p0, phi):
         log_tol = CONTOUR_LOG_TOL + loosening * math.log(10.0)
         # Past phi = log_tol - LOG_EPS only the region left of the poles is
         # admissible; _unbounded_region then returns N = inf by itself.
-        regions = [(*_bounded_region(phi, p0, log_tol), True)] if phi else []
-        regions.append((*_unbounded_region(phi, 1.0 if phi else p0, log_tol), False))
+        try:
+            regions = [(*_bounded_region(phi, p0, log_tol), True)] if phi else []
+            regions.append((*_unbounded_region(phi, 1.0 if phi else p0, log_tol), False))
+        except (OverflowError, ZeroDivisionError) as exc:  # p0 so large that powers leave range
+            raise MLConvergenceError(
+                f"contour parameters leave double range (p0={p0}, phi={phi})") from exc
         best = min(regions, key=lambda r: r[0])
         if best[0] <= CONTOUR_MAX_NODES:
             return best
@@ -225,7 +237,10 @@ def ml_eval(q: MLQuery) -> float:
     """Evaluate E_{alpha,beta}(z) for a validated query."""
     alpha, beta, z = q.alpha, q.beta, q.z
     if z == 0.0:
-        return rgamma(beta)
+        try:
+            return 1.0 / math.gamma(beta)
+        except OverflowError:  # beta > 171.6: 1 / Gamma(beta) underflows
+            return 0.0
     if z > 0.0:
         return _series(alpha, beta, z)
     return float(_contour(alpha, beta, np.array([z]))[0])

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from fracdyn import cli, verification
+
 CLI = [sys.executable, "-m", "fracdyn.cli"]
 
 
@@ -34,6 +36,7 @@ class TestExitCodes:
         ("attractor", "--catalog", "cubic", "--scan", "1:1"),             # zero width
         ("simulate", "--component", "y", "--component", "x", "--x0", "1",
          "--alpha", "0.5", "--t-end", "1", "--dt", "0.1"),                # x0 too short
+        ("ml", "--alpha", "0.5", "--beta", "200", "--z", "-1"),  # contour out of range
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
@@ -59,10 +62,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
-    def test_verify_failure_is_one(self):
-        proc = run("verify", "--suite", "scalar", "--fault", "inflate-gamma")
-        assert proc.returncode == 1
-        assert "fail" in proc.stdout.lower()
+    def test_verify_failure_is_one(self, monkeypatch, capsys):
+        # Only the faulted check; test_claim runs the rest of the suite unfaulted.
+        monkeypatch.setitem(verification.SUITES, "scalar",
+                            {"envelope_check": verification.check_envelope_cubic})
+        assert cli.main(["verify", "--suite", "scalar", "--fault", "inflate-gamma"]) == 1
+        assert "fail" in capsys.readouterr().out.lower()
+
+    def test_cli_imports_without_scipy(self):
+        code = ("import sys, fracdyn.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMittagLeffler:

@@ -119,6 +119,9 @@ class TestClosedForms:
     def test_zero_argument(self):
         assert ml(0.5, 1.0, 0.0) == 1.0
         assert ml(0.3, 2.0, 0.0) == pytest.approx(1.0 / math.gamma(2.0), rel=1e-14)
+        assert ml(0.5, 171.5, 0.0) == pytest.approx(1.0 / math.gamma(171.5), rel=1e-14)
+        assert ml(0.5, 172.0, 0.0) == 0.0
+        assert ml(0.5, 300.0, 0.0) == 0.0
 
     def test_small_argument_series_reference(self):
         for alpha in (0.3, 0.6, 0.9):
@@ -206,6 +209,16 @@ class TestValidation:
             MLQuery(0.5, 0.0, 1.0)
         with pytest.raises(MLDomainError):
             MLQuery(0.5, -1.0, 1.0)
+        with pytest.raises(MLDomainError):
+            MLQuery(0.5, math.inf, -1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 200.0), (0.5, 1e300), (0.5, 1e308), (1.5, 1e3)])
+    def test_contour_out_of_range_for_large_beta(self, alpha, beta):
+        with pytest.raises(MLConvergenceError):
+            ml(alpha, beta, -1.0)
+
+    def test_series_vanishes_for_huge_beta(self):
+        assert ml(0.5, 1e306, 1.0) == 0.0
 
     def test_nonfinite_argument(self):
         with pytest.raises(MLDomainError):
