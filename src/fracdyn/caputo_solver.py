@@ -7,7 +7,9 @@ Solves the integral form
 on a uniform grid by product integration (Diethelm, Ford & Freed 2002):
 the predictor holds g constant on each step (rectangle rule), the corrector
 takes g linear on each step (trapezoid rule) and is iterated as a fixed
-point.  Both rules, and the memory integral of the function-space
+point.  numpy forms the two history sums of each step; the corrector runs on
+lists of d Python floats, where numpy's per-call overhead would dominate the
+step.  Both rules, and the memory integral of the function-space
 semigroup, take their weights from one per-offset rule, `_weights`.  The
 same recurrence with x0 replaced by a forcing function f(t_n) solves the
 forced singular Volterra integral equation.
@@ -16,7 +18,7 @@ forced singular Volterra integral equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,8 +70,15 @@ class CaputoProblem:
 
 @dataclass
 class SolverMeta:
+    """What one solve did: iterations and residual are the maxima over steps,
+    field_evals counts whole-field evaluations, and unconverged_steps the
+    steps whose corrector stopped at CORRECTOR_MAX_ITER above CORRECTOR_TOL."""
+
     corrector_iterations: int = 0
     max_residual: float = 0.0
+    steps: int = 0
+    field_evals: int = 0
+    unconverged_steps: int = 0
 
 
 @dataclass
@@ -135,45 +144,47 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     rrev = scale * rect[::-1]
     hrev = scale * (far[:-1] + near[1:])[::-1]
     far = scale * far
-    w_self = scale * near[1]
+    w_self = float(scale * near[1])
 
     states = np.empty((N + 1, d))
     fvals = np.empty((N + 1, d))
     states[0] = forcing[0]
-    meta = SolverMeta()
-    escape_index = None
-    escape_sign = 0
+    escape_index, escape_sign = None, 0
     params = tuple(params)
     eval_fns = fld.compiled()
-
-    def evaluate(x):
-        xs = x.tolist()  # plain floats are noticeably faster than numpy scalars
-        # dtype=float turns a complex value (e.g. x^0.5 at x < 0) into TypeError.
-        return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
-
     eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
-    fvals[0] = evaluate(states[0])
+    fvals[0] = f0 = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
+    max_iters, max_residual, evals, unconverged = 0, 0.0, 1, 0
 
     # Overflow on the way to an escape is expected; the escape check catches it.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            # Node j of 0..n lies n + 1 - j steps behind the new node n + 1.
-            x = forcing[n + 1] + rrev[N - n - 1 : N] @ fvals[: n + 1]
-            base = (forcing[n + 1] + far[n + 1] * fvals[0]
-                    + hrev[N - 1 - n : N - 1] @ fvals[1 : n + 1])
-            residual = math.inf
-            iters = 0
+            # Node j of 0..n lies n + 1 - j steps behind the new node n + 1.  The
+            # float sums keep numpy's order, (forcing + far * f0) + history.
+            fk = forcing[n + 1].tolist()
+            c = far.item(n + 1)
+            x = [a + b for a, b in zip(fk, (rrev[N - n - 1 : N] @ fvals[: n + 1]).tolist())]
+            base = [a + c * b + h for a, b, h in
+                    zip(fk, f0, (hrev[N - 1 - n : N - 1] @ fvals[1 : n + 1]).tolist())]
             try:
                 for iters in range(1, CORRECTOR_MAX_ITER + 1):
-                    x_new = base + w_self * evaluate(x)
-                    residual = float(np.max(np.abs(x_new - x)))
+                    evals += 1
+                    x_new, residual = [], 0.0
+                    for b, fn, xi in zip(base, eval_fns, x):
+                        # float() of a complex value (x^0.5 at x < 0) raises TypeError.
+                        x_new.append(b + w_self * float(fn(x, params)))
+                        r = abs(x_new[-1] - xi)
+                        if r > residual or r != r:  # a nan difference sticks, as in np.max
+                            residual = r
                     x = x_new
                     if residual <= CORRECTOR_TOL:
                         break
-                fvals[n + 1] = evaluate(x)
-                meta.corrector_iterations = max(meta.corrector_iterations, iters)
-                meta.max_residual = max(meta.max_residual, residual)
-                escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD  # true for nan
+                evals += 1
+                fvals[n + 1] = [float(fn(x, params)) for fn in eval_fns]
+                max_iters = max(max_iters, iters)
+                max_residual = max(max_residual, residual)  # a nan residual leaves it
+                unconverged += not residual <= CORRECTOR_TOL
+                escaped = not all([abs(v) <= ESCAPE_THRESHOLD for v in x])  # true for nan
             except (ArithmeticError, ValueError, TypeError):
                 escaped = True
             if escaped:
@@ -187,10 +198,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                 break
             states[n + 1] = x
 
-    times = dt * np.arange(N + 1)
-    return Trajectory(
-        alpha, times, states, meta, escape_index=escape_index, escape_sign=escape_sign
-    )
+    meta = SolverMeta(max_iters, max_residual, escape_index or N, evals, unconverged)
+    return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
 
 
 def solve_pece(p: CaputoProblem) -> Trajectory:
@@ -222,20 +231,11 @@ def convergence_order(p: CaputoProblem, levels: int = 4):
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
-    ref = solve_pece(
-        CaputoProblem(p.alpha, p.fld, p.params, p.x0, p.t_end, p.dt / 2**levels)
-    )
-    ref_end = ref.endpoint()
-    dts, errs = [], []
-    for i in range(levels):
-        dt_i = p.dt / 2**i
-        traj = solve_pece(CaputoProblem(p.alpha, p.fld, p.params, p.x0, p.t_end, dt_i))
-        err = float(np.max(np.abs(traj.endpoint() - ref_end)))
-        dts.append(dt_i)
-        errs.append(err)
+    ref_end = solve_pece(replace(p, dt=p.dt / 2**levels)).endpoint()
+    dts = [p.dt / 2**i for i in range(levels)]
+    errs = [float(np.max(np.abs(solve_pece(replace(p, dt=dt)).endpoint() - ref_end)))
+            for dt in dts]
     if max(errs) < 1e-14:
         return EXACT_ORDER
-    log_dt = np.log(np.asarray(dts))
-    log_err = np.log(np.maximum(errs, 1e-300))
-    slope = np.polyfit(log_dt, log_err, 1)[0]
+    slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.maximum(errs, 1e-300)), 1)[0]
     return float(slope)

@@ -1,4 +1,4 @@
-"""Gamma and two-parameter Mittag-Leffler evaluation on the real line.
+"""Two-parameter Mittag-Leffler evaluation on the real line.
 
 E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha*k + beta) generalizes the
 exponential and governs the decay envelopes of Caputo fractional dynamics.
@@ -21,13 +21,11 @@ __all__ = [
     "MLDomainError",
     "MLOverflowError",
     "MLConvergenceError",
-    "gamma",
     "ml_eval",
     "ml",
     "ml_decay",
 ]
 
-GAMMA_OVERFLOW_LIMIT = 170.0
 SERIES_RELATIVE_CUTOFF = 1e-16
 # Small alpha needs a long tail before Gamma(alpha k + beta) wins over z^k.
 SERIES_MAX_TERMS = 50_000
@@ -73,15 +71,6 @@ class MLQuery:
             raise MLDomainError(f"z must be finite, got {self.z}")
 
 
-def gamma(x: float) -> float:
-    """Gamma function for x > 0; overflow above 170 is reported, not returned."""
-    if x <= 0.0:
-        raise MLDomainError(f"gamma requires x > 0, got {x}")
-    if x > GAMMA_OVERFLOW_LIMIT:
-        raise MLOverflowError(f"gamma({x}) exceeds double precision range")
-    return math.gamma(x)
-
-
 def _series(alpha: float, beta: float, z: float) -> float:
     # Kahan-compensated Taylor sum of the definition for z > 0, terms built in
     # log space so intermediate powers cannot overflow before the terms decay.
@@ -93,13 +82,13 @@ def _series(alpha: float, beta: float, z: float) -> float:
             log_term = k * log_z - math.lgamma(alpha * k + beta)
         except OverflowError:  # log Gamma beyond double range: this and later terms are 0
             return total
-        if log_term > LOG_DOUBLE_MAX:
+        term = math.exp(log_term) if log_term <= LOG_DOUBLE_MAX else math.inf
+        y = term - comp
+        t = total + y
+        if not math.isfinite(t):  # a term, or the sum of terms that each fit
             raise MLOverflowError(
                 f"series for E_({alpha},{beta})({z}) overflows double precision"
             )
-        term = math.exp(log_term)
-        y = term - comp
-        t = total + y
         comp = (t - total) - y
         total = t
         if term < SERIES_RELATIVE_CUTOFF * max(total, 1e-300) and k > 2:

@@ -7,8 +7,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracdyn import CaputoProblem, FieldDef, convergence_order, solve_pece, solve_svie
-from fracdyn.caputo_solver import EXACT_ORDER, _weights
+from fracdyn import CaputoProblem, FieldDef, catalog, convergence_order, solve_pece, solve_svie
+from fracdyn.caputo_solver import (
+    CORRECTOR_MAX_ITER,
+    CORRECTOR_TOL,
+    ESCAPE_THRESHOLD,
+    EXACT_ORDER,
+    SolverMeta,
+    Trajectory,
+    _weights,
+)
+from fracdyn.field_expr import eval_field
 from fracdyn.function_space_semigroup import SampledFunction
 from fracdyn.mittag_leffler import ml
 
@@ -190,3 +199,151 @@ class TestValidation:
         assert np.all(np.isfinite(traj.states))
         # contraction: the field is linear with spectrum -1 +- i
         assert np.linalg.norm(traj.states[-1]) < 0.5
+
+
+def _reference_pece_loop(alpha, fld, params, forcing, dt):
+    """The corrector on length-d numpy arrays that the float kernel replaced.
+
+    Kept as the bit-identity reference, as the dense formula is kept for the
+    semigroup's memory tail.
+    """
+    N, d = forcing.shape[0] - 1, forcing.shape[1]
+    rect, far, near = _weights(alpha, max(N, 1))
+    scale = dt**alpha / math.gamma(alpha)
+    rrev = scale * rect[::-1]
+    hrev = scale * (far[:-1] + near[1:])[::-1]
+    far = scale * far
+    w_self = scale * near[1]
+
+    states = np.empty((N + 1, d))
+    fvals = np.empty((N + 1, d))
+    states[0] = forcing[0]
+    meta = SolverMeta()
+    escape_index = None
+    escape_sign = 0
+    params = tuple(params)
+    eval_fns = fld.compiled()
+
+    def evaluate(x):
+        xs = x.tolist()
+        return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
+
+    eval_field(fld, states[0], params)
+    fvals[0] = evaluate(states[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            x = forcing[n + 1] + rrev[N - n - 1 : N] @ fvals[: n + 1]
+            base = (forcing[n + 1] + far[n + 1] * fvals[0]
+                    + hrev[N - 1 - n : N - 1] @ fvals[1 : n + 1])
+            residual = math.inf
+            iters = 0
+            try:
+                for iters in range(1, CORRECTOR_MAX_ITER + 1):
+                    x_new = base + w_self * evaluate(x)
+                    residual = float(np.max(np.abs(x_new - x)))
+                    x = x_new
+                    if residual <= CORRECTOR_TOL:
+                        break
+                fvals[n + 1] = evaluate(x)
+                meta.corrector_iterations = max(meta.corrector_iterations, iters)
+                meta.max_residual = max(meta.max_residual, residual)
+                escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD
+            except (ArithmeticError, ValueError, TypeError):
+                escaped = True
+            if escaped:
+                x = np.where(np.isnan(x), np.sign(states[n]) * ESCAPE_THRESHOLD, x)
+                x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
+                states[n + 1 :] = x
+                escape_index = n + 1
+                peak = x[int(np.argmax(np.abs(x)))]
+                escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
+                break
+            states[n + 1] = x
+    return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
+
+
+# y^50 overflows to inf within the first step, so y's corrector difference turns
+# nan (inf - inf) while x's still converges: the residual must stay nan.
+NAN_IN_Y = FieldDef.parse(["-x", "y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y"
+                                 "*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y*y - y"])
+KERNEL_CASES = {  # alpha, field, params, x0, t_end, dt
+    "cubic": (0.6, CUBIC, (), (2.0,), 10.0, 0.01),
+    "fig2_assembled": (0.6, catalog.get("fig2").fld.assembled(), (), (0.5, -0.3), 10.0, 0.01),
+    "stiff_capped": (0.3, CUBIC, (), (2.0,), 50.0, 0.05),
+    "overflow_escape": (0.5, FieldDef.parse(["x*x*x*x*x*x*x*x"]), (), (2.0,), 5.0, 0.01),
+    "complex_mid_solve": (0.5, FieldDef.parse(["-1 - x^0.5"]), (), (0.5,), 2.0, 0.1),
+    "nan_in_one_component": (0.5, NAN_IN_Y, (), (1.0, 3.0), 1.0, 0.01),
+}
+
+
+class TestFloatKernel:
+    @staticmethod
+    def assert_identical(traj, ref):
+        assert np.array_equal(traj.states, ref.states)
+        assert traj.escape_index == ref.escape_index
+        assert traj.escape_sign == ref.escape_sign
+        assert traj.meta.corrector_iterations == ref.meta.corrector_iterations
+        assert traj.meta.max_residual == ref.meta.max_residual
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_matches_numpy_reference(self, case):
+        alpha, fld, params, x0, t_end, dt = KERNEL_CASES[case]
+        traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
+        forcing = np.tile(np.asarray(x0, dtype=float), (len(traj.times), 1))
+        self.assert_identical(traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
+
+    def test_forced_solve_matches_numpy_reference(self):
+        grid = 0.005 * np.arange(401)
+        f = SampledFunction(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None])
+        traj = solve_svie(f, CUBIC, (), 0.6, 2.0, 0.005)
+        ref = _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.005)
+        self.assert_identical(traj, ref)
+
+
+class TestSolverStats:
+    @staticmethod
+    def counted(expressions):
+        """A field whose compiled components count their calls."""
+        fld = FieldDef.parse(expressions)
+        calls = [0]
+        fns = fld.compiled()
+        for i, fn in enumerate(list(fns)):
+            def component(s, p, fn=fn):
+                calls[0] += 1
+                return fn(s, p)
+            fns[i] = component
+        return fld, calls
+
+    def test_converging_solve(self):
+        fld, calls = self.counted(["-x"])
+        traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0,), 5.0, 0.01))
+        assert traj.meta.steps == 500
+        assert traj.meta.unconverged_steps == 0
+        assert traj.meta.max_residual <= CORRECTOR_TOL
+        assert traj.meta.field_evals == calls[0]
+        # the initial evaluation, then per step the iterations and the final one
+        assert 2 * 500 + 1 <= traj.meta.field_evals <= (CORRECTOR_MAX_ITER + 1) * 500 + 1
+
+    def test_stiff_solve_counts_every_capped_step(self):
+        # At alpha = 0.3, dt = 0.05 from x0 = 2 the fixed point does not contract
+        # on any step, so every step stops at the iteration cap.
+        fld, calls = self.counted(["x - x^3"])
+        traj = solve_pece(CaputoProblem(0.3, fld, (), (2.0,), 50.0, 0.05))
+        assert traj.escape_index is None
+        assert traj.meta.steps == traj.meta.unconverged_steps == 1000
+        assert traj.meta.corrector_iterations == CORRECTOR_MAX_ITER
+        assert traj.meta.max_residual > CORRECTOR_TOL
+        assert traj.meta.field_evals == calls[0] == 1 + 1000 * (CORRECTOR_MAX_ITER + 1)
+
+    def test_field_evals_count_whole_fields(self):
+        fld, calls = self.counted(["y - x", "-x - y"])
+        traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0, 0.0), 1.0, 0.01))
+        assert calls[0] == 2 * traj.meta.field_evals
+
+    def test_escaped_solve_stops_counting_at_the_escape(self):
+        fld, calls = self.counted(["-1 - x^0.5"])
+        traj = solve_pece(CaputoProblem(0.5, fld, (), (0.5,), 2.0, 0.1))
+        assert traj.meta.steps == traj.escape_index == 1
+        # the start, then the first corrector evaluation, which fails
+        assert traj.meta.field_evals == calls[0] == 2
+        assert traj.meta.unconverged_steps == 0

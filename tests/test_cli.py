@@ -37,6 +37,7 @@ class TestExitCodes:
         ("simulate", "--component", "y", "--component", "x", "--x0", "1",
          "--alpha", "0.5", "--t-end", "1", "--dt", "0.1"),                # x0 too short
         ("ml", "--alpha", "0.5", "--beta", "200", "--z", "-1"),  # contour out of range
+        ("ml", "--alpha", "0.5", "--z", "26.64"),  # series sum overflows
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)

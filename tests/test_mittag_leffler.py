@@ -11,7 +11,6 @@ from fracdyn.mittag_leffler import (
     MLDomainError,
     MLOverflowError,
     MLQuery,
-    gamma,
     ml,
     ml_decay,
     ml_eval,
@@ -226,18 +225,17 @@ class TestValidation:
         with pytest.raises(MLDomainError):
             MLQuery(0.5, 1.0, math.inf)
 
-    def test_gamma_domain_and_overflow(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma(170.0) > 0.0
-        with pytest.raises(MLDomainError):
-            gamma(-1.0)
-        with pytest.raises(MLOverflowError):
-            gamma(171.0)
-
     def test_overflow_reported_for_huge_results(self):
         # E_0.1(5) ~ exp(5^10) does not fit in a double
         with pytest.raises(MLOverflowError):
             ml(0.1, 1.0, 5.0)
+
+    def test_overflow_of_the_sum_when_every_term_fits(self):
+        # Near z = 26.6 every term of E_0.5 fits in a double (the largest is
+        # ~1e306), but their sum leaves the double range just above it.
+        assert 3.8e307 < ml(0.5, 1.0, 26.6) < 4.0e307
+        with pytest.raises(MLOverflowError):
+            ml(0.5, 1.0, 26.64)
 
     def test_ml_decay_domains(self):
         with pytest.raises(MLDomainError):
