@@ -1,14 +1,18 @@
 """Command-line front end: simulation, analysis and verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+--out path included).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
+import numpy as np
 
 from . import __version__
 from . import bifurcation as bif
@@ -32,22 +36,26 @@ from .triangular_systems import (
 from .verification import run_checks
 
 FMT = "%.15g"
+CSV_CHUNK = 4096  # rows formatted per write
 
 
 def _fmt(v):
     return FMT % v
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _write_csv(path, header, table, line=None):
+    """Write the header, then the rows of an (n, k) array, CSV_CHUNK at a time.
+
+    Each row is formatted by `line`, FMT in every column by default; a table
+    with a text column is an object array with its own `line`.
+    """
+    line = (line or ",".join([FMT] * len(header))) + "\n"
+    with (open(path, "w", newline="") if path not in (None, "-")
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(table), CSV_CHUNK):
+            rows = table[i : i + CSV_CHUNK]
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _emit_json(obj):
@@ -119,7 +127,7 @@ def cmd_ml(args, parser):
                 continue
             a, b, z = (float(tok) for tok in line.split())
             rows.append((a, b, z, ml_eval(MLQuery(a, b, z))))
-        _write_csv(None, ["alpha", "beta", "z", "value"], rows)
+        _write_csv(None, ["alpha", "beta", "z", "value"], np.array(rows))
         return 0
     if args.alpha is None or args.z is None:
         parser.error("--alpha and --z are required unless --batch is given")
@@ -138,8 +146,7 @@ def cmd_simulate(args, parser):
     p = CaputoProblem(args.alpha, fld, params, x0, args.t_end, args.dt)
     traj = solve_pece(p)
     header = ["t"] + [f"x{i + 1}" for i in range(fld.dimension)]
-    rows = [(float(t), *map(float, s)) for t, s in zip(traj.times, traj.states)]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, np.column_stack((traj.times, traj.states)))
     if traj.escape_index is not None:
         t = traj.times[traj.escape_index]
         print(f"escape at t={t:.6g} (sign {traj.escape_sign:+d})" if traj.escape_sign
@@ -199,8 +206,7 @@ def cmd_heteroclinic(args, parser):
         params=params,
     )
     if args.out:
-        _write_csv(args.out, ["t", "x1"],
-                   [(float(t), float(v)) for t, v in zip(orbit.times, orbit.values)])
+        _write_csv(args.out, ["t", "x1"], np.column_stack((orbit.times, orbit.values)))
     _emit_json({
         "version": __version__,
         "config": {"alpha": args.alpha, "eta": eta,
@@ -253,9 +259,7 @@ def cmd_triangular(args, parser):
             out["solver_endpoint"] = [float(v) for v in traj.endpoint()]
             if args.out:
                 header = ["t"] + [f"x{i + 1}" for i in range(tf.dimension)]
-                _write_csv(args.out, header,
-                           [(float(t), *map(float, s))
-                            for t, s in zip(traj.times, traj.states)])
+                _write_csv(args.out, header, np.column_stack((traj.times, traj.states)))
     _emit_json(out)
     return 0
 
@@ -288,7 +292,8 @@ def cmd_bifurcate(args, parser):
                          else "stable" if p.stable else "unstable")
             rows.append((p.gamma, p.zero, stability))
     if args.out:
-        _write_csv(args.out, ["gamma", "zero", "stability"], rows)
+        _write_csv(args.out, ["gamma", "zero", "stability"],
+                   np.array(rows, dtype=object).reshape(-1, 3), f"{FMT},{FMT},%s")
     _emit_json({
         "version": __version__,
         "config": {"family": args.family, "gamma_range": args.gamma_range},
@@ -432,8 +437,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
+    except BrokenPipeError:
+        # The reader of stdout left early (`--out - | head`): stop quietly.
+        # stdout goes to devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError,
-            MLConvergenceError) as exc:
+            MLConvergenceError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -13,6 +13,7 @@ from fracdyn.caputo_solver import (
     CORRECTOR_TOL,
     ESCAPE_THRESHOLD,
     EXACT_ORDER,
+    LEAF,
     SolverMeta,
     Trajectory,
     _weights,
@@ -202,10 +203,11 @@ class TestValidation:
 
 
 def _reference_pece_loop(alpha, fld, params, forcing, dt):
-    """The corrector on length-d numpy arrays that the float kernel replaced.
+    """The corrector on length-d numpy arrays, with both history sums taken
+    directly over every earlier node at every step, O(N^2).
 
-    Kept as the bit-identity reference, as the dense formula is kept for the
-    semigroup's memory tail.
+    Kept as the reference: bit-identical to the solver within one leaf, and
+    the direct sum that the solver's FFT blocks must reproduce beyond it.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     rect, far, near = _weights(alpha, max(N, 1))
@@ -225,6 +227,7 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
     eval_fns = fld.compiled()
 
     def evaluate(x):
+        meta.field_evals += 1
         xs = x.tolist()
         return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
 
@@ -247,6 +250,7 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
                 fvals[n + 1] = evaluate(x)
                 meta.corrector_iterations = max(meta.corrector_iterations, iters)
                 meta.max_residual = max(meta.max_residual, residual)
+                meta.unconverged_steps += not residual <= CORRECTOR_TOL
                 escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD
             except (ArithmeticError, ValueError, TypeError):
                 escaped = True
@@ -259,6 +263,7 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
                 escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
                 break
             states[n + 1] = x
+    meta.steps = escape_index or N
     return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
 
 
@@ -284,6 +289,8 @@ class TestFloatKernel:
         assert traj.escape_sign == ref.escape_sign
         assert traj.meta.corrector_iterations == ref.meta.corrector_iterations
         assert traj.meta.max_residual == ref.meta.max_residual
+        assert traj.meta.field_evals == ref.meta.field_evals
+        assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_matches_numpy_reference(self, case):
@@ -298,6 +305,56 @@ class TestFloatKernel:
         traj = solve_svie(f, CUBIC, (), 0.6, 2.0, 0.005)
         ref = _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.005)
         self.assert_identical(traj, ref)
+
+
+def _leaf_case(n_nodes, x0=(2.0,), fld=CUBIC, alpha=0.6, dt=0.01):
+    return (alpha, fld, (), x0, (n_nodes - 1) * dt, dt)
+
+
+# Solves on both sides of a leaf boundary, and over several leaves, whose
+# older history the FFT blocks carry.
+SPLIT_CASES = {
+    "one_short_of_a_leaf": _leaf_case(LEAF - 1),
+    "one_leaf": _leaf_case(LEAF),
+    "one_past_a_leaf": _leaf_case(LEAF + 1),
+    "two_leaves_and_a_node": _leaf_case(2 * LEAF + 1),
+    "n_2e4": _leaf_case(20_001),
+    "fig2_assembled": _leaf_case(4 * LEAF + 3, (0.5, -0.3),
+                                 catalog.get("fig2").fld.assembled()),
+    # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1046.
+    "escape_in_second_leaf": _leaf_case(3001, (0.1,), FieldDef.parse(["x*x"]), 0.9),
+}
+
+
+class TestLeafSplit:
+    @staticmethod
+    def assert_matches(traj, ref):
+        if len(traj.times) <= LEAF:  # one leaf: the direct sums alone
+            assert np.array_equal(traj.states, ref.states)
+        else:
+            np.testing.assert_allclose(traj.states, ref.states, rtol=1e-12, atol=0.0)
+        assert traj.escape_index == ref.escape_index
+        assert traj.escape_sign == ref.escape_sign
+        assert traj.meta.steps == ref.meta.steps
+        assert traj.meta.field_evals == ref.meta.field_evals
+        assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_matches_direct_sums(self, case):
+        alpha, fld, params, x0, t_end, dt = SPLIT_CASES[case]
+        traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
+        forcing = np.tile(np.asarray(x0, dtype=float), (len(traj.times), 1))
+        self.assert_matches(traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
+
+    def test_escape_in_second_leaf(self):
+        traj = solve_pece(CaputoProblem(*SPLIT_CASES["escape_in_second_leaf"]))
+        assert traj.escape_index == 1046 and traj.escape_sign == +1
+
+    def test_forced_solve_over_several_leaves(self):
+        grid = 0.005 * np.arange(4001)
+        f = SampledFunction(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None])
+        traj = solve_svie(f, CUBIC, (), 0.6, 20.0, 0.005)
+        self.assert_matches(traj, _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.005))
 
 
 class TestSolverStats:

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from fracdyn import cli, verification
+from fracdyn import CaputoProblem, bifurcation, catalog, cli, solve_pece, verification
 
 CLI = [sys.executable, "-m", "fracdyn.cli"]
 
@@ -38,12 +39,28 @@ class TestExitCodes:
          "--alpha", "0.5", "--t-end", "1", "--dt", "0.1"),                # x0 too short
         ("ml", "--alpha", "0.5", "--beta", "200", "--z", "-1"),  # contour out of range
         ("ml", "--alpha", "0.5", "--z", "26.64"),  # series sum overflows
+        ("simulate", "--catalog", "cubic", "--alpha", "0.5", "--x0", "0.5",
+         "--t-end", "1", "--dt", "0.1", "--out", "/nonexistent/dir/x.csv"),
+        ("simulate", "--catalog", "cubic", "--alpha", "0.5", "--x0", "0.5",
+         "--t-end", "1", "--dt", "0.1", "--out", "."),  # a directory
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
         assert proc.returncode == 2
         assert proc.stderr != ""
         assert "Traceback" not in proc.stderr
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        # About 1 MB of CSV, more than a pipe holds, so writes meet the closed pipe.
+        proc = subprocess.Popen(CLI + ["simulate", "--catalog", "cubic", "--alpha", "0.5",
+                                       "--x0", "0.5", "--t-end", "400", "--dt", "0.01",
+                                       "--out", "-"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "t,x1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == ""
+        proc.stderr.close()
 
     def test_complex_field_at_start_is_two(self):
         proc = run("simulate", "--component", "x^0.5", "--x0=-1",
@@ -106,6 +123,55 @@ class TestSimulate:
         assert lines[0] == "t,x1"
         assert len(lines) == 12
         assert lines[1].startswith("0,0.5")
+
+
+def _reference_write_csv(path, header, rows):
+    """The writer that built the whole text before writing it."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _trajectory_rows(traj):
+    return [(float(t), *map(float, s)) for t, s in zip(traj.times, traj.states)]
+
+
+class TestCsvBytes:
+    def test_simulate_over_several_chunks(self, tmp_path, capsys):
+        traj = solve_pece(CaputoProblem(0.5, catalog.get("cubic").fld, (), (0.5,), 50.0, 0.01))
+        assert len(traj.times) > cli.CSV_CHUNK
+        _reference_write_csv(tmp_path / "ref.csv", ["t", "x1"], _trajectory_rows(traj))
+        assert cli.main(["simulate", "--catalog", "cubic", "--alpha", "0.5", "--x0", "0.5",
+                         "--t-end", "50", "--dt", "0.01", "--out", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "ref.csv").read_text()
+
+    def test_triangular_two_columns(self, tmp_path, capsys):
+        tf = catalog.get("fig2").fld
+        traj = solve_pece(CaputoProblem(0.6, tf.assembled(), (), (0.5, -0.3), 20.0, 0.05))
+        _reference_write_csv(tmp_path / "ref.csv", ["t", "x1", "x2"], _trajectory_rows(traj))
+        assert cli.main(["triangular", "--catalog", "fig2", "--x0", "0.5,-0.3",
+                         "--alpha", "0.6", "--t-end", "20", "--dt", "0.05",
+                         "--out", str(tmp_path / "new.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_bifurcate_text_column(self, tmp_path, capsys):
+        diag = bifurcation.sweep(catalog.get("saddle").fld, (-1.0, 1.0), 21)
+        rows = [(p.gamma, p.zero, "degenerate" if p.degenerate
+                 else "stable" if p.stable else "unstable")
+                for pts in diag.points for p in pts]
+        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"], rows)
+        assert cli.main(["bifurcate", "--family", "saddle", "--gamma-range=-1:1:21",
+                         "--out", str(tmp_path / "new.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_batch_prints_only_the_header(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert cli.main(["ml", "--batch"]) == 0
+        assert capsys.readouterr().out == "alpha,beta,z,value\n"
 
 
 class TestAnalysis:
