@@ -51,23 +51,26 @@ class BifurcationDiagram:
 
 def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
           resolution=2000, base_params=(), gamma_param="gamma") -> BifurcationDiagram:
-    """Per-parameter zero scan; empty and degenerate zero sets are tolerated."""
+    """Per-parameter zero scan; empty and degenerate zero sets are tolerated.
+
+    Every parameter value is scanned in one sa.scan_zero_sets call, and the
+    derivatives at all zeros of all values come from one evaluation.
+    """
     if n_gammas < 3:
         raise ValueError(f"need at least 3 parameter values, got {n_gammas}")
-    gi = family.params.index(gamma_param) if gamma_param in family.params else None
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
-    per_gamma = []
-    for gam in gammas:
-        params = list(base_params) if base_params else [0.0] * len(family.params)
-        if gi is not None:
-            params[gi] = float(gam)
-        params = tuple(params)
-        zeros = sa.scan_zeros(family, scan_interval, resolution, params)
-        derivs = numeric_derivative(family, 0, np.reshape(zeros, (-1, 1)), 0, params)
-        per_gamma.append(tuple(
-            BranchPoint(float(gam), z, d) for z, d in zip(zeros, derivs.tolist())
-        ))
-    return BifurcationDiagram(gammas, tuple(per_gamma))
+    base = list(base_params) if base_params else [0.0] * len(family.params)
+    param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))
+    if gamma_param in family.params:
+        param_sets[:, family.params.index(gamma_param)] = gammas
+    zero_sets = sa.scan_zero_sets(family, scan_interval, resolution, param_sets)
+    rows = np.repeat(np.arange(n_gammas), [len(zs) for zs in zero_sets])
+    zeros = np.concatenate(zero_sets)
+    derivs = iter(numeric_derivative(family, 0, zeros[:, None], 0,
+                                     tuple(param_sets[rows].T)).tolist())
+    points = tuple(tuple(BranchPoint(float(gam), z, next(derivs)) for z in zs)
+                   for gam, zs in zip(gammas, zero_sets))
+    return BifurcationDiagram(gammas, points)
 
 
 def _power_fit(gs, amps, gamma_star):

@@ -135,6 +135,17 @@ def _weights(alpha, n):
             np.concatenate((zero, near)))
 
 
+def _block_spectrum(rrev, hrev, L):
+    """rfft of both rules' weights at lags 1..2L, in two columns: lag p + 1 at
+    row p.  Lags past N reach no node of the grid and are left zero."""
+    N = len(rrev) - 1
+    lags = np.zeros((2 * L, 2))
+    k = min(2 * L, N)
+    lags[:k, 0] = rrev[N - k : N][::-1]
+    lags[: k - 1, 1] = hrev[N - k : N - 1][::-1]
+    return np.fft.rfft(lags, axis=0)
+
+
 def _pece_loop(alpha, fld, params, forcing, dt):
     """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
 
@@ -172,7 +183,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
     fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
     max_iters, max_residual, evals, unconverged = 0, 0.0, 1, 0
-    spectra = {}  # L -> rfft of both rules' weights at lags 1..2L, in two columns
+    spectra = {}  # L -> _block_spectrum, kept while a later block has size L
 
     # Overflow on the way to an escape is expected; the escape check catches it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,17 +191,15 @@ def _pece_loop(alpha, fld, params, forcing, dt):
         # here and left out of the corrector's sums.
         xp = forcing.astype(float)
         xb = forcing + (scale * far[: N + 1])[:, None] * fvals[0]
+        del rect, far, near  # only rrev, hrev and w_self are read from here on
         for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
             if s:  # the leaf before ends here: add its block to the nodes ahead
                 L = s & -s
-                if L not in spectra:
-                    # Lag p + 1 at row p; lags past N reach no node of the grid.
-                    lags = np.zeros((2 * L, 2))
-                    k = min(2 * L, N)
-                    lags[:k, 0] = rrev[N - k : N][::-1]
-                    lags[: k - 1, 1] = hrev[N - k : N - 1][::-1]
-                    spectra[L] = np.fft.rfft(lags, axis=0)
-                w = spectra[L]
+                w = spectra.get(L)
+                if w is None:
+                    w = _block_spectrum(rrev, hrev, L)
+                    if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
+                        spectra[L] = w
                 src = np.fft.rfft(fvals[s - L : s], 2 * L, axis=0)
                 hi = min(s + L, N + 1)
                 # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.

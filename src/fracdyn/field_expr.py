@@ -302,6 +302,18 @@ def to_source(node) -> str:
 # Evaluation
 
 
+def _small_power(node):
+    """k when node is a Var or Param raised to a literal k in 2..4, else None.
+
+    Such powers are evaluated as the product x*x*...*x, left to right: numpy's
+    pow is tens of times slower than a product on arrays with negative entries.
+    """
+    if (isinstance(node, BinOp) and node.op == "^" and isinstance(node.lhs, (Var, Param))
+            and isinstance(node.rhs, Num) and node.rhs.value in (2.0, 3.0, 4.0)):
+        return int(node.rhs.value)
+    return None
+
+
 def eval_ast(node, state, params):
     """Reference tree-walking evaluator; raises on non-finite results."""
     if isinstance(node, Num):
@@ -324,6 +336,8 @@ def eval_ast(node, state, params):
                 v = a * b
             elif node.op == "/":
                 v = a / b
+            elif k := _small_power(node):
+                v = math.prod([a] * k)  # 1 * a * a ..., as _codegen's a * a ...
             else:
                 v = a**b
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
@@ -354,6 +368,8 @@ def _codegen(node):
     if isinstance(node, Neg):
         return f"(-{_codegen(node.arg)})"
     if isinstance(node, BinOp):
+        if k := _small_power(node):
+            return "(" + " * ".join([_codegen(node.lhs)] * k) + ")"
         op = "**" if node.op == "^" else node.op
         return f"({_codegen(node.lhs)} {op} {_codegen(node.rhs)})"
     if isinstance(node, Call):
@@ -406,6 +422,10 @@ def eval_points(f, points, params=()):
     """Evaluate a FieldDef, or one component AST, at every row of an (n, d)
     array: an (n, d) result for a field, (n,) for a single AST.
 
+    params holds one value per declared parameter.  A value may also be an
+    (n,) array, whose entry i is the parameter at point i; a tuple of such
+    arrays evaluates n points of n parameter sets in one call.
+
     Raises FieldEvalError(component=i) when component i is complex or
     non-finite at any point.
     """
@@ -442,12 +462,14 @@ def eval_field(f: FieldDef, state, params=()):
 
 def numeric_derivative(f: FieldDef, component: int, state, coordinate: int, params=()):
     """Central-difference partial derivative of one component, at one state
-    or at every row of an (n, d) stack of states."""
+    or at every row of an (n, d) stack of states; params may be per-row
+    arrays, as in eval_points."""
     x = np.asarray(state, dtype=float)
     pts = np.atleast_2d(x)
     h = np.maximum(1e-6, 1e-6 * np.abs(pts[:, coordinate]))
     step = np.zeros_like(pts)
     step[:, coordinate] = h
+    params = tuple(np.concatenate([v, v]) if getattr(v, "ndim", 0) else v for v in params)
     vals = eval_points(f, np.concatenate([pts + step, pts - step]), params)[:, component]
     d = (vals[: len(pts)] - vals[len(pts) :]) / (2.0 * h)
     return float(d[0]) if x.ndim == 1 else d

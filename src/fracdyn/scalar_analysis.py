@@ -194,21 +194,28 @@ def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), n_samples=2000, params=()):
     return certify_h1(fld, a, b, xs[:, None], tuple(scan_interval), params)
 
 
-def scan_zeros(fld, scan_interval, resolution=2000, params=()):
-    """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
+def _scan_grid(scan_interval, resolution):
     if resolution < 1000:
         raise ValueError(f"need resolution >= 1000, got {resolution}")
     start, stop = (float(v) for v in scan_interval)
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise ValueError(f"scan interval needs finite lo < hi, got {start}:{stop}")
-    g = _scalar_fn(fld, params)
-    xs = np.linspace(start, stop, resolution + 1)
+    return np.linspace(start, stop, resolution + 1)
+
+
+def _grid_brackets(g, xs):
+    """Exact zeros of g on the grid xs, the bracketing cells, and g at their left ends."""
     vals = g(xs)
-    exact = xs[vals == 0.0]
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    # Bisect every bracketing cell at once; a cell stops when it is narrow
-    # enough or its midpoint is an exact zero.
-    lo, hi, flo = xs[cells], xs[cells + 1], vals[cells]
+    return xs[vals == 0.0], cells, vals[cells]
+
+
+def _bisect(g, lo, hi, flo):
+    """Midpoints of the cells (lo, hi) of g after bisection to ZERO_BISECTION_WIDTH.
+
+    Every cell is bisected at once; a cell stops when it is narrow enough or
+    its midpoint is an exact zero.
+    """
     active = hi - lo > ZERO_BISECTION_WIDTH
     while active.any():
         mid = 0.5 * (lo + hi)
@@ -219,7 +226,36 @@ def scan_zeros(fld, scan_interval, resolution=2000, params=()):
         hi = np.where(active & (~left | hit), mid, hi)
         flo = np.where(left, fmid, flo)
         active = hi - lo > ZERO_BISECTION_WIDTH
-    return sorted(np.concatenate([exact, 0.5 * (lo + hi)]).tolist())
+    return 0.5 * (lo + hi)
+
+
+def scan_zeros(fld, scan_interval, resolution=2000, params=()):
+    """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
+    xs = _scan_grid(scan_interval, resolution)
+    g = _scalar_fn(fld, params)
+    exact, cells, flo = _grid_brackets(g, xs)
+    mids = _bisect(g, xs[cells], xs[cells + 1], flo)
+    return sorted(np.concatenate([exact, mids]).tolist())
+
+
+def scan_zero_sets(fld, scan_interval, resolution, param_sets):
+    """scan_zeros for every row of param_sets (k, n_params): k sorted lists.
+
+    Each set's grid is evaluated on its own, and the bracketing cells of all
+    sets are bisected together, each cell carrying its set's parameters.
+    """
+    xs = _scan_grid(scan_interval, resolution)
+    param_sets = np.asarray(param_sets, dtype=float)
+    found = [_grid_brackets(_scalar_fn(fld, tuple(p)), xs) for p in param_sets]
+    counts = [len(cells) for _, cells, _ in found]
+    cells = np.concatenate([c for _, c, _ in found])
+    flo = np.concatenate([f for _, _, f in found])
+    rows = np.repeat(np.arange(len(found)), counts)
+    # Each cell's parameters ride along as per-point arrays (see eval_points).
+    g = _scalar_fn(fld, tuple(param_sets[rows].T))
+    mids = _bisect(g, xs[cells], xs[cells + 1], flo)
+    return [sorted(np.concatenate([e, m]).tolist())
+            for (e, _, _), m in zip(found, np.split(mids, np.cumsum(counts)[:-1]))]
 
 
 def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:

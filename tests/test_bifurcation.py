@@ -7,10 +7,53 @@ import pytest
 
 from fracdyn import FieldDef
 from fracdyn import bifurcation as bif
+from fracdyn import field_expr
+from fracdyn import scalar_analysis as sa
 from fracdyn.catalog import get
+from fracdyn.field_expr import FieldEvalError, eval_points, numeric_derivative
 
 SADDLE = get("saddle").fld
 PITCHFORK = get("pitchfork").fld
+
+
+def _reference_scan(fld, scan_interval, resolution, params):
+    """One parameter set: the grid scan, then bisection of its cells."""
+    g = lambda xs: eval_points(fld, np.reshape(xs, (-1, 1)), params)[:, 0]
+    xs = np.linspace(float(scan_interval[0]), float(scan_interval[1]), resolution + 1)
+    vals = g(xs)
+    exact = xs[vals == 0.0]
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    lo, hi, flo = xs[cells], xs[cells + 1], vals[cells]
+    active = hi - lo > sa.ZERO_BISECTION_WIDTH
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        fmid = g(mid)
+        left = (flo < 0.0) == (fmid < 0.0)
+        hit = fmid == 0.0
+        lo = np.where(active & (left | hit), mid, lo)
+        hi = np.where(active & (~left | hit), mid, hi)
+        flo = np.where(left, fmid, flo)
+        active = hi - lo > sa.ZERO_BISECTION_WIDTH
+    return sorted(np.concatenate([exact, 0.5 * (lo + hi)]).tolist())
+
+
+def _reference_sweep(family, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
+                     resolution=2000, base_params=(), gamma_param="gamma"):
+    """sweep as a loop over the parameter values, one scan each."""
+    gi = family.params.index(gamma_param) if gamma_param in family.params else None
+    gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
+    per_gamma = []
+    for gam in gammas:
+        params = list(base_params) if base_params else [0.0] * len(family.params)
+        if gi is not None:
+            params[gi] = float(gam)
+        params = tuple(params)
+        zeros = _reference_scan(family, scan_interval, resolution, params)
+        derivs = numeric_derivative(family, 0, np.reshape(zeros, (-1, 1)), 0, params)
+        per_gamma.append(tuple(
+            bif.BranchPoint(float(gam), z, d) for z, d in zip(zeros, derivs.tolist())
+        ))
+    return bif.BifurcationDiagram(gammas, tuple(per_gamma))
 
 
 class TestSweep:
@@ -46,6 +89,45 @@ class TestSweep:
     def test_too_few_gammas_rejected(self):
         with pytest.raises(ValueError):
             bif.sweep(SADDLE, (-1.0, 1.0), 2)
+
+    @pytest.mark.parametrize("family,gamma_range,base_params", [
+        (SADDLE, (-1.0, 1.0), ()),  # gamma = 0 on the grid
+        (PITCHFORK, (-1.0, 1.0), ()),
+        (SADDLE, (-0.8011, 0.8011), ()),
+        (PITCHFORK, (-0.8011, 0.8011), ()),
+        (FieldDef.parse(["gamma - x^4"], ("gamma",)), (-1.0, 1.0), ()),
+        (FieldDef.parse(["-x"]), (-1.0, 1.0), ()),  # no gamma at all
+        # gamma is the second parameter; b comes from base_params
+        (FieldDef.parse(["gamma*x - b*x^3"], ("b", "gamma")), (-1.0, 1.0), (2.0, 0.0)),
+    ], ids=["saddle", "pitchfork", "saddle-0.8011", "pitchfork-0.8011", "quartic",
+            "gamma-free", "base-params"])
+    def test_batched_sweep_equals_the_loop(self, family, gamma_range, base_params):
+        diag = bif.sweep(family, gamma_range, 201, base_params=base_params)
+        ref = _reference_sweep(family, gamma_range, 201, base_params=base_params)
+        assert repr(diag) == repr(ref)  # zeros, derivatives and their signs
+        if family is SADDLE:
+            assert () in diag.points  # gamma < 0: an empty zero set comes out
+
+    def test_complex_family_raises(self):
+        # x^0.5 is complex on the negative half of the scan interval
+        family = FieldDef.parse(["gamma - x^0.5"], ("gamma",))
+        with pytest.raises(FieldEvalError):
+            bif.sweep(family, (-1.0, 1.0), 11)
+
+    def test_sweep_makes_a_bounded_number_of_evaluations(self, monkeypatch):
+        # One grid per parameter value, then one bisection and one derivative
+        # evaluation for all values together: not one bisection per value.
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eval_points(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "eval_points", counted)
+        monkeypatch.setattr(field_expr, "eval_points", counted)
+        diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
+        assert diag.counts()[-1] == 3
+        assert 201 < calls[0] <= 201 + 40
 
 
 class TestClassification:

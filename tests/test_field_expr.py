@@ -112,6 +112,37 @@ class TestFieldDef:
             # one component AST on its own gives that column
             assert np.array_equal(eval_points(fld.components[1], pts), arr[:, 1])
 
+    def test_small_powers_are_products(self):
+        # x^2..x^4 of a coordinate or parameter are x*x*..., in the compiled
+        # code and in the oracle alike; other powers stay pow
+        f = FieldDef.parse(["x^2 + y^3", "x^4 - gamma^3*y", "(x + y)^3 - x^5"], ("gamma",))
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-3, 3, size=(500, 3))
+        arr = eval_points(f, pts, (-1.3,))
+        x, y = pts[:, 0], pts[:, 1]
+        assert np.array_equal(arr[:, 0], x * x + y * y * y)
+        assert np.array_equal(arr[:, 1], x * x * x * x - (-1.3 * -1.3 * -1.3) * y)
+        assert np.array_equal(arr[:, 2], (x + y) ** 3.0 - x**5.0)
+        fns = f.compiled()
+        for row, s in enumerate(map(tuple, pts[:50])):
+            for i, fn in enumerate(fns):
+                expect = eval_ast(f.components[i], s, (-1.3,))
+                assert fn(s, (-1.3,)) == expect
+                assert arr[row, i] == pytest.approx(expect, rel=1e-14, abs=1e-14)
+        with pytest.raises(FieldEvalError):  # inf, no OverflowError, is caught too
+            eval_ast(parse_expr("x^3", 1), (1e200,), ())
+
+    def test_per_point_parameters(self):
+        # a tuple of (n,) arrays gives every point its own parameter set
+        f = FieldDef.parse(["gamma*x - b*x^3"], ("gamma", "b"))
+        pts = np.linspace(-2.0, 2.0, 7)[:, None]
+        gammas, bs = np.linspace(-1.0, 1.0, 7), np.full(7, 2.0)
+        arr = eval_points(f, pts, (gammas, bs))[:, 0]
+        derivs = numeric_derivative(f, 0, pts, 0, (gammas, bs))
+        for i in range(7):
+            assert arr[i] == eval_points(f, pts[i:i + 1], (gammas[i], 2.0))[0, 0]
+            assert derivs[i] == numeric_derivative(f, 0, pts[i], 0, (gammas[i], 2.0))
+
     def test_eval_error_carries_component(self):
         f = FieldDef.parse(["x", "exp(x^2)"])
         with pytest.raises(FieldEvalError) as exc:
