@@ -49,6 +49,23 @@ LEAF = 1024
 EXACT_ORDER = "exact"
 
 
+def check_grid(t_end, dt):
+    """The grid rules: 0 < dt <= t_end, and at most MAX_GRID_POINTS steps."""
+    if not 0.0 < dt <= t_end:
+        raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    if not t_end / dt <= MAX_GRID_POINTS:  # inf / inf is nan
+        raise ValueError(
+            f"grid of {t_end / dt:.3g} points exceeds the {MAX_GRID_POINTS} budget"
+        )
+
+
+def check_solve(alpha, t_end, dt):
+    """The rules of every solve on [0, t_end]: 0 < alpha < 1 and check_grid's."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_grid(t_end, dt)
+
+
 @dataclass(frozen=True)
 class CaputoProblem:
     alpha: float
@@ -59,15 +76,7 @@ class CaputoProblem:
     dt: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.dt < self.t_end:
-            raise ValueError(f"need 0 < dt < t_end, got dt={self.dt}, t_end={self.t_end}")
-        if self.t_end / self.dt > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid of {self.t_end / self.dt:.3g} points exceeds the "
-                f"{MAX_GRID_POINTS} budget"
-            )
+        check_solve(self.alpha, self.t_end, self.dt)
         if len(self.x0) != self.fld.dimension:
             raise ValueError(
                 f"x0 has length {len(self.x0)}, field dimension is {self.fld.dimension}"
@@ -269,6 +278,7 @@ def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
     `forcing` is a SampledFunction; `forcing.at` resamples it onto the
     solver grid by linear interpolation.
     """
+    check_solve(alpha, t_end, dt)
     times = dt * np.arange(int(round(t_end / dt)) + 1)
     if forcing.horizon < times[-1] - 1e-12:
         raise ValueError(

@@ -108,12 +108,6 @@ def _resolve_scalar_field(args, parser):
     return fld, tuple(values), None
 
 
-def _check_alpha(alpha, parser):
-    if not 0.0 < alpha < 1.0:
-        parser.error(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -136,7 +130,6 @@ def cmd_ml(args, parser):
 
 
 def cmd_simulate(args, parser):
-    _check_alpha(args.alpha, parser)
     x0 = tuple(float(v) for v in args.x0.split(","))
     if args.catalog and catalog.get(args.catalog).triangular:
         entry = catalog.get(args.catalog)
@@ -193,23 +186,16 @@ def cmd_limits(args, parser):
 
 
 def cmd_heteroclinic(args, parser):
-    _check_alpha(args.alpha, parser)
     fld, params, entry = _resolve_scalar_field(args, parser)
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
-    eta = args.eta
-    idx = zs.open_interval(eta)
-    if idx is None:
-        parser.error(f"eta={eta} is not strictly between adjacent zeros")
     orbit = sa.heteroclinic_orbit(
-        fld, args.alpha, zs, idx, eta, args.t_back, args.t_fwd, args.dt,
-        params=params,
-    )
+        fld, args.alpha, zs, args.eta, args.t_back, args.t_fwd, args.dt, params=params)
     if args.out:
         _write_csv(args.out, ["t", "x1"], np.column_stack((orbit.times, orbit.values)))
     _emit_json({
         "version": __version__,
-        "config": {"alpha": args.alpha, "eta": eta,
+        "config": {"alpha": args.alpha, "eta": args.eta,
                    "t_back": args.t_back, "t_fwd": args.t_fwd, "dt": args.dt},
         "source": orbit.source,
         "target": orbit.target,
@@ -249,11 +235,8 @@ def cmd_triangular(args, parser):
     }
     if args.x0:
         x0 = tuple(float(v) for v in args.x0.split(","))
-        if len(x0) != tf.dimension:
-            parser.error(f"--x0 has {len(x0)} values, the field has dimension {tf.dimension}")
         out["predicted_limits"] = list(componentwise_limits(tf, x0, box))
         if args.alpha is not None:
-            _check_alpha(args.alpha, parser)
             traj = solve_pece(CaputoProblem(
                 args.alpha, tf.assembled(), (), x0, args.t_end, args.dt))
             out["solver_endpoint"] = [float(v) for v in traj.endpoint()]
@@ -304,7 +287,8 @@ def cmd_bifurcate(args, parser):
 
 
 def cmd_semigroup(args, parser):
-    _check_alpha(args.alpha, parser)
+    if args.dt_levels < 1:
+        parser.error(f"--dt-levels must be >= 1, got {args.dt_levels}")
     fld, params, _ = _resolve_scalar_field(args, parser)
     p = RhoParams(n_max=args.n_max)
     horizon = float(p.n_max) + args.tau1 + args.tau2

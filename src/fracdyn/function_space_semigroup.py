@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo_solver import _weights, solve_svie
+from .caputo_solver import _weights, check_grid, check_solve, solve_svie
 from .field_expr import eval_points
 from .mittag_leffler import ml
 
@@ -62,6 +62,7 @@ class SampledFunction:
 
     @classmethod
     def constant(cls, x0, theta_max, dt):
+        check_grid(theta_max, dt)
         n = int(round(theta_max / dt))
         grid = dt * np.arange(n + 1)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -122,6 +123,7 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
         raise ValueError(f"tau must be >= 0, got {tau}")
     if theta_max is None:
         theta_max = RhoParams().n_max
+    check_solve(alpha, tau + theta_max, dt)
     m = int(round(tau / dt))
     tau_snap = m * dt
     if abs(tau_snap - tau) > 1e-12:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo_solver import CaputoProblem, Trajectory, solve_pece
+from .caputo_solver import CaputoProblem, Trajectory, check_solve, solve_pece
 from .field_expr import FieldDef, eval_points, numeric_derivative
 from .mittag_leffler import ml_decay
 
@@ -167,6 +167,8 @@ def certify_h1(fld, a, b, points, region, params=()):
     The witness of a failure is the worst point: a float for d = 1, else a
     tuple.
     """
+    if not (a > 0 and b > 0):
+        raise ValueError(f"need a, b > 0, got a={a}, b={b}")
     g = eval_points(fld, points, params)
     margins = a - b * np.sum(points * points, axis=1) - np.sum(g * points, axis=1)
     k = int(np.argmin(margins))
@@ -186,8 +188,6 @@ def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), n_samples=2000, params=()):
     A failure outside the interval is not detectable here; a passing
     certificate is 'inconclusive beyond scan' by construction.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"need a, b > 0, got a={a}, b={b}")
     if n_samples < 1000:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
     xs = np.linspace(scan_interval[0], scan_interval[1], n_samples)
@@ -473,20 +473,21 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
 
 
 def heteroclinic_orbit(
-    fld, alpha, zs: ZeroSet, interval_index, eta, t_back, t_fwd, dt, params=(), tol=1e-8
+    fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt, params=(), tol=1e-8
 ) -> HeteroclinicOrbit:
-    """Numerical heteroclinic orbit through eta in the chosen open interval.
+    """Numerical heteroclinic orbit through eta.
 
-    interval_index i selects (zeros[i], zeros[i+1]); the orbit joins its
-    endpoints, running from the unstable zero (t -> -inf) to the stable one.
+    The orbit joins the adjacent zeros around eta, running from the unstable
+    one (t -> -inf) to the stable one.  ValueError when eta lies on a zero or
+    outside the attractor.
     """
-    if zs.open_interval(eta) != interval_index:
-        raise ValueError(
-            f"eta={eta} is not in open interval {interval_index} of the zeros {zs.zeros}"
-        )
-    left, right = zs.zeros[interval_index], zs.zeros[interval_index + 1]
+    check_solve(alpha, t_back, dt)
+    j = zs.open_interval(eta)
+    if j is None:
+        raise ValueError(f"eta={eta} is not strictly between adjacent zeros of {zs.zeros}")
+    left, right = zs.zeros[j], zs.zeros[j + 1]
     # Sign convention: in g>0 intervals flow runs left->right, else right->left.
-    g_positive = zs.derivs[interval_index] > 0
+    g_positive = zs.derivs[j] > 0
     source, target = (left, right) if g_positive else (right, left)
 
     fwd = solve_pece(CaputoProblem(alpha, fld, tuple(params), (eta,), t_fwd, dt))

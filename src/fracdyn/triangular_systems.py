@@ -174,6 +174,8 @@ def product_attractor(tf: TriangularField, box=None, params=None) -> ProductAttr
 
 def componentwise_limits(tf: TriangularField, x0, box=None, params=None):
     """Predicted limit vector, one scalar classification per coordinate."""
+    if len(x0) != tf.dimension:
+        raise ValueError(f"x0 has length {len(x0)}, field dimension is {tf.dimension}")
     params = tuple(params if params is not None else ())
     if box is None:
         box = [(-10.0, 10.0)] * tf.dimension

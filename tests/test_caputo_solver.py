@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracdyn import CaputoProblem, FieldDef, catalog, convergence_order, solve_pece, solve_svie
+from fracdyn import scalar_analysis as sa
 from fracdyn.caputo_solver import (
     CORRECTOR_MAX_ITER,
     CORRECTOR_TOL,
@@ -19,7 +20,7 @@ from fracdyn.caputo_solver import (
     _weights,
 )
 from fracdyn.field_expr import eval_field
-from fracdyn.function_space_semigroup import SampledFunction
+from fracdyn.function_space_semigroup import SampledFunction, apply_T
 from fracdyn.mittag_leffler import ml
 
 LINEAR = FieldDef.parse(["-x"])
@@ -82,6 +83,32 @@ class TestWeights:
         traj = solve_pece(CaputoProblem(alpha, fld, (lam,), (x0,), 2 * dt, dt))
         expect = x0 * (1.0 + cc * alpha * lam) / (1.0 - cc * lam)
         assert traj.scalar()[1] == pytest.approx(expect, rel=1e-13)
+
+
+# (alpha, t_end, dt) that break the order rule or a grid rule of every solve.
+BAD_SOLVES = [
+    (0.0, 1.0, 0.1), (1.0, 1.0, 0.1), (1.5, 1.0, 0.1), (-0.5, 1.0, 0.1), (math.nan, 1.0, 0.1),
+    (0.5, 1.0, 0.0), (0.5, 1.0, -0.05), (0.5, 1.0, math.nan), (0.5, -1.0, 0.1),
+    (0.5, 1.0, 2.0), (0.5, math.inf, 0.1), (0.5, math.inf, math.inf),
+    (0.5, 1.0, 1e-8),  # 1e8 steps, over MAX_GRID_POINTS
+]
+# The forcing is a small grid, so no entry point allocates the grid it rejects.
+SMALL = SampledFunction.constant([0.5], 1.0, 0.5)
+CUBIC_ZEROS = sa.find_zeros(CUBIC, (-5.0, 5.0))
+SOLVE_ENTRY_POINTS = {
+    "CaputoProblem": lambda a, t, dt: CaputoProblem(a, CUBIC, (), (0.5,), t, dt),
+    "solve_svie": lambda a, t, dt: solve_svie(SMALL, CUBIC, (), a, t, dt),
+    "apply_T": lambda a, t, dt: apply_T(0.0, SMALL, CUBIC, (), a, dt, theta_max=t),
+    "heteroclinic_orbit": lambda a, t, dt: sa.heteroclinic_orbit(
+        CUBIC, a, CUBIC_ZEROS, 0.5, t, 1.0, dt),
+}
+
+
+@pytest.mark.parametrize("entry", SOLVE_ENTRY_POINTS)
+@pytest.mark.parametrize("alpha, t_end, dt", BAD_SOLVES)
+def test_bad_order_or_grid_is_rejected(entry, alpha, t_end, dt):
+    with pytest.raises(ValueError, match=r"alpha must be in|need 0 < dt <= t_end|budget"):
+        SOLVE_ENTRY_POINTS[entry](alpha, t_end, dt)
 
 
 class TestForcedEquation:
@@ -181,6 +208,12 @@ class TestValidation:
     def test_grid_size_cap(self):
         with pytest.raises(ValueError):
             CaputoProblem(0.5, LINEAR, (), (1.0,), 1.0e9, 1.0e-2)
+
+    def test_one_step_grid_is_allowed(self):
+        by_ivp = solve_pece(CaputoProblem(0.5, LINEAR, (), (1.0,), 0.1, 0.1))
+        by_svie = solve_svie(SampledFunction.constant([1.0], 0.1, 0.1), LINEAR, (), 0.5, 0.1, 0.1)
+        assert len(by_ivp.times) == 2
+        assert np.array_equal(by_ivp.states, by_svie.states)
 
     def test_state_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -43,11 +43,18 @@ class TestExitCodes:
          "--t-end", "1", "--dt", "0.1", "--out", "/nonexistent/dir/x.csv"),
         ("simulate", "--catalog", "cubic", "--alpha", "0.5", "--x0", "0.5",
          "--t-end", "1", "--dt", "0.1", "--out", "."),  # a directory
+        ("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt0", "0"),
+        ("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt0=-0.05"),
+        ("semigroup", "--catalog", "linear", "--alpha", "1.5", "--tau1", "0", "--tau2", "0"),
+        ("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt-levels", "0"),
+        ("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",
+         "--t-back=-1", "--t-fwd", "1"),
+        ("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "1"),  # on a zero
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
         assert proc.returncode == 2
-        assert proc.stderr != ""
+        assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_closed_stdout_pipe_ends_quietly(self):

@@ -270,7 +270,7 @@ class TestBackwardExtension:
 class TestHeteroclinic:
     def test_cubic_orbit_joins_unstable_to_stable(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, 1, 0.5, 20.0, 60.0, 0.01)
+        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0.5, 20.0, 60.0, 0.01)
         assert orbit.source == 0.0
         assert orbit.target == 1.0
         assert orbit.values[0] == pytest.approx(0.0, abs=1e-2)
@@ -282,13 +282,13 @@ class TestHeteroclinic:
 
     def test_negative_interval_reverses_orientation(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0, -0.5, 20.0, 60.0, 0.01)
+        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, -0.5, 20.0, 60.0, 0.01)
         assert orbit.source == 0.0
         assert orbit.target == -1.0
 
     def test_eta_outside_interval_rejected(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-        with pytest.raises(ValueError):
-            sa.heteroclinic_orbit(CUBIC, 0.6, zs, 1, -0.5, 10.0, 10.0, 0.01)
-        with pytest.raises(ValueError):
-            sa.heteroclinic_orbit(CUBIC, 0.6, zs, 5, 0.5, 10.0, 10.0, 0.01)
+        with pytest.raises(ValueError, match="adjacent zeros"):  # on a zero
+            sa.heteroclinic_orbit(CUBIC, 0.6, zs, 1.0, 10.0, 10.0, 0.01)
+        with pytest.raises(ValueError, match="adjacent zeros"):  # outside the attractor
+            sa.heteroclinic_orbit(CUBIC, 0.6, zs, 2.0, 10.0, 10.0, 0.01)

@@ -51,6 +51,14 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(np.array([0.0, 0.1]), np.zeros(3))
 
+    @pytest.mark.parametrize("theta_max, dt", [
+        (20.0, 0.0), (20.0, -0.05), (20.0, math.nan), (20.0, math.inf), (math.inf, math.inf),
+        (20.0, 1e-9),  # 2e10 steps: rejected before any array is built
+    ])
+    def test_constant_rejects_bad_step(self, theta_max, dt):
+        with pytest.raises(ValueError, match="need 0 < dt <= t_end|budget"):
+            SampledFunction.constant([1.0], theta_max, dt)
+
     def test_constant_factory_and_interpolation(self):
         f = SampledFunction.constant([2.0], 1.0, 0.25)
         assert f.horizon == 1.0

@@ -67,6 +67,10 @@ class TestValidation:
         assert report.certificate is not None
         assert [len(zs) for zs in report.zero_sets] == [3, 3]
 
+    def test_dissipativity_constants_must_be_positive(self):
+        with pytest.raises(ValueError, match="need a, b > 0"):
+            validate_triangular(get("fig2").fld, BOX2, a=2.5, b=-1.0)
+
     def test_sign_changing_prefactor_rejected(self):
         tf = make_tf(["1", "x"], ["x*(1 - x^2)", "y*(1 - y^2)"])
         with pytest.raises(TriangularValidationError):
@@ -113,6 +117,11 @@ class TestComponentwiseLimits:
             pred = componentwise_limits(tf, x0, BOX2)
             traj = solve_pece(CaputoProblem(0.6, fld, (), x0, 400.0, 0.05))
             assert np.allclose(traj.endpoint(), pred, atol=0.05)
+
+    @pytest.mark.parametrize("x0", [(0.5,), (0.5, 0.5, 7.0)])
+    def test_seed_length_must_match_dimension(self, x0):
+        with pytest.raises(ValueError, match="field dimension is 2"):
+            componentwise_limits(get("fig2").fld, x0, BOX2)
 
     def test_seed_signs_determine_limits(self):
         tf = get("fig2").fld
