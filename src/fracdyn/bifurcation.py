@@ -58,6 +58,9 @@ def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
     """
     if n_gammas < 3:
         raise ValueError(f"need at least 3 parameter values, got {n_gammas}")
+    if not gamma_range[0] < gamma_range[1]:
+        raise ValueError(f"need an ascending parameter range lo < hi, got "
+                         f"{gamma_range[0]}:{gamma_range[1]}")
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
     base = list(base_params) if base_params else [0.0] * len(family.params)
     param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))

@@ -10,19 +10,21 @@ takes g linear on each step (trapezoid rule) and is iterated as a fixed
 point.  The two history sums are split by the lag (Hairer, Lubich &
 Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532; Garrappa 2018,
 Mathematics 6:16): numpy takes the nodes of the step's own leaf of LEAF
-nodes by two dot products, and adds older leaves in FFT blocks, so that a
-solve of N steps costs O(N log^2 N).  The corrector runs on lists of d
-Python floats, where numpy's per-call overhead would dominate the step.
-Both rules, and the memory integral of the function-space semigroup, take
-their weights from one per-offset rule, `_weights`.  The same recurrence
-with x0 replaced by a forcing function f(t_n) solves the forced singular
-Volterra integral equation.
+nodes by one product of both rules' stacked weights with their g values,
+and adds older leaves in FFT blocks, so that a solve of N steps costs
+O(N log^2 N).  The corrector is Python source generated once per dimension
+d that iterates on d float locals, where numpy's per-call overhead would
+dominate the step.  Both rules, and the memory integral of the
+function-space semigroup, take their weights from one per-offset rule,
+`_weights`.  The same recurrence with x0 replaced by a forcing function
+f(t_n) solves the forced singular Volterra integral equation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,31 +146,87 @@ def _weights(alpha, n):
             np.concatenate((zero, near)))
 
 
-def _block_spectrum(rrev, hrev, L):
+def _block_spectrum(W, L):
     """rfft of both rules' weights at lags 1..2L, in two columns: lag p + 1 at
     row p.  Lags past N reach no node of the grid and are left zero."""
-    N = len(rrev) - 1
+    N = W.shape[1] - 1
     lags = np.zeros((2 * L, 2))
     k = min(2 * L, N)
-    lags[:k, 0] = rrev[N - k : N][::-1]
-    lags[: k - 1, 1] = hrev[N - k : N - 1][::-1]
+    lags[:k] = W[:, N - k : N][:, ::-1].T
     return np.fft.rfft(lags, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _corrector(d):
+    """The corrector of one step for d components, generated once per d.
+
+    correct(fns, p, xp, xb, hist, w, fv, sv, j) starts from x = xp + hist[0]
+    and iterates x = xb + hist[1] + w*g(x) on d float locals, every component
+    at the old iterate, until the largest change is at most CORRECTOR_TOL (a
+    nan change sticks, as in np.max) or CORRECTOR_MAX_ITER iterations are
+    spent; both are read at call time.  g(x) then goes to fv[j : j + d] and x
+    to sv[j : j + d] unless it leaves +-ESCAPE_THRESHOLD.  fns are the
+    field's compiled() components.  Returns (iterations, residual,
+    evaluations, escaped): escaped is None once x is written, else the state
+    to clamp.  A failed evaluation (overflow, complex value) returns
+    iterations 0 and the last complete iterate.
+    """
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(i=i, at=f"j + {i}" if i else "j") for i in range(d))
+
+    x = each("x{i}") + ","  # a tuple also for d = 1
+    lines = [
+        "def correct(fns, p, xp, xb, hist, w, fv, sv, j):",
+        f"    {each('f{i}')}, = fns",
+        f"    ({each('h{i}')},), ({each('k{i}')},) = hist",
+        f"    {x} = {each('xp[{i}] + h{i}')},",
+        f"    {each('b{i}')}, = {each('xb[{i}] + k{i}')},",
+        "    evals = 0",
+        "    try:",
+        "        for iters in range(1, CORRECTOR_MAX_ITER + 1):",
+        "            evals += 1",
+        f"            s = {x}",
+        # float() of a complex value (x^0.5 at x < 0) raises TypeError.
+        each("            y{i} = b{i} + w * float(f{i}(s, p))", "\n"),
+        "            residual = abs(y0 - x0)",
+        *(f"            r = abs(y{i} - x{i})\n"
+          "            if r > residual or r != r:\n"
+          "                residual = r" for i in range(1, d)),
+        f"            {x} = {each('y{i}')},",
+        "            if residual <= CORRECTOR_TOL:",
+        "                break",
+        "        evals += 1",
+        f"        s = {x}",
+        each("        g{i} = float(f{i}(s, p))", "\n"),
+        "    except (ArithmeticError, ValueError, TypeError):",
+        f"        return 0, 0.0, evals, ({x})",
+        each("    fv[{at}] = g{i}", "\n"),
+        f"    if {each('abs(x{i}) <= ESCAPE_THRESHOLD', ' and ')}:  # false for nan",
+        each("        sv[{at}] = x{i}", "\n"),
+        "        return iters, residual, evals, None",
+        "    return iters, residual, evals, s",
+    ]
+    namespace = {}
+    # The module's globals, so that the limits are looked up on every call.
+    exec(compile("\n".join(lines), f"<corrector d={d}>", "exec"), globals(), namespace)
+    return namespace["correct"]
 
 
 def _pece_loop(alpha, fld, params, forcing, dt):
     """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
 
     The grid is walked in leaves of LEAF nodes.  A node takes its history
-    from the earlier nodes of its own leaf by two direct dot products; the
-    rest has already been added to its offsets xp (predictor) and xb
-    (corrector) by FFT blocks, the convolution splitting of Hairer, Lubich &
-    Schlichte 1985 (SIAM J. Sci. Stat. Comput. 6:532) that Garrappa 2018
-    (Mathematics 6:16) uses in his product-integration solvers.  When a leaf
-    ends at node e, with L = e & -e, the block of sources [e - L, e) is
-    convolved by FFT with both rules and added to the targets [e, e + L);
-    each source reaches each later target of another leaf exactly once, so a
-    solve costs O(N log^2 N) rather than O(N^2).  A solve with N + 1 <= LEAF
-    is one leaf and takes no FFT.
+    from the earlier nodes of its own leaf by one product of the two rules'
+    weight rows with their g values; the rest has already been added to its
+    offsets xp (predictor) and xb (corrector) by FFT blocks, the convolution
+    splitting of Hairer, Lubich & Schlichte 1985 (SIAM J. Sci. Stat. Comput.
+    6:532) that Garrappa 2018 (Mathematics 6:16) uses in his
+    product-integration solvers.  When a leaf ends at node e, with
+    L = e & -e, the block of sources [e - L, e) is convolved by FFT with both
+    rules and added to the targets [e, e + L); each source reaches each later
+    target of another leaf exactly once, so a solve costs O(N log^2 N) rather
+    than O(N^2).  A solve with N + 1 <= LEAF is one leaf and takes no FFT.
+    The step's corrector is `_corrector`'s, generated for d.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
@@ -176,19 +234,26 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     rect, far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
     scale = dt**alpha / math.gamma(alpha)
-    # Reversed so that step n reads contiguous slices: rrev[N - k] = rect[k] and
-    # hrev[N - 1 - k] = far[k] + near[k + 1], the trapezoid weight of the node
-    # k steps back, which is far of the step before it plus near of the step after.
-    rrev = scale * rect[::-1]
-    hrev = scale * (far[:-1] + near[1:])[::-1]
+    # Both rules' weights by lag, reversed so that step n reads one contiguous
+    # slice: W[0, N - k] = rect[k] weights the node k steps back in the
+    # predictor, and W[1, N - k] = far[k] + near[k + 1] in the corrector, the
+    # trapezoid weight far of the step before the node plus near of the step
+    # after it.  Node 0 has no step before it: W[1, 0] = 0.
+    W = np.empty((2, N + 1))
+    W[0] = rect[::-1]
+    W[1, 0] = 0.0
+    W[1, 1:] = (far[:-1] + near[1:])[::-1]
+    W *= scale
     w_self = float(scale * near[1])
 
     states = np.empty((N + 1, d))
     fvals = np.empty((N + 1, d))
+    sv, fv = states.reshape(-1), fvals.reshape(-1)  # flat views for the corrector
     states[0] = forcing[0]
     escape_index, escape_sign = None, 0
     params = tuple(params)
     eval_fns = fld.compiled()
+    correct = _corrector(d)
     eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
     fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
     max_iters, max_residual, evals, unconverged = 0, 0.0, 1, 0
@@ -196,68 +261,54 @@ def _pece_loop(alpha, fld, params, forcing, dt):
 
     # Overflow on the way to an escape is expected; the escape check catches it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Node 0 enters the corrector by its far weight alone, so it is added
-        # here and left out of the corrector's sums.
+        # Node 0 enters the corrector by its far weight alone.  The sums below
+        # give it the trapezoid weight W[1, N - m] at step m, so its offset
+        # holds far less that weight.
         xp = forcing.astype(float)
-        xb = forcing + (scale * far[: N + 1])[:, None] * fvals[0]
-        del rect, far, near  # only rrev, hrev and w_self are read from here on
+        node0 = scale * far[: N + 1]
+        node0 -= W[1, ::-1]
+        xb = forcing + node0[:, None] * fvals[0]
+        del rect, far, near, node0  # only W and w_self are read from here on
         for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
             if s:  # the leaf before ends here: add its block to the nodes ahead
                 L = s & -s
                 w = spectra.get(L)
                 if w is None:
-                    w = _block_spectrum(rrev, hrev, L)
+                    w = _block_spectrum(W, L)
                     if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
                         spectra[L] = w
                 src = np.fft.rfft(fvals[s - L : s], 2 * L, axis=0)
                 hi = min(s + L, N + 1)
                 # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.
                 xp[s:hi] += np.fft.irfft(src * w[:, :1], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
-                if s == L:
-                    # The spectrum of node 0 alone is fvals[0] at every frequency.
-                    src -= fvals[0]
                 xb[s:hi] += np.fft.irfft(src * w[:, 1:], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
-            # The leaf's offsets are complete.  Its own earlier nodes (node 0 is in
-            # xb already) are added last, as in one direct sum, so that a one-leaf
-            # solve keeps its bits.
+            # The leaf's offsets are complete.  Its own earlier nodes are added
+            # last, as in one direct sum, so that a one-leaf solve keeps its bits.
             xp_leaf, xb_leaf = xp[s : s + LEAF].tolist(), xb[s : s + LEAF].tolist()
-            lo = s or 1
-            for m in range(lo, min(s + LEAF, N + 1)):
-                hist_p = (rrev[N + s - m : N] @ fvals[s:m]).tolist()
-                hist_b = (hrev[N - 1 + lo - m : N - 1] @ fvals[lo:m]).tolist()
-                x = [a + h for a, h in zip(xp_leaf[m - s], hist_p)]
-                base = [a + h for a, h in zip(xb_leaf[m - s], hist_b)]
-                try:
-                    for iters in range(1, CORRECTOR_MAX_ITER + 1):
-                        evals += 1
-                        x_new, residual = [], 0.0
-                        for b, fn, xi in zip(base, eval_fns, x):
-                            # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-                            x_new.append(b + w_self * float(fn(x, params)))
-                            r = abs(x_new[-1] - xi)
-                            if r > residual or r != r:  # a nan difference sticks, as in np.max
-                                residual = r
-                        x = x_new
-                        if residual <= CORRECTOR_TOL:
-                            break
-                    evals += 1
-                    fvals[m] = [float(fn(x, params)) for fn in eval_fns]
-                    max_iters = max(max_iters, iters)
-                    max_residual = max(max_residual, residual)  # a nan residual leaves it
-                    unconverged += not residual <= CORRECTOR_TOL
-                    escaped = not all([abs(v) <= ESCAPE_THRESHOLD for v in x])  # true for nan
-                except (ArithmeticError, ValueError, TypeError):
-                    escaped = True
-                if escaped:
-                    # nan takes the sign of the last state; +-inf clamps like any overflow.
-                    x = np.where(np.isnan(x), np.sign(states[m - 1]) * ESCAPE_THRESHOLD, x)
-                    x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
-                    states[m:] = x
-                    escape_index = m
-                    peak = x[int(np.argmax(np.abs(x)))]
-                    escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
-                    break
-                states[m] = x
+            for m in range(s or 1, min(s + LEAF, N + 1)):
+                hist = (W[:, N + s - m : N] @ fvals[s:m]).tolist()
+                iters, residual, n, escaped = correct(
+                    eval_fns, params, xp_leaf[m - s], xb_leaf[m - s], hist, w_self,
+                    fv, sv, m * d)
+                evals += n
+                if iters:  # the step's evaluations all succeeded
+                    if iters > max_iters:
+                        max_iters = iters
+                    if residual > max_residual:  # a nan residual leaves it
+                        max_residual = residual
+                    if not residual <= CORRECTOR_TOL:
+                        unconverged += 1
+                if escaped is None:
+                    continue
+                # nan takes the sign of the last state; +-inf clamps like any overflow.
+                x = np.where(np.isnan(escaped), np.sign(states[m - 1]) * ESCAPE_THRESHOLD,
+                             escaped)
+                x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
+                states[m:] = x
+                escape_index = m
+                peak = x[int(np.argmax(np.abs(x)))]
+                escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
+                break
             if escape_index is not None:
                 break
 

@@ -20,12 +20,7 @@ from . import catalog
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
 from .field_expr import FieldDef, FieldEvalError, ParseError
-from .function_space_semigroup import (
-    RhoParams,
-    SampledFunction,
-    semigroup_defect,
-    state_space_defect,
-)
+from .function_space_semigroup import RhoParams, semigroup_defects, state_space_defect
 from .mittag_leffler import MLConvergenceError, MLOverflowError, MLQuery, ml_eval
 from .triangular_systems import (
     TriangularField,
@@ -287,18 +282,10 @@ def cmd_bifurcate(args, parser):
 
 
 def cmd_semigroup(args, parser):
-    if args.dt_levels < 1:
-        parser.error(f"--dt-levels must be >= 1, got {args.dt_levels}")
     fld, params, _ = _resolve_scalar_field(args, parser)
-    p = RhoParams(n_max=args.n_max)
-    horizon = float(p.n_max) + args.tau1 + args.tau2
-    defects = []
-    dt = args.dt0
-    for _ in range(args.dt_levels):
-        f = SampledFunction.constant([args.f0] * fld.dimension, horizon + dt, dt)
-        defects.append(semigroup_defect(
-            args.tau1, args.tau2, f, fld, params, args.alpha, dt, p))
-        dt /= 2.0
+    defects = semigroup_defects(args.tau1, args.tau2, [args.f0] * fld.dimension, fld, params,
+                                args.alpha, args.dt0, args.dt_levels,
+                                RhoParams(n_max=args.n_max))
     ratios = [defects[i] / defects[i + 1] if defects[i + 1] > 0 else float("inf")
               for i in range(len(defects) - 1)]
     _emit_json({

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -390,6 +389,7 @@ class FieldDef:
     components: tuple
     params: tuple = ()
     _compiled: list = field(default_factory=list, compare=False, repr=False)
+    _arrays: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.components) != self.dimension:
@@ -407,15 +407,16 @@ class FieldDef:
         return cls(d, comps, tuple(params))
 
     def compiled(self):
+        """Per-point lambdas fn(s, p), one per component, built once."""
         if not self._compiled:
             self._compiled.extend(_lambda(ast, FUNCTIONS) for ast in self.components)
         return self._compiled
 
-
-@lru_cache(maxsize=256)
-def _array_fn(ast):
-    # Bound to numpy ufuncs, s[i] is coordinate i of every point at once.
-    return _lambda(ast, NP_FUNCTIONS)
+    def compiled_arrays(self):
+        """The same bound to numpy ufuncs: s[i] is coordinate i of every point."""
+        if not self._arrays:
+            self._arrays.extend(_lambda(ast, NP_FUNCTIONS) for ast in self.components)
+        return self._arrays
 
 
 def eval_points(f, points, params=()):
@@ -435,16 +436,16 @@ def eval_points(f, points, params=()):
             raise ValueError(f"state length {pts.shape[1]} != dimension {f.dimension}")
         if len(params) != len(f.params):
             raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
-        comps = f.components
+        fns = f.compiled_arrays()
     else:
-        comps = (f,)
+        fns = (_lambda(f, NP_FUNCTIONS),)
     cols = np.ascontiguousarray(pts.T)
     p = np.asarray(params, dtype=float)
-    out = np.empty((pts.shape[0], len(comps)))
+    out = np.empty((pts.shape[0], len(fns)))
     with np.errstate(all="ignore"):
-        for i, ast in enumerate(comps):
+        for i, fn in enumerate(fns):
             try:
-                v = _array_fn(ast)(cols, p)
+                v = fn(cols, p)
                 ok = not np.iscomplexobj(v) and np.isfinite(v).all()
             except ArithmeticError:  # constant subexpressions use Python floats
                 ok = False

@@ -26,6 +26,7 @@ __all__ = [
     "rho",
     "apply_T",
     "semigroup_defect",
+    "semigroup_defects",
     "state_space_defect",
 ]
 
@@ -112,6 +113,13 @@ def rho(f: SampledFunction, h: SampledFunction, p: RhoParams = RhoParams()) -> f
     return total
 
 
+def _check_shifts(**shifts):
+    """Each named shift must be >= 0 (nan is not)."""
+    for name, tau in shifts.items():
+        if not tau >= 0:
+            raise ValueError(f"{name} must be >= 0, got {tau}")
+
+
 def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> SampledFunction:
     """The operator (T_tau f)(theta) = f(tau+theta) + memory integral.
 
@@ -119,8 +127,7 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
     (it is extended by its last value with a warning otherwise).  At
     theta = 0 the Volterra solution's own endpoint is used.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_shifts(tau=tau)
     if theta_max is None:
         theta_max = RhoParams().n_max
     check_solve(alpha, tau + theta_max, dt)
@@ -163,11 +170,30 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
 def semigroup_defect(tau1, tau2, f, fld, params, alpha, dt,
                      p: RhoParams = RhoParams()) -> float:
     """rho(T_{tau1+tau2} f, T_{tau1} T_{tau2} f); zero in exact arithmetic."""
+    _check_shifts(tau1=tau1, tau2=tau2)
     theta = float(p.n_max)
     one_shot = apply_T(tau1 + tau2, f, fld, params, alpha, dt, theta_max=theta)
     inner = apply_T(tau2, f, fld, params, alpha, dt, theta_max=theta + tau1)
     composed = apply_T(tau1, inner, fld, params, alpha, dt, theta_max=theta)
     return rho(one_shot, composed, p)
+
+
+def semigroup_defects(tau1, tau2, x0, fld, params, alpha, dt0, dt_levels,
+                      p: RhoParams = RhoParams()) -> list:
+    """semigroup_defect from the constant function x0 at dt0 and at each of
+    dt_levels - 1 halvings of it."""
+    _check_shifts(tau1=tau1, tau2=tau2)
+    if not dt0 > 0:
+        raise ValueError(f"dt0 must be > 0, got {dt0}")
+    if dt_levels < 1:
+        raise ValueError(f"dt_levels must be >= 1, got {dt_levels}")
+    horizon = float(p.n_max) + tau1 + tau2
+    defects = []
+    for level in range(dt_levels):
+        dt = dt0 / 2**level
+        f = SampledFunction.constant(x0, horizon + dt, dt)
+        defects.append(semigroup_defect(tau1, tau2, f, fld, params, alpha, dt, p))
+    return defects
 
 
 def state_space_defect(alpha, t, s, lam=1.0) -> float:

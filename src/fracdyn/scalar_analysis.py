@@ -283,11 +283,6 @@ def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
     return ZeroSet(tuple(zeros), tuple(derivs))
 
 
-def default_scan_interval(cert: DissipativityCertificate):
-    r = cert.radius()
-    return (-r - 1.0, r + 1.0)
-
-
 def attractor_interval(zs: ZeroSet) -> AttractorInterval:
     """The global attractor [min zeros, max zeros]."""
     if not zs.zeros:

@@ -4,7 +4,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from fracdyn import caputo_solver, mittag_leffler
+import pytest
+
+from fracdyn import CaputoProblem, caputo_solver, catalog, mittag_leffler, solve_pece
 from fracdyn.field_expr import FieldDef
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -43,3 +45,20 @@ def test_install_and_uninstall_restore_originals():
     tracer.uninstall()
     assert FieldDef.compiled is original
     assert mittag_leffler.ml_eval is original_ml
+
+
+@pytest.mark.parametrize("fld, x0", [
+    (FieldDef.parse(["x - x^3"]), (2.0,)),
+    (catalog.get("fig2").fld.assembled(), (0.5, -0.3)),
+], ids=["cubic", "fig2"])
+def test_tracer_counts_every_solver_evaluation(fld, x0):
+    # The solver evaluates the field only through compiled(), whose components
+    # the tracer counts one by one.
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traj = solve_pece(CaputoProblem(0.6, fld, (), x0, 10.0, 0.01))
+    finally:
+        tracer.uninstall()
+    assert traj.meta.field_evals > 1000
+    assert tracer.evals[0] == fld.dimension * traj.meta.field_evals

@@ -90,6 +90,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             bif.sweep(SADDLE, (-1.0, 1.0), 2)
 
+    @pytest.mark.parametrize("family", [SADDLE, PITCHFORK], ids=["saddle", "pitchfork"])
+    @pytest.mark.parametrize("gamma_range", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0)])
+    def test_empty_or_descending_range_rejected(self, family, gamma_range):
+        # A descending grid would be classified "none" instead of the family's label.
+        with pytest.raises(ValueError, match="ascending"):
+            bif.sweep(family, gamma_range, 11)
+
     @pytest.mark.parametrize("family,gamma_range,base_params", [
         (SADDLE, (-1.0, 1.0), ()),  # gamma = 0 on the grid
         (PITCHFORK, (-1.0, 1.0), ()),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracdyn import CaputoProblem, FieldDef, catalog, convergence_order, solve_pece, solve_svie
+from fracdyn import caputo_solver
 from fracdyn import scalar_analysis as sa
 from fracdyn.caputo_solver import (
     CORRECTOR_MAX_ITER,
@@ -240,14 +241,20 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
     directly over every earlier node at every step, O(N^2).
 
     Kept as the reference: bit-identical to the solver within one leaf, and
-    the direct sum that the solver's FFT blocks must reproduce beyond it.
+    the direct sum that the solver's FFT blocks must reproduce beyond it.  It
+    takes the solver's summation order: one product of the stacked weight
+    rows with the g values of every earlier node, node 0 included, whose
+    trapezoid weight the corrector's start takes back out.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     rect, far, near = _weights(alpha, max(N, 1))
     scale = dt**alpha / math.gamma(alpha)
-    rrev = scale * rect[::-1]
-    hrev = scale * (far[:-1] + near[1:])[::-1]
-    far = scale * far
+    W = np.empty((2, N + 1))  # row 0 rect, row 1 the trapezoid weights, by lag from N
+    W[0] = rect[::-1]
+    W[1, 0] = 0.0
+    W[1, 1:] = (far[:-1] + near[1:])[::-1]
+    W *= scale
+    node0 = scale * far - W[1, ::-1]  # node 0 at step m: far[m] less its weight in W
     w_self = scale * near[1]
 
     states = np.empty((N + 1, d))
@@ -268,9 +275,9 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
     fvals[0] = evaluate(states[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            x = forcing[n + 1] + rrev[N - n - 1 : N] @ fvals[: n + 1]
-            base = (forcing[n + 1] + far[n + 1] * fvals[0]
-                    + hrev[N - 1 - n : N - 1] @ fvals[1 : n + 1])
+            hist = W[:, N - n - 1 : N] @ fvals[: n + 1]
+            x = forcing[n + 1] + hist[0]
+            base = (forcing[n + 1] + node0[n + 1] * fvals[0]) + hist[1]
             residual = math.inf
             iters = 0
             try:
@@ -311,6 +318,10 @@ KERNEL_CASES = {  # alpha, field, params, x0, t_end, dt
     "overflow_escape": (0.5, FieldDef.parse(["x*x*x*x*x*x*x*x"]), (), (2.0,), 5.0, 0.01),
     "complex_mid_solve": (0.5, FieldDef.parse(["-1 - x^0.5"]), (), (0.5,), 2.0, 0.1),
     "nan_in_one_component": (0.5, NAN_IN_Y, (), (1.0, 3.0), 1.0, 0.01),
+    # Not triangular, with parameters: every component reads every coordinate.
+    "lorenz_3d_params": (0.95, FieldDef.parse(["sigma*(y - x)", "x*(rho - z) - y",
+                                               "x*y - 2.5*z"], ("sigma", "rho")),
+                         (10.0, 28.0), (1.0, 1.0, 1.0), 2.0, 0.01),
 }
 
 
@@ -429,6 +440,20 @@ class TestSolverStats:
         fld, calls = self.counted(["y - x", "-x - y"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0, 0.0), 1.0, 0.01))
         assert calls[0] == 2 * traj.meta.field_evals
+
+    def test_corrector_limits_are_read_at_call_time(self, monkeypatch):
+        fld, calls = self.counted(["x - x^3"])
+        stiff = CaputoProblem(0.3, fld, (), (2.0,), 50.0, 0.05)
+        solve_pece(stiff)  # the corrector for d = 1 exists before the patch
+        calls[0] = 0
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 3)
+        traj = solve_pece(stiff)
+        assert traj.meta.corrector_iterations == 3
+        assert traj.meta.field_evals == calls[0] == 1 + 1000 * (3 + 1)
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", 1e-3)
+        traj = solve_pece(CaputoProblem(0.5, fld, (), (0.5,), 1.0, 0.01))
+        assert traj.meta.unconverged_steps == 0
+        assert 1e-12 < traj.meta.max_residual <= 1e-3
 
     def test_escaped_solve_stops_counting_at_the_escape(self):
         fld, calls = self.counted(["-1 - x^0.5"])

@@ -30,6 +30,8 @@ class TestExitCodes:
         ("attractor", "--component", "x +* 2"),       # parse error
         ("attractor", "--catalog", "nosuchfield"),
         ("bifurcate", "--family", "saddle", "--gamma-range", "nonsense"),
+        ("bifurcate", "--family", "saddle", "--gamma-range=1:-1:11"),   # descending
+        ("bifurcate", "--family", "pitchfork", "--gamma-range=1:1:11"),  # empty
         ("triangular", "--catalog", "fig2", "--x0", "0.5"),          # x0 too short
         ("triangular", "--catalog", "fig2", "--x0", "0.5,0.5,0.5"),  # x0 too long
         ("limits", "--catalog", "cubic", "--eta", "nan"),
@@ -56,6 +58,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, name, typed", [
+        (("--tau1=-1", "--tau2", "0.5"), "tau1", "-1"),
+        (("--dt0", "0"), "dt0", "0"),
+    ])
+    def test_semigroup_errors_name_what_was_typed(self, args, name, typed):
+        # Not the sum tau1 + tau2 (-0.5) nor the forcing's derived horizon (21.0).
+        proc = run("semigroup", "--catalog", "linear", "--alpha", "0.5", *args)
+        assert proc.returncode == 2
+        assert f"{name} must be" in proc.stderr and f"got {typed}" in proc.stderr
+        assert "21.0" not in proc.stderr and "-0.5" not in proc.stderr
 
     def test_closed_stdout_pipe_ends_quietly(self):
         # About 1 MB of CSV, more than a pipe holds, so writes meet the closed pipe.
