@@ -15,7 +15,7 @@ from .caputo_solver import (
     solve_pece,
     solve_svie,
 )
-from .field_expr import FieldDef, ParseError, eval_field, parse_expr
+from .field_expr import FieldDef, ParseError, parse_expr
 from .mittag_leffler import MLQuery, ml, ml_decay, ml_eval
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "FieldDef",
     "ParseError",
     "parse_expr",
-    "eval_field",
     "CaputoProblem",
     "Trajectory",
     "solve_pece",

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
-from .field_expr import FieldDef, numeric_derivative
+from .field_expr import FieldDef
 
 __all__ = [
     "BranchPoint",
@@ -20,7 +20,6 @@ __all__ = [
     "divergence_check",
 ]
 
-DEGENERATE_DERIVATIVE = 1e-6
 FOLD_FIT_POINTS = 10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,7 +36,7 @@ class BranchPoint:
 
     @property
     def degenerate(self):
-        return abs(self.deriv) < DEGENERATE_DERIVATIVE
+        return abs(self.deriv) < sa.H2_DERIVATIVE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
     zero_sets = sa.scan_zero_sets(family, scan_interval, resolution, param_sets)
     rows = np.repeat(np.arange(n_gammas), [len(zs) for zs in zero_sets])
     zeros = np.concatenate(zero_sets)
-    derivs = iter(numeric_derivative(family, 0, zeros[:, None], 0,
-                                     tuple(param_sets[rows].T)).tolist())
+    dg = sa._scalar_fn(family.derivative(0), tuple(param_sets[rows].T))
+    derivs = iter(dg(zeros).tolist())
     points = tuple(tuple(BranchPoint(float(gam), z, next(derivs)) for z in zs)
                    for gam, zs in zip(gammas, zero_sets))
     return BifurcationDiagram(gammas, points)
@@ -164,9 +163,3 @@ def divergence_check(family: FieldDef, gamma, alpha, x0, t_end, dt=0.01,
     p = CaputoProblem(alpha, family, tuple(params), (float(x0),), t_end, dt)
     traj = solve_pece(p)
     return traj.escape_index is not None and traj.escape_sign < 0
-
-
-def apriori_upper_bound(eta, gamma, alpha, t):
-    """Kernel-correct a-priori bound eta + gamma t^alpha / Gamma(alpha+1),
-    valid while g(gamma, x) <= gamma along the trajectory (e.g. gamma - x^2)."""
-    return eta + gamma * t**alpha / math.gamma(alpha + 1.0)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field_expr import FieldDef, eval_field
+from .field_expr import FieldDef, eval_points
 
 __all__ = [
     "CaputoProblem",
@@ -51,10 +51,12 @@ LEAF = 1024
 EXACT_ORDER = "exact"
 
 
-def check_grid(t_end, dt):
-    """The grid rules: 0 < dt <= t_end, and at most MAX_GRID_POINTS steps."""
+def check_grid(t_end, dt, names=("dt", "t_end")):
+    """The grid rules: 0 < dt <= t_end, and at most MAX_GRID_POINTS steps;
+    an error calls dt and t_end by names."""
     if not 0.0 < dt <= t_end:
-        raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+        raise ValueError(f"need 0 < {names[0]} <= {names[1]}, got {names[0]}={dt}, "
+                         f"{names[1]}={t_end}")
     if not t_end / dt <= MAX_GRID_POINTS:  # inf / inf is nan
         raise ValueError(
             f"grid of {t_end / dt:.3g} points exceeds the {MAX_GRID_POINTS} budget"
@@ -254,7 +256,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     params = tuple(params)
     eval_fns = fld.compiled()
     correct = _corrector(d)
-    eval_field(fld, states[0], params)  # FieldEvalError unless real and finite
+    eval_points(fld, states[:1], params)  # FieldEvalError unless real and finite
     fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
     max_iters, max_residual, evals, unconverged = 0, 0.0, 1, 0
     spectra = {}  # L -> _block_spectrum, kept while a later block has size L

@@ -1,4 +1,5 @@
-"""Recursive-descent parser and evaluator for vector-field expressions.
+"""Recursive-descent parser, exact derivatives and compiled evaluation for
+vector-field expressions.
 
 Grammar (|^| binds tightest and is right-associative, then unary minus,
 then * /, then + -):
@@ -33,10 +34,8 @@ __all__ = [
     "Call",
     "FieldDef",
     "parse_expr",
-    "eval_ast",
-    "eval_field",
+    "diff",
     "eval_points",
-    "numeric_derivative",
 ]
 
 FUNCTIONS = {
@@ -46,7 +45,9 @@ FUNCTIONS = {
     "tanh": math.tanh,
     "abs": abs,
 }
-NP_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
+# Derivatives (see diff) also call log and sign; the grammar accepts neither.
+POINT_FUNCTIONS = {**FUNCTIONS, "log": math.log, "sign": lambda v: float((v > 0) - (v < 0))}
+NP_FUNCTIONS = {name: getattr(np, name) for name in POINT_FUNCTIONS}
 
 
 class ParseError(ValueError):
@@ -298,6 +299,67 @@ def to_source(node) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Derivatives
+
+
+def _is_num(node, value):
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(a):
+    return Num(-a.value) if isinstance(a, Num) else Neg(a)
+
+
+def _op(op, a, b):
+    """BinOp(op, a, b) with a 0 or 1 operand folded away where it can be."""
+    if op in "+-" and _is_num(b, 0.0) or op in "*/^" and _is_num(b, 1.0):
+        return a
+    if _is_num(a, 0.0) and op in "+-":
+        return b if op == "+" else _neg(b)
+    if _is_num(a, 0.0) and op in "*/" or op == "*" and _is_num(b, 0.0):
+        return Num(0.0)
+    if op == "*" and _is_num(a, 1.0):
+        return b
+    return Num(1.0) if op == "^" and _is_num(b, 0.0) else BinOp(op, a, b)
+
+
+def diff(node, i):
+    """The AST of d(node)/dx_i, with additions of 0 and products with 0 or 1
+    folded away (0*exp(x) would turn nan where exp overflows).
+
+    An exponent b free of x_i (a number, a parameter) gives b*a^(b-1)*a', so
+    x^3 becomes 3*x^2 and keeps its product form; any other exponent gives
+    a^b*(b'*log(a) + b*a'/a).  abs' is sign, which is 0 at the kink x = 0.
+    """
+    if isinstance(node, (Num, Param)):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0 if node.index == i else 0.0)
+    if isinstance(node, Neg):
+        return _neg(diff(node.arg, i))
+    if isinstance(node, Call):
+        a = node.arg
+        outer = {"exp": node, "sin": Call("cos", a), "cos": _neg(Call("sin", a)),
+                 "tanh": _op("-", Num(1.0), _op("*", node, node)),
+                 "abs": Call("sign", a)}[node.fn]
+        return _op("*", outer, diff(a, i))
+    if not isinstance(node, BinOp):
+        raise TypeError(f"not an AST node: {node!r}")
+    a, b = node.lhs, node.rhs
+    da, db = diff(a, i), diff(b, i)
+    if node.op in "+-":
+        return _op(node.op, da, db)
+    if node.op == "*":
+        return _op("+", _op("*", da, b), _op("*", a, db))
+    if node.op == "/":  # (a' - (a/b)*b') / b
+        return _op("/", _op("-", da, _op("*", _op("/", a, b), db)), b)
+    if _is_num(db, 0.0):
+        b1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, Num(1.0))
+        return _op("*", _op("*", b, _op("^", a, b1)), da)
+    return _op("*", node, _op("+", _op("*", db, Call("log", a)), _op("*", b, _op("/", da, a))))
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -313,51 +375,8 @@ def _small_power(node):
     return None
 
 
-def eval_ast(node, state, params):
-    """Reference tree-walking evaluator; raises on non-finite results."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return state[node.index]
-    if isinstance(node, Param):
-        return params[node.index]
-    if isinstance(node, Neg):
-        return -eval_ast(node.arg, state, params)
-    if isinstance(node, BinOp):
-        a = eval_ast(node.lhs, state, params)
-        b = eval_ast(node.rhs, state, params)
-        try:
-            if node.op == "+":
-                v = a + b
-            elif node.op == "-":
-                v = a - b
-            elif node.op == "*":
-                v = a * b
-            elif node.op == "/":
-                v = a / b
-            elif k := _small_power(node):
-                v = math.prod([a] * k)  # 1 * a * a ..., as _codegen's a * a ...
-            else:
-                v = a**b
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise FieldEvalError(f"non-finite result in '{node.op}': {exc}") from exc
-        if isinstance(v, complex) or not math.isfinite(v):
-            raise FieldEvalError(f"non-finite result in '{node.op}'")
-        return v
-    if isinstance(node, Call):
-        a = eval_ast(node.arg, state, params)
-        try:
-            v = FUNCTIONS[node.fn](a)
-        except (OverflowError, ValueError) as exc:
-            raise FieldEvalError(f"non-finite result in {node.fn}(): {exc}") from exc
-        if not math.isfinite(v):
-            raise FieldEvalError(f"non-finite result in {node.fn}()")
-        return v
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def _codegen(node):
-    # Python source for a fast compiled evaluator; mirrors eval_ast exactly.
+    # Python source of one component: the only code that makes an AST callable.
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -388,8 +407,7 @@ class FieldDef:
     dimension: int
     components: tuple
     params: tuple = ()
-    _compiled: list = field(default_factory=list, compare=False, repr=False)
-    _arrays: list = field(default_factory=list, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.components) != self.dimension:
@@ -406,17 +424,27 @@ class FieldDef:
         comps = tuple(parse_expr(src, d, params) for src in sources)
         return cls(d, comps, tuple(params))
 
+    def _keep(self, key, build):
+        """build(), on the first call for key only; the result is kept."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
     def compiled(self):
         """Per-point lambdas fn(s, p), one per component, built once."""
-        if not self._compiled:
-            self._compiled.extend(_lambda(ast, FUNCTIONS) for ast in self.components)
-        return self._compiled
+        return self._keep("points", lambda: [_lambda(a, POINT_FUNCTIONS) for a in self.components])
 
     def compiled_arrays(self):
         """The same bound to numpy ufuncs: s[i] is coordinate i of every point."""
-        if not self._arrays:
-            self._arrays.extend(_lambda(ast, NP_FUNCTIONS) for ast in self.components)
-        return self._arrays
+        return self._keep("arrays", lambda: [_lambda(a, NP_FUNCTIONS) for a in self.components])
+
+    def derivative(self, i):
+        """The field of partial derivatives d g_k / d x_i (see diff), built
+        once and kept; it compiles and evaluates like any FieldDef."""
+        if not 0 <= i < self.dimension:
+            raise ValueError(f"coordinate {i} is outside 0..{self.dimension - 1}")
+        return self._keep(i, lambda: FieldDef(
+            self.dimension, tuple(diff(a, i) for a in self.components), self.params))
 
 
 def eval_points(f, points, params=()):
@@ -454,23 +482,3 @@ def eval_points(f, points, params=()):
                                      component=i)
             out[:, i] = v
     return out if isinstance(f, FieldDef) else out[:, 0]
-
-
-def eval_field(f: FieldDef, state, params=()):
-    """Evaluate every component at the given state; deterministic and pure."""
-    return eval_points(f, [state], params)[0].tolist()
-
-
-def numeric_derivative(f: FieldDef, component: int, state, coordinate: int, params=()):
-    """Central-difference partial derivative of one component, at one state
-    or at every row of an (n, d) stack of states; params may be per-row
-    arrays, as in eval_points."""
-    x = np.asarray(state, dtype=float)
-    pts = np.atleast_2d(x)
-    h = np.maximum(1e-6, 1e-6 * np.abs(pts[:, coordinate]))
-    step = np.zeros_like(pts)
-    step[:, coordinate] = h
-    params = tuple(np.concatenate([v, v]) if getattr(v, "ndim", 0) else v for v in params)
-    vals = eval_points(f, np.concatenate([pts + step, pts - step]), params)[:, component]
-    d = (vals[: len(pts)] - vals[len(pts) :]) / (2.0 * h)
-    return float(d[0]) if x.ndim == 1 else d

@@ -188,6 +188,7 @@ def semigroup_defects(tau1, tau2, x0, fld, params, alpha, dt0, dt_levels,
     if dt_levels < 1:
         raise ValueError(f"dt_levels must be >= 1, got {dt_levels}")
     horizon = float(p.n_max) + tau1 + tau2
+    check_grid(horizon, dt0, names=("dt0", "tau1 + tau2 + n_max"))
     defects = []
     for level in range(dt_levels):
         dt = dt0 / 2**level

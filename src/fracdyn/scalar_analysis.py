@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caputo_solver import CaputoProblem, Trajectory, check_solve, solve_pece
-from .field_expr import FieldDef, eval_points, numeric_derivative
+from .field_expr import FieldDef, eval_points
 from .mittag_leffler import ml_decay
 
 __all__ = [
@@ -231,11 +231,7 @@ def _bisect(g, lo, hi, flo):
 
 def scan_zeros(fld, scan_interval, resolution=2000, params=()):
     """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
-    xs = _scan_grid(scan_interval, resolution)
-    g = _scalar_fn(fld, params)
-    exact, cells, flo = _grid_brackets(g, xs)
-    mids = _bisect(g, xs[cells], xs[cells + 1], flo)
-    return sorted(np.concatenate([exact, mids]).tolist())
+    return scan_zero_sets(fld, scan_interval, resolution, [params])[0]
 
 
 def scan_zero_sets(fld, scan_interval, resolution, param_sets):
@@ -261,12 +257,12 @@ def scan_zero_sets(fld, scan_interval, resolution, param_sets):
 def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
     """Locate the zero set and the derivative at each zero.
 
-    Raises DegenerateZeroError when |g'| at a zero is below 1e-6 (H2
-    violation); warns when the count comes out even, which usually means
+    Raises DegenerateZeroError when |g'| at a zero is below H2_DERIVATIVE_FLOOR
+    (H2 violation); warns when the count comes out even, which usually means
     the scan interval is too small.
     """
     zeros = scan_zeros(fld, scan_interval, resolution, params)
-    derivs = numeric_derivative(fld, 0, np.reshape(zeros, (-1, 1)), 0, params).tolist()
+    derivs = _scalar_fn(fld.derivative(0), params)(zeros).tolist()
     for z, d in zip(zeros, derivs):
         if abs(d) < H2_DERIVATIVE_FLOOR:
             raise DegenerateZeroError(
@@ -302,7 +298,7 @@ def gamma_rate_constant(fld, x_star, eta, params=(), grid_points=1000):
     |f'(0)|/2 and the sampled slope of f between the shifted seed and -eps.
     """
     g = _scalar_fn(fld, params)
-    fprime0 = numeric_derivative(fld, 0, [x_star], 0, params)
+    fprime0 = float(_scalar_fn(fld.derivative(0), params)(x_star)[0])
     if fprime0 >= 0.0:
         raise DegenerateBasinError(
             f"x_star={x_star} is not a stable zero (g'={fprime0:.3g})"
@@ -375,7 +371,7 @@ def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=(), n_samples=2000):
     if half == 0.0:
         half = 0.1
     xs = np.linspace(mid - half, mid + half, n_samples)
-    return float(np.max(np.abs(numeric_derivative(fld, 0, xs[:, None], 0, params))))
+    return float(np.max(np.abs(_scalar_fn(fld.derivative(0), params)(xs))))
 
 
 # ---------------------------------------------------------------------------

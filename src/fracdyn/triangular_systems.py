@@ -9,7 +9,7 @@ componentwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class TriangularField:
     h_factors: tuple  # ExprAst over x_1..x_{i-1}
     f_factors: tuple  # ExprAst over x_i only
     params: tuple = ()
+    _factors: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -96,9 +97,13 @@ class TriangularField:
         return FieldDef(1, (ast,), self.params)
 
     def signed_scalar_factor(self, i, sign) -> FieldDef:
-        fld = self.scalar_factor(i)
-        ast = fld.components[0] if sign > 0 else Neg(fld.components[0])
-        return FieldDef(1, (ast,), self.params)
+        """sign(h_i) * f_i as a one-dimensional field, built once per (i, sign)
+        and kept, so that its compiled lambdas and derivative are kept too."""
+        key = (i, sign > 0)
+        if key not in self._factors:
+            ast = self.scalar_factor(i).components[0]
+            self._factors[key] = FieldDef(1, (ast if sign > 0 else Neg(ast),), self.params)
+        return self._factors[key]
 
 
 @dataclass(frozen=True)
@@ -155,10 +160,8 @@ def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a
         cert = sa.certify_h1(tf.assembled(), a, b, _box_points(box, n_samples, 977),
                              tuple(map(tuple, box)), params)
 
-    zero_sets = []
-    for i in range(tf.dimension):
-        fld_i = tf.signed_scalar_factor(i, signs[i])
-        zero_sets.append(sa.find_zeros(fld_i, box[i], params=params))
+    zero_sets = [sa.find_zeros(tf.signed_scalar_factor(i, s), box[i], params=params)
+                 for i, s in enumerate(signs)]
     return TriangularReport(tuple(signs), tuple(min_abs), cert, tuple(zero_sets))
 
 
@@ -180,8 +183,5 @@ def componentwise_limits(tf: TriangularField, x0, box=None, params=None):
     if box is None:
         box = [(-10.0, 10.0)] * tf.dimension
     report = validate_triangular(tf, box, params=params)
-    limits = []
-    for i in range(tf.dimension):
-        fld_i = tf.signed_scalar_factor(i, report.h_signs[i])
-        limits.append(sa.classify_limit(fld_i, report.zero_sets[i], x0[i], params))
-    return tuple(limits)
+    return tuple(sa.classify_limit(tf.signed_scalar_factor(i, s), zs, x0[i], params)
+                 for i, (s, zs) in enumerate(zip(report.h_signs, report.zero_sets)))

@@ -10,7 +10,7 @@ from fracdyn import bifurcation as bif
 from fracdyn import field_expr
 from fracdyn import scalar_analysis as sa
 from fracdyn.catalog import get
-from fracdyn.field_expr import FieldEvalError, eval_points, numeric_derivative
+from fracdyn.field_expr import FieldEvalError, eval_points
 
 SADDLE = get("saddle").fld
 PITCHFORK = get("pitchfork").fld
@@ -49,7 +49,7 @@ def _reference_sweep(family, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
             params[gi] = float(gam)
         params = tuple(params)
         zeros = _reference_scan(family, scan_interval, resolution, params)
-        derivs = numeric_derivative(family, 0, np.reshape(zeros, (-1, 1)), 0, params)
+        derivs = eval_points(family.derivative(0), np.reshape(zeros, (-1, 1)), params)[:, 0]
         per_gamma.append(tuple(
             bif.BranchPoint(float(gam), z, d) for z, d in zip(zeros, derivs.tolist())
         ))
@@ -190,6 +190,5 @@ class TestDivergence:
         from fracdyn import CaputoProblem, solve_pece
 
         traj = solve_pece(CaputoProblem(alpha, SADDLE, (gamma,), (eta,), 20.0, 0.01))
-        bounds = [bif.apriori_upper_bound(eta, gamma, alpha, float(t))
-                  for t in traj.times]
-        assert np.all(traj.scalar() <= np.asarray(bounds) + 1e-12)
+        bounds = eta + gamma * traj.times**alpha / math.gamma(1.0 + alpha)
+        assert np.all(traj.scalar() <= bounds + 1e-12)

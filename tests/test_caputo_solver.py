@@ -20,7 +20,7 @@ from fracdyn.caputo_solver import (
     Trajectory,
     _weights,
 )
-from fracdyn.field_expr import eval_field
+from fracdyn.field_expr import eval_points
 from fracdyn.function_space_semigroup import SampledFunction, apply_T
 from fracdyn.mittag_leffler import ml
 
@@ -271,7 +271,7 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
         xs = x.tolist()
         return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
 
-    eval_field(fld, states[0], params)
+    eval_points(fld, states[:1], params)
     fvals[0] = evaluate(states[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):

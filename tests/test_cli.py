@@ -70,6 +70,14 @@ class TestExitCodes:
         assert f"{name} must be" in proc.stderr and f"got {typed}" in proc.stderr
         assert "21.0" not in proc.stderr and "-0.5" not in proc.stderr
 
+    def test_semigroup_dt0_past_the_horizon_names_the_sum(self):
+        # The forcing's horizon is named as the sum of what was typed, not as a t_end.
+        proc = run("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt0", "100")
+        assert proc.returncode == 2
+        assert "dt0 <= tau1 + tau2 + n_max" in proc.stderr and "dt0=100.0" in proc.stderr
+        assert "n_max=21.0" in proc.stderr
+        assert "t_end" not in proc.stderr and "dt=" not in proc.stderr
+
     def test_closed_stdout_pipe_ends_quietly(self):
         # About 1 MB of CSV, more than a pipe holds, so writes meet the closed pipe.
         proc = subprocess.Popen(CLI + ["simulate", "--catalog", "cubic", "--alpha", "0.5",

@@ -2,23 +2,74 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdyn.catalog import CATALOG
 from fracdyn.field_expr import (
+    FUNCTIONS,
+    BinOp,
+    Call,
     FieldDef,
     FieldEvalError,
+    Neg,
+    Num,
+    Param,
     ParseError,
     UnknownIdentifierError,
-    eval_ast,
-    eval_field,
+    Var,
+    _small_power,
     eval_points,
-    numeric_derivative,
     parse_expr,
     to_source,
 )
+
+
+def eval_ast(node, state, params):
+    """Reference tree-walking evaluator, the oracle of the compiled code;
+    raises on non-finite results."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return state[node.index]
+    if isinstance(node, Param):
+        return params[node.index]
+    if isinstance(node, Neg):
+        return -eval_ast(node.arg, state, params)
+    if isinstance(node, BinOp):
+        a = eval_ast(node.lhs, state, params)
+        b = eval_ast(node.rhs, state, params)
+        try:
+            if node.op == "+":
+                v = a + b
+            elif node.op == "-":
+                v = a - b
+            elif node.op == "*":
+                v = a * b
+            elif node.op == "/":
+                v = a / b
+            elif k := _small_power(node):
+                v = math.prod([a] * k)  # 1 * a * a ..., as _codegen's a * a ...
+            else:
+                v = a**b
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise FieldEvalError(f"non-finite result in '{node.op}': {exc}") from exc
+        if isinstance(v, complex) or not math.isfinite(v):
+            raise FieldEvalError(f"non-finite result in '{node.op}'")
+        return v
+    if isinstance(node, Call):
+        a = eval_ast(node.arg, state, params)
+        try:
+            v = FUNCTIONS[node.fn](a)
+        except (OverflowError, ValueError) as exc:
+            raise FieldEvalError(f"non-finite result in {node.fn}(): {exc}") from exc
+        if not math.isfinite(v):
+            raise FieldEvalError(f"non-finite result in {node.fn}()")
+        return v
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 class TestParsing:
@@ -88,11 +139,11 @@ class TestFieldDef:
     def test_parse_and_eval(self):
         f = FieldDef.parse(["x - x^3"])
         assert f.dimension == 1
-        assert eval_field(f, (2.0,)) == [-6.0]
+        assert eval_points(f, [(2.0,)]).tolist() == [[-6.0]]
 
     def test_multicomponent(self):
         f = FieldDef.parse(["y", "-x"])
-        assert eval_field(f, (1.0, 2.0)) == [2.0, -1.0]
+        assert eval_points(f, [(1.0, 2.0)]).tolist() == [[2.0, -1.0]]
 
     def test_compiled_matches_ast_walker(self):
         f = FieldDef.parse(["x*(1 - x^2) + cos(y)", "tanh(x) - y^3"])
@@ -138,15 +189,16 @@ class TestFieldDef:
         pts = np.linspace(-2.0, 2.0, 7)[:, None]
         gammas, bs = np.linspace(-1.0, 1.0, 7), np.full(7, 2.0)
         arr = eval_points(f, pts, (gammas, bs))[:, 0]
-        derivs = numeric_derivative(f, 0, pts, 0, (gammas, bs))
+        derivs = eval_points(f.derivative(0), pts, (gammas, bs))[:, 0]
         for i in range(7):
             assert arr[i] == eval_points(f, pts[i:i + 1], (gammas[i], 2.0))[0, 0]
-            assert derivs[i] == numeric_derivative(f, 0, pts[i], 0, (gammas[i], 2.0))
+            one = eval_points(f.derivative(0), pts[i:i + 1], (gammas[i], 2.0))[0, 0]
+            assert derivs[i] == one == gammas[i] - 2.0 * (3.0 * (pts[i, 0] * pts[i, 0]))
 
     def test_eval_error_carries_component(self):
         f = FieldDef.parse(["x", "exp(x^2)"])
         with pytest.raises(FieldEvalError) as exc:
-            eval_field(f, (1.0e6, 0.0))
+            eval_points(f, [(1.0e6, 0.0)])
         assert exc.value.component == 1
         # the same on a stack where only one row is bad
         with pytest.raises(FieldEvalError) as exc:
@@ -160,22 +212,115 @@ class TestFieldDef:
             eval_points(g, [(0.0, 4.0), (0.0, -1.0)])
         assert exc.value.component == 1
 
-    def test_numeric_derivative(self):
+    def test_derivative(self):
         f = FieldDef.parse(["x - x^3"])
         xs = (-1.0, 0.0, 1.0, 2.0)
-        stacked = numeric_derivative(f, 0, np.array(xs)[:, None], 0)
+        df = f.derivative(0)
+        assert df is f.derivative(0)  # built once and kept, as compiled() is
+        stacked = eval_points(df, np.array(xs)[:, None])[:, 0]
+        (fn,) = df.compiled()
         for x, d in zip(xs, stacked):
-            expect = 1.0 - 3.0 * x * x
-            assert numeric_derivative(f, 0, [x], 0) == pytest.approx(
-                expect, rel=1e-6, abs=1e-6
-            )
-            assert d == numeric_derivative(f, 0, [x], 0)
+            assert d == fn((x,), ()) == 1.0 - 3.0 * x * x  # exact, not a difference
+        with pytest.raises(ValueError):
+            f.derivative(1)
 
     def test_param_names_validated(self):
         f = FieldDef.parse(["gamma*x"], ("gamma",))
         assert f.params == ("gamma",)
         with pytest.raises(ParseError):
             FieldDef.parse(["delta*x"], ("gamma",))
+
+
+MP_FUNCTIONS = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos,
+                "tanh": mpmath.tanh, "abs": abs}
+
+
+def mp_eval(node, state, params):
+    """The AST in mpmath arithmetic at the working precision."""
+    if isinstance(node, Num):
+        return mpmath.mpf(node.value)
+    if isinstance(node, Var):
+        return state[node.index]
+    if isinstance(node, Param):
+        return mpmath.mpf(params[node.index])
+    if isinstance(node, Neg):
+        return -mp_eval(node.arg, state, params)
+    if isinstance(node, Call):
+        return MP_FUNCTIONS[node.fn](mp_eval(node.arg, state, params))
+    a, b = mp_eval(node.lhs, state, params), mp_eval(node.rhs, state, params)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    return a / b if node.op == "/" else a**b
+
+
+# (sources, params, box): every grammar function, '/', and '^' with a
+# constant, a parameter and a variable exponent, on boxes where they are real.
+DIFF_CASES = [
+    (["exp(-x) * sin(3*x)"], (), [(-2.0, 2.0)]),
+    (["cos(x^2) - tanh(2*x - 1)"], (), [(-2.0, 2.0)]),
+    (["abs(x) * x - abs(x - 1)"], (), [(-2.0, 2.0)]),
+    (["x / (1 + x^2)", "(x - y) / (y + 3)"], (), [(-2.0, 2.0), (-2.0, 2.0)]),
+    (["(1 + x^2)^1.5 - x^5 + x^-2"], (), [(0.2, 2.0)]),
+    (["(2 + sin(x))^gamma - gamma^3 * x"], ("gamma",), [(-2.0, 2.0)]),
+    (["x^x + 2^x", "(1 + x^2)^(y - x) * y"], (), [(0.2, 2.0), (-1.0, 1.0)]),
+    (["tanh(exp(x) - 2) / (2 + cos(x))"], (), [(-2.0, 2.0)]),
+]
+
+
+def _diff_cases():
+    for sources, params, box in DIFF_CASES:
+        yield FieldDef.parse(sources, params), (1.7,) if params else (), box
+    for name, entry in sorted(CATALOG.items()):
+        fld = entry.fld.assembled() if entry.triangular else entry.fld
+        yield fld, entry.default_params, [entry.scan_interval] * fld.dimension
+
+
+class TestDerivatives:
+    def test_diff_matches_mpmath(self):
+        # d g_k / d x_i against mpmath.diff at 50 digits, 20 points per field
+        rng = np.random.default_rng(2026)
+        for fld, params, box in _diff_cases():
+            lo, hi = np.asarray(box, dtype=float).T
+            pts = rng.uniform(lo, hi, size=(20, fld.dimension))
+            for i in range(fld.dimension):
+                got = eval_points(fld.derivative(i), pts, params)
+                with mpmath.workdps(50):
+                    for row, x in zip(got, pts):
+                        for k, ast in enumerate(fld.components):
+                            def g(t, x=x, ast=ast):
+                                s = [mpmath.mpf(v) for v in x]
+                                s[i] = t
+                                return mp_eval(ast, s, params)
+
+                            want = float(mpmath.diff(g, mpmath.mpf(x[i])))
+                            assert abs(row[k] - want) <= 1e-13 * max(1.0, abs(want)), (
+                                to_source(ast), i, x)
+
+    def test_kink_and_non_finite_derivatives(self):
+        # abs' is sign, 0 at the kink; x^0.5 is finite at 0 but its derivative is not
+        assert eval_points(FieldDef.parse(["abs(x)"]).derivative(0), [(0.0,)]).tolist() == [[0.0]]
+        root = FieldDef.parse(["x^0.5"])
+        assert eval_points(root, [(0.0,)]).tolist() == [[0.0]]
+        with pytest.raises(FieldEvalError) as exc:
+            eval_points(root.derivative(0), [(4.0,), (0.0,)])
+        assert exc.value.component == 0
+
+    def test_folding_keeps_overflow_out(self):
+        # gamma*exp(x) differentiates to gamma*exp(x), not 0*exp(x) + gamma*exp(x),
+        # so a parameter derivative at 0 is no nan where exp overflows
+        f = FieldDef.parse(["gamma*exp(x)", "x^3"], ("gamma",), dimension=2)
+        assert f.derivative(1).components == (Num(0.0), Num(0.0))
+        assert to_source(f.derivative(0).components[0]) == "(gamma * exp(x1))"
+        assert to_source(f.derivative(0).components[1]) == "(3.0 * (x1 ^ 2.0))"
+
+    def test_log_and_sign_are_not_grammar(self):
+        for src in ("log(x)", "sign(x)"):
+            with pytest.raises(UnknownIdentifierError):
+                parse_expr(src, 1)
 
 
 @st.composite
