@@ -5,19 +5,28 @@ Solves the integral form
     x(t) = x0 + (1/Gamma(alpha)) * int_0^t (t-s)^(alpha-1) g(x(s)) ds
 
 on a uniform grid by product integration (Diethelm, Ford & Freed 2002):
-the predictor holds g constant on each step (rectangle rule), the corrector
-takes g linear on each step (trapezoid rule) and is iterated as a fixed
-point.  The two history sums are split by the lag (Hairer, Lubich &
-Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532; Garrappa 2018,
-Mathematics 6:16): numpy takes the nodes of the step's own leaf of LEAF
-nodes by one product of both rules' stacked weights with their g values,
-and adds older leaves in FFT blocks, so that a solve of N steps costs
-O(N log^2 N).  The corrector is Python source generated once per dimension
-d that iterates on d float locals, where numpy's per-call overhead would
-dominate the step.  Both rules, and the memory integral of the
-function-space semigroup, take their weights from one per-offset rule,
-`_weights`.  The same recurrence with x0 replaced by a forcing function
-f(t_n) solves the forced singular Volterra integral equation.
+the predictor holds g constant on each step (rectangle rule), and the
+corrector takes g linear on each step (trapezoid rule), which makes each
+step an implicit equation x = b + w*g(x).  The corrector solves it by
+Newton's method with the field's exact Jacobian (Garrappa 2018,
+Mathematics 6:16): iterations evaluate g and, until the residual is at
+most CORRECTOR_TOL, the nonzero entries of J, so a smooth scalar field
+takes about 3 evaluations of g and 2 of g' per step.  A step that does not
+converge within CORRECTOR_MAX_ITER iterations (where the equation has no
+real root, as on the way to a blow-up) keeps the explicit predictor and is
+counted in `SolverMeta.unconverged_steps`.  The two history sums are split
+by the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput.
+6:532; Garrappa 2018): numpy takes the nodes of the step's own leaf of
+LEAF nodes by one product of both rules' stacked weights with their g
+values, and adds older leaves in FFT blocks, so that a solve of N steps
+costs O(N log^2 N).  The corrector is Python source generated once per
+nonzero pattern of J that works on d float locals, where numpy's per-call
+overhead would dominate the step; a triangular field's J is lower
+triangular, and its Newton step a forward substitution.  Both rules, and
+the memory integral of the function-space semigroup, take their weights
+from one per-offset rule, `_weights`.  The same recurrence with x0
+replaced by a forcing function f(t_n) solves the forced singular Volterra
+integral equation.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field_expr import FieldDef, eval_points
+from .field_expr import FieldDef, Num, eval_points
 
 __all__ = [
     "CaputoProblem",
@@ -90,14 +99,16 @@ class CaputoProblem:
 @dataclass
 class SolverMeta:
     """What one solve did: iterations and residual are the maxima over steps,
-    field_evals counts whole-field evaluations, and unconverged_steps the
-    steps whose corrector stopped at CORRECTOR_MAX_ITER above CORRECTOR_TOL."""
+    field_evals counts whole-field evaluations of g and jacobian_evals those of
+    J's nonzero entries, and unconverged_steps the steps whose Newton
+    corrector missed CORRECTOR_TOL and kept the predictor."""
 
     corrector_iterations: int = 0
     max_residual: float = 0.0
     steps: int = 0
     field_evals: int = 0
     unconverged_steps: int = 0
+    jacobian_evals: int = 0
 
 
 @dataclass
@@ -158,59 +169,125 @@ def _block_spectrum(W, L):
     return np.fft.rfft(lags, axis=0)
 
 
-@lru_cache(maxsize=None)
-def _corrector(d):
-    """The corrector of one step for d components, generated once per d.
+def _jacobian(fld):
+    """J's nonzero pattern, pattern[k][i] false where diff folds dg_k/dx_i to
+    0, and the compiled() lambdas of its nonzero entries, row by row."""
+    d = fld.dimension
+    cols = [fld.derivative(i) for i in range(d)]
+    pattern = tuple(tuple(cols[i].components[k] != Num(0.0) for i in range(d))
+                    for k in range(d))
+    jac = [cols[i].compiled()[k] for k in range(d) for i in range(d) if pattern[k][i]]
+    return pattern, jac
 
-    correct(fns, p, xp, xb, hist, w, fv, sv, j) starts from x = xp + hist[0]
-    and iterates x = xb + hist[1] + w*g(x) on d float locals, every component
-    at the old iterate, until the largest change is at most CORRECTOR_TOL (a
-    nan change sticks, as in np.max) or CORRECTOR_MAX_ITER iterations are
-    spent; both are read at call time.  g(x) then goes to fv[j : j + d] and x
-    to sv[j : j + d] unless it leaves +-ESCAPE_THRESHOLD.  fns are the
-    field's compiled() components.  Returns (iterations, residual,
-    evaluations, escaped): escaped is None once x is written, else the state
-    to clamp.  A failed evaluation (overflow, complex value) returns
-    iterations 0 and the last complete iterate.
+
+def _elimination(pattern):
+    """Source lines that overwrite r0..r(d-1) with the solution of
+    (I - w*J) delta = r, given J's nonzero entries in e0, e1, ...
+
+    Elimination without pivoting that touches only entries that are not
+    structurally zero: row k is divided by its pivot, then subtracted from the
+    rows below, and the upper part is substituted back.  A lower triangular J
+    leaves forward substitution; a zero pivot raises ZeroDivisionError.
     """
+    d = len(pattern)
+    lines, a = [], set()  # (k, i) of the nonzero entries; a missing diagonal is 1
+    for n, (k, i) in enumerate((k, i) for k in range(d) for i in range(d) if pattern[k][i]):
+        a.add((k, i))
+        lines.append(f"a{k}_{i} = {'1.0 - ' if k == i else '-'}w * e{n}")
+    for k in range(d):
+        upper = [j for j in range(k + 1, d) if (k, j) in a]
+        if (k, k) in a:
+            lines += [f"r{k} /= a{k}_{k}", *(f"a{k}_{j} /= a{k}_{k}" for j in upper)]
+        for i in range(k + 1, d):
+            if (i, k) not in a:
+                continue
+            lines.append(f"r{i} -= a{i}_{k} * r{k}")
+            for j in upper:
+                if (i, j) in a:
+                    lines.append(f"a{i}_{j} -= a{i}_{k} * a{k}_{j}")
+                else:  # fill-in
+                    a.add((i, j))
+                    lines.append(f"a{i}_{j} = {'1.0 - ' if i == j else '-'}a{i}_{k} * a{k}_{j}")
+    for k in reversed(range(d)):
+        lines += [f"r{k} -= a{k}_{j} * r{j}" for j in range(k + 1, d) if (k, j) in a]
+    return lines
+
+
+@lru_cache(maxsize=None)
+def _corrector(pattern):
+    """The corrector of one step, generated once per nonzero pattern of J
+    (see _jacobian), for d = len(pattern) components.
+
+    correct(fns, jac, p, xp, xb, hist, w, fv, sv, j) solves
+    F(x) = x - b - w*g(x) = 0 with b = xb + hist[1] by Newton's method from
+    the predictor xp + hist[0], on d float locals.  Each iteration evaluates
+    g and F, stops once max|F| <= CORRECTOR_TOL (a nan F does not), and else
+    evaluates J's nonzero entries, the lambdas jac, and steps by
+    (I - w*J) delta = F.  After CORRECTOR_MAX_ITER iterations, a zero pivot
+    or a failing entry of J, the step keeps the predictor and evaluates g
+    there.  Both limits are read at call time.  g(x) then goes to
+    fv[j : j + d] and x to sv[j : j + d] unless it leaves
+    +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
+
+    Returns (iterations, residual, evaluations, jacobian evaluations,
+    escaped): residual is max|F| at the last iterate, escaped is None once x
+    is written, else the state to clamp.  A failed evaluation of g (overflow,
+    complex value) returns iterations 0 and the iterate it was evaluated at.
+    """
+    d = len(pattern)
+
     def each(fmt, sep=", "):
         return sep.join(fmt.format(i=i, at=f"j + {i}" if i else "j") for i in range(d))
 
+    def block(lines, indent):
+        return "\n".join(" " * indent + line for line in lines)
+
     x = each("x{i}") + ","  # a tuple also for d = 1
+    n_jac = sum(map(sum, pattern))
+    evaluate = [f"s = {x}", *(f"g{i} = float(f{i}(s, p))" for i in range(d))]
     lines = [
-        "def correct(fns, p, xp, xb, hist, w, fv, sv, j):",
+        "def correct(fns, jac, p, xp, xb, hist, w, fv, sv, j):",
         f"    {each('f{i}')}, = fns",
+        *([f"    {', '.join(f'j{n}' for n in range(n_jac))}, = jac"] if n_jac else []),
         f"    ({each('h{i}')},), ({each('k{i}')},) = hist",
-        f"    {x} = {each('xp[{i}] + h{i}')},",
-        f"    {each('b{i}')}, = {each('xb[{i}] + k{i}')},",
-        "    evals = 0",
+        each("    x{i} = xp[{i}] + h{i}", "\n"),
+        each("    b{i} = xb[{i}] + k{i}", "\n"),
+        "    tol, cap = CORRECTOR_TOL, CORRECTOR_MAX_ITER",
+        "    evals = jevals = 0",
         "    try:",
-        "        for iters in range(1, CORRECTOR_MAX_ITER + 1):",
+        "        for iters in range(1, cap + 1):",
         "            evals += 1",
-        f"            s = {x}",
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-        each("            y{i} = b{i} + w * float(f{i}(s, p))", "\n"),
-        "            residual = abs(y0 - x0)",
-        *(f"            r = abs(y{i} - x{i})\n"
+        block(evaluate, 12),
+        each("            r{i} = x{i} - b{i} - w * g{i}", "\n"),
+        "            residual = abs(r0)",
+        *(f"            r = abs(r{i})\n"
           "            if r > residual or r != r:\n"
           "                residual = r" for i in range(1, d)),
-        f"            {x} = {each('y{i}')},",
-        "            if residual <= CORRECTOR_TOL:",
+        "            if residual <= tol or iters == cap:",
         "                break",
-        "        evals += 1",
-        f"        s = {x}",
-        each("        g{i} = float(f{i}(s, p))", "\n"),
+        "            jevals += 1",
+        "            try:",
+        block([f"e{n} = float(j{n}(s, p))" for n in range(n_jac)]
+              + _elimination(pattern) or ["pass"], 16),
+        "            except (ArithmeticError, ValueError, TypeError):",
+        "                break",
+        each("            x{i} -= r{i}", "\n"),
+        "        if not residual <= tol:  # keep the predictor",
+        each("            x{i} = xp[{i}] + h{i}", "\n"),
+        "            evals += 1",
+        block(evaluate, 12),
         "    except (ArithmeticError, ValueError, TypeError):",
-        f"        return 0, 0.0, evals, ({x})",
+        f"        return 0, 0.0, evals, jevals, ({x})",
         each("    fv[{at}] = g{i}", "\n"),
         f"    if {each('abs(x{i}) <= ESCAPE_THRESHOLD', ' and ')}:  # false for nan",
         each("        sv[{at}] = x{i}", "\n"),
-        "        return iters, residual, evals, None",
-        "    return iters, residual, evals, s",
+        "        return iters, residual, evals, jevals, None",
+        "    return iters, residual, evals, jevals, s",
     ]
     namespace = {}
     # The module's globals, so that the limits are looked up on every call.
-    exec(compile("\n".join(lines), f"<corrector d={d}>", "exec"), globals(), namespace)
+    exec(compile("\n".join(lines), f"<corrector {pattern}>", "exec"), globals(), namespace)
     return namespace["correct"]
 
 
@@ -228,7 +305,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     rules and added to the targets [e, e + L); each source reaches each later
     target of another leaf exactly once, so a solve costs O(N log^2 N) rather
     than O(N^2).  A solve with N + 1 <= LEAF is one leaf and takes no FFT.
-    The step's corrector is `_corrector`'s, generated for d.
+    The step's corrector is `_corrector`'s Newton step, generated for the
+    nonzero pattern of the field's Jacobian.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
@@ -255,10 +333,11 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     escape_index, escape_sign = None, 0
     params = tuple(params)
     eval_fns = fld.compiled()
-    correct = _corrector(d)
+    pattern, jac = _jacobian(fld)
+    correct = _corrector(pattern)
     eval_points(fld, states[:1], params)  # FieldEvalError unless real and finite
     fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
-    max_iters, max_residual, evals, unconverged = 0, 0.0, 1, 0
+    max_iters, max_residual, evals, jevals, unconverged = 0, 0.0, 1, 0, 0
     spectra = {}  # L -> _block_spectrum, kept while a later block has size L
 
     # Overflow on the way to an escape is expected; the escape check catches it.
@@ -289,10 +368,11 @@ def _pece_loop(alpha, fld, params, forcing, dt):
             xp_leaf, xb_leaf = xp[s : s + LEAF].tolist(), xb[s : s + LEAF].tolist()
             for m in range(s or 1, min(s + LEAF, N + 1)):
                 hist = (W[:, N + s - m : N] @ fvals[s:m]).tolist()
-                iters, residual, n, escaped = correct(
-                    eval_fns, params, xp_leaf[m - s], xb_leaf[m - s], hist, w_self,
+                iters, residual, n, nj, escaped = correct(
+                    eval_fns, jac, params, xp_leaf[m - s], xb_leaf[m - s], hist, w_self,
                     fv, sv, m * d)
                 evals += n
+                jevals += nj
                 if iters:  # the step's evaluations all succeeded
                     if iters > max_iters:
                         max_iters = iters
@@ -314,7 +394,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
             if escape_index is not None:
                 break
 
-    meta = SolverMeta(max_iters, max_residual, escape_index or N, evals, unconverged)
+    meta = SolverMeta(max_iters, max_residual, escape_index or N, evals, unconverged, jevals)
     return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
 
 

@@ -448,8 +448,7 @@ class FieldDef:
 
 
 def eval_points(f, points, params=()):
-    """Evaluate a FieldDef, or one component AST, at every row of an (n, d)
-    array: an (n, d) result for a field, (n,) for a single AST.
+    """Evaluate a FieldDef at every row of an (n, d) array: an (n, d) result.
 
     params holds one value per declared parameter.  A value may also be an
     (n,) array, whose entry i is the parameter at point i; a tuple of such
@@ -459,14 +458,11 @@ def eval_points(f, points, params=()):
     non-finite at any point.
     """
     pts = np.asarray(points, dtype=float)
-    if isinstance(f, FieldDef):
-        if pts.shape[1] != f.dimension:
-            raise ValueError(f"state length {pts.shape[1]} != dimension {f.dimension}")
-        if len(params) != len(f.params):
-            raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
-        fns = f.compiled_arrays()
-    else:
-        fns = (_lambda(f, NP_FUNCTIONS),)
+    if pts.shape[1] != f.dimension:
+        raise ValueError(f"state length {pts.shape[1]} != dimension {f.dimension}")
+    if len(params) != len(f.params):
+        raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
+    fns = f.compiled_arrays()
     cols = np.ascontiguousarray(pts.T)
     p = np.asarray(params, dtype=float)
     out = np.empty((pts.shape[0], len(fns)))
@@ -481,4 +477,4 @@ def eval_points(f, points, params=()):
                 raise FieldEvalError(f"complex or non-finite value in component {i}",
                                      component=i)
             out[:, i] = v
-    return out if isinstance(f, FieldDef) else out[:, 0]
+    return out

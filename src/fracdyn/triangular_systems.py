@@ -84,12 +84,21 @@ class TriangularField:
             if f_vars - {i}:
                 raise ValueError(f"f_{i + 1} must reference only coordinate {i + 1}")
 
+    def _keep(self, key, build):
+        """build(), on the first call for key only; the result is kept, so that
+        the FieldDef's compiled lambdas and derivatives are kept too."""
+        if key not in self._factors:
+            self._factors[key] = build()
+        return self._factors[key]
+
     def assembled(self) -> FieldDef:
-        """The full vector field with components h_i * f_i."""
-        comps = tuple(
-            BinOp("*", h, f) for h, f in zip(self.h_factors, self.f_factors)
-        )
-        return FieldDef(self.dimension, comps, self.params)
+        """The full vector field with components h_i * f_i, built once."""
+        return self._keep("assembled", lambda: FieldDef(self.dimension, tuple(
+            BinOp("*", h, f) for h, f in zip(self.h_factors, self.f_factors)), self.params))
+
+    def h_field(self) -> FieldDef:
+        """The prefactors (h_1, ..., h_d) as one field, built once."""
+        return self._keep("h", lambda: FieldDef(self.dimension, self.h_factors, self.params))
 
     def scalar_factor(self, i) -> FieldDef:
         """f_i as a one-dimensional field (its variable remapped to x1)."""
@@ -97,13 +106,11 @@ class TriangularField:
         return FieldDef(1, (ast,), self.params)
 
     def signed_scalar_factor(self, i, sign) -> FieldDef:
-        """sign(h_i) * f_i as a one-dimensional field, built once per (i, sign)
-        and kept, so that its compiled lambdas and derivative are kept too."""
-        key = (i, sign > 0)
-        if key not in self._factors:
+        """sign(h_i) * f_i as a one-dimensional field, built once per (i, sign)."""
+        def build():
             ast = self.scalar_factor(i).components[0]
-            self._factors[key] = FieldDef(1, (ast if sign > 0 else Neg(ast),), self.params)
-        return self._factors[key]
+            return FieldDef(1, (ast if sign > 0 else Neg(ast),), self.params)
+        return self._keep((i, sign > 0), build)
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,9 @@ def _box_points(box, n_samples, seed):
 
 
 def _sample_h(tf, i, box, n_samples, params):
-    """Sample h_i over the first i coordinates of the box (h_1 is constant)."""
-    pts = _box_points(box, n_samples, 20_240_801 + i) if i else np.zeros((1, tf.dimension))
-    return eval_points(tf.h_factors[i], pts, params)
+    """Sample h_i over the box; h_1 is constant and takes one point."""
+    pts = _box_points(box, n_samples if i else 1, 20_240_801 + i)
+    return eval_points(tf.h_field(), pts, params)[:, i]
 
 
 def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a=None, b=None):

@@ -11,7 +11,8 @@ import functools
 
 import pytest
 
-from fracdyn.verification import SUITES, run_check
+from fracdyn import caputo_solver
+from fracdyn.verification import SUITES, run_check, run_checks
 
 CHECKS = [(suite, name) for suite, checks in SUITES.items() for name in checks]
 SUITE_OF = {name: suite for suite, name in CHECKS}
@@ -81,3 +82,21 @@ def test_07_state_space_is_not_a_semigroup():
 def test_10_bifurcation_sweeps_and_divergence():
     for name in ("bifurcation_labels", "divergence_cases"):
         assert_claim(name)
+
+
+def test_every_quick_solve_meets_the_corrector_tolerance(monkeypatch):
+    """Every solve of the quick suites that does not escape solves its
+    corrector equation to CORRECTOR_TOL on every step."""
+    trajectories = []
+    original = caputo_solver._pece_loop
+
+    def recording(*args):
+        trajectories.append(original(*args))
+        return trajectories[-1]
+
+    monkeypatch.setattr(caputo_solver, "_pece_loop", recording)
+    run_checks()
+    bounded = [t.meta for t in trajectories if t.escape_index is None]
+    assert len(bounded) > 50
+    assert sum(m.unconverged_steps for m in bounded) == 0
+    assert max(m.max_residual for m in bounded) <= caputo_solver.CORRECTOR_TOL

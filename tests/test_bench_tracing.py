@@ -52,13 +52,16 @@ def test_install_and_uninstall_restore_originals():
     (catalog.get("fig2").fld.assembled(), (0.5, -0.3)),
 ], ids=["cubic", "fig2"])
 def test_tracer_counts_every_solver_evaluation(fld, x0):
-    # The solver evaluates the field only through compiled(), whose components
-    # the tracer counts one by one.
+    # The solver evaluates the field and the nonzero entries of its Jacobian
+    # only through compiled(), whose components the tracer counts one by one.
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
         traj = solve_pece(CaputoProblem(0.6, fld, (), x0, 10.0, 0.01))
     finally:
         tracer.uninstall()
-    assert traj.meta.field_evals > 1000
-    assert tracer.evals[0] == fld.dimension * traj.meta.field_evals
+    nnz = sum(map(sum, caputo_solver._jacobian(fld)[0]))
+    assert nnz == {1: 1, 2: 3}[fld.dimension]  # fig2's J is lower triangular
+    assert traj.meta.field_evals > 1000 and traj.meta.jacobian_evals > 1000
+    assert tracer.evals[0] == (fld.dimension * traj.meta.field_evals
+                               + nnz * traj.meta.jacobian_evals)

@@ -223,7 +223,6 @@ class TestValidation:
     def test_meta_reports_corrector_work(self):
         traj = solve_pece(CaputoProblem(0.5, CUBIC, (), (2.0,), 1.0, 0.01))
         assert traj.meta.corrector_iterations >= 1
-        # the iteration cap, not the residual target, binds on coarse grids
         assert math.isfinite(traj.meta.max_residual)
         assert traj.meta.max_residual < 1e-2
 
@@ -236,7 +235,71 @@ class TestValidation:
         assert np.linalg.norm(traj.states[-1]) < 0.5
 
 
-def _reference_pece_loop(alpha, fld, params, forcing, dt):
+def _eliminate(A, r):
+    """Solve A delta = r by elimination without pivoting, in the generated
+    corrector's order of operations: row k is divided by its pivot and then
+    subtracted from the rows below, and the upper part is substituted back.
+    Zero entries are skipped, as the generated code skips structural zeros."""
+    A, r = A.copy(), r.copy()
+    d = len(r)
+    for k in range(d):
+        if A[k, k] == 0.0:
+            raise ZeroDivisionError("zero pivot")
+        r[k] /= A[k, k]
+        for j in range(k + 1, d):
+            if A[k, j] != 0.0:
+                A[k, j] /= A[k, k]
+        for i in range(k + 1, d):
+            if A[i, k] != 0.0:
+                r[i] -= A[i, k] * r[k]
+                for j in range(k + 1, d):
+                    if A[k, j] != 0.0:
+                        A[i, j] -= A[i, k] * A[k, j]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            if A[k, j] != 0.0:
+                r[k] -= A[k, j] * r[j]
+    return r
+
+
+def _newton(x, base, w, evaluate, jacobian):
+    """Newton's method on F(x) = x - base - w*g(x) from the predictor x; a step
+    that misses CORRECTOR_TOL within CORRECTOR_MAX_ITER iterations, or meets a
+    zero pivot or a failing J, keeps the predictor.  Returns
+    (x, g(x), iterations, residual at the last iterate)."""
+    predictor = x
+    for iters in range(1, CORRECTOR_MAX_ITER + 1):
+        g = evaluate(x)
+        F = x - base - w * g
+        residual = float(np.max(np.abs(F)))
+        if residual <= CORRECTOR_TOL or iters == CORRECTOR_MAX_ITER:
+            break
+        try:
+            x = x - _eliminate(np.eye(len(x)) - w * jacobian(x), F)
+        except (ArithmeticError, ValueError, TypeError):
+            break
+    if not residual <= CORRECTOR_TOL:
+        x = predictor
+        g = evaluate(x)
+    return x, g, iters, residual
+
+
+def _fixed_point(x, base, w, evaluate, jacobian):
+    """The corrector this solver had before Newton's method, kept as the
+    record of its behaviour: x = base + w*g(x) iterated from the predictor,
+    until the change is at most CORRECTOR_TOL or CORRECTOR_MAX_ITER
+    iterations are spent, then g evaluated once more at the last iterate."""
+    del jacobian
+    for iters in range(1, CORRECTOR_MAX_ITER + 1):
+        x_new = base + w * evaluate(x)
+        residual = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if residual <= CORRECTOR_TOL:
+            break
+    return x, evaluate(x), iters, residual
+
+
+def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     """The corrector on length-d numpy arrays, with both history sums taken
     directly over every earlier node at every step, O(N^2).
 
@@ -265,11 +328,20 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
     escape_sign = 0
     params = tuple(params)
     eval_fns = fld.compiled()
+    jac_fns = [fld.derivative(i).compiled() for i in range(d)]
+    last = [None]  # the point of the latest evaluation of g
 
     def evaluate(x):
         meta.field_evals += 1
+        last[0] = x
         xs = x.tolist()
         return np.asarray([fn(xs, params) for fn in eval_fns], dtype=float)
+
+    def jacobian(x):
+        meta.jacobian_evals += 1
+        xs = x.tolist()
+        return np.asarray([[float(jac_fns[i][k](xs, params)) for i in range(d)]
+                           for k in range(d)])
 
     eval_points(fld, states[:1], params)
     fvals[0] = evaluate(states[0])
@@ -278,22 +350,14 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt):
             hist = W[:, N - n - 1 : N] @ fvals[: n + 1]
             x = forcing[n + 1] + hist[0]
             base = (forcing[n + 1] + node0[n + 1] * fvals[0]) + hist[1]
-            residual = math.inf
-            iters = 0
             try:
-                for iters in range(1, CORRECTOR_MAX_ITER + 1):
-                    x_new = base + w_self * evaluate(x)
-                    residual = float(np.max(np.abs(x_new - x)))
-                    x = x_new
-                    if residual <= CORRECTOR_TOL:
-                        break
-                fvals[n + 1] = evaluate(x)
+                x, fvals[n + 1], iters, residual = corrector(x, base, w_self, evaluate, jacobian)
                 meta.corrector_iterations = max(meta.corrector_iterations, iters)
                 meta.max_residual = max(meta.max_residual, residual)
                 meta.unconverged_steps += not residual <= CORRECTOR_TOL
                 escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD
             except (ArithmeticError, ValueError, TypeError):
-                escaped = True
+                x, escaped = last[0], True
             if escaped:
                 x = np.where(np.isnan(x), np.sign(states[n]) * ESCAPE_THRESHOLD, x)
                 x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
@@ -318,6 +382,8 @@ KERNEL_CASES = {  # alpha, field, params, x0, t_end, dt
     "overflow_escape": (0.5, FieldDef.parse(["x*x*x*x*x*x*x*x"]), (), (2.0,), 5.0, 0.01),
     "complex_mid_solve": (0.5, FieldDef.parse(["-1 - x^0.5"]), (), (0.5,), 2.0, 0.1),
     "nan_in_one_component": (0.5, NAN_IN_Y, (), (1.0, 3.0), 1.0, 0.01),
+    # J's diagonal is structurally zero: elimination fills in the (1, 1) pivot.
+    "rotation_zero_diagonal": (0.7, FieldDef.parse(["y", "-x"]), (), (1.0, 0.0), 2.0, 0.01),
     # Not triangular, with parameters: every component reads every coordinate.
     "lorenz_3d_params": (0.95, FieldDef.parse(["sigma*(y - x)", "x*(rho - z) - y",
                                                "x*y - 2.5*z"], ("sigma", "rho")),
@@ -334,6 +400,7 @@ class TestFloatKernel:
         assert traj.meta.corrector_iterations == ref.meta.corrector_iterations
         assert traj.meta.max_residual == ref.meta.max_residual
         assert traj.meta.field_evals == ref.meta.field_evals
+        assert traj.meta.jacobian_evals == ref.meta.jacobian_evals
         assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -342,6 +409,27 @@ class TestFloatKernel:
         traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
         forcing = np.tile(np.asarray(x0, dtype=float), (len(traj.times), 1))
         self.assert_identical(traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
+
+    def test_jacobian_patterns(self):
+        # Entries that diff folds to 0 are structural zeros: fig2's J is lower
+        # triangular (forward substitution), while Lorenz has entries above
+        # the diagonal, so its kernel case runs the elimination with back
+        # substitution against the dense oracle.
+        patterns = {case: caputo_solver._jacobian(KERNEL_CASES[case][1])[0]
+                    for case in ("cubic", "fig2_assembled", "lorenz_3d_params")}
+        assert patterns == {
+            "cubic": ((True,),),
+            "fig2_assembled": ((True, False), (True, True)),
+            "lorenz_3d_params": ((True, True, False), (True, True, True), (True, True, True)),
+        }
+
+    def test_oracle_elimination_solves(self):
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3, 5):
+            A = np.eye(d) - 0.3 * rng.standard_normal((d, d))
+            r = rng.standard_normal(d)
+            np.testing.assert_allclose(_eliminate(A, r), np.linalg.solve(A, r),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_forced_solve_matches_numpy_reference(self):
         grid = 0.005 * np.arange(401)
@@ -365,7 +453,7 @@ SPLIT_CASES = {
     "n_2e4": _leaf_case(20_001),
     "fig2_assembled": _leaf_case(4 * LEAF + 3, (0.5, -0.3),
                                  catalog.get("fig2").fld.assembled()),
-    # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1046.
+    # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1052.
     "escape_in_second_leaf": _leaf_case(3001, (0.1,), FieldDef.parse(["x*x"]), 0.9),
 }
 
@@ -381,6 +469,7 @@ class TestLeafSplit:
         assert traj.escape_sign == ref.escape_sign
         assert traj.meta.steps == ref.meta.steps
         assert traj.meta.field_evals == ref.meta.field_evals
+        assert traj.meta.jacobian_evals == ref.meta.jacobian_evals
         assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
 
     @pytest.mark.parametrize("case", SPLIT_CASES)
@@ -392,7 +481,7 @@ class TestLeafSplit:
 
     def test_escape_in_second_leaf(self):
         traj = solve_pece(CaputoProblem(*SPLIT_CASES["escape_in_second_leaf"]))
-        assert traj.escape_index == 1046 and traj.escape_sign == +1
+        assert traj.escape_index == 1052 and traj.escape_sign == +1
 
     def test_forced_solve_over_several_leaves(self):
         grid = 0.005 * np.arange(4001)
@@ -403,53 +492,84 @@ class TestLeafSplit:
 
 class TestSolverStats:
     @staticmethod
-    def counted(expressions):
-        """A field whose compiled components count their calls."""
-        fld = FieldDef.parse(expressions)
-        calls = [0]
-        fns = fld.compiled()
-        for i, fn in enumerate(list(fns)):
-            def component(s, p, fn=fn):
-                calls[0] += 1
-                return fn(s, p)
-            fns[i] = component
+    def counted(expressions, params=()):
+        """A field whose compiled components, and those of its derivative
+        fields, count their calls: calls[0] for g, calls[1] for J."""
+        fld = FieldDef.parse(expressions, params)
+        calls = [0, 0]
+        for cell, f in [(0, fld), *((1, fld.derivative(i)) for i in range(fld.dimension))]:
+            fns = f.compiled()
+            for i, fn in enumerate(list(fns)):
+                def component(s, p, fn=fn, cell=cell):
+                    calls[cell] += 1
+                    return fn(s, p)
+                fns[i] = component
         return fld, calls
 
     def test_converging_solve(self):
+        # g is linear, so one Newton step solves each step's equation: per step
+        # g at the predictor, J once, and g at the root.
         fld, calls = self.counted(["-x"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0,), 5.0, 0.01))
         assert traj.meta.steps == 500
         assert traj.meta.unconverged_steps == 0
         assert traj.meta.max_residual <= CORRECTOR_TOL
-        assert traj.meta.field_evals == calls[0]
-        # the initial evaluation, then per step the iterations and the final one
-        assert 2 * 500 + 1 <= traj.meta.field_evals <= (CORRECTOR_MAX_ITER + 1) * 500 + 1
+        assert traj.meta.corrector_iterations == 2
+        assert traj.meta.field_evals == calls[0] == 1 + 2 * 500
+        assert traj.meta.jacobian_evals == calls[1] == 500
 
-    def test_stiff_solve_counts_every_capped_step(self):
-        # At alpha = 0.3, dt = 0.05 from x0 = 2 the fixed point does not contract
-        # on any step, so every step stops at the iteration cap.
+    def test_stiff_solve_converges_on_every_step(self):
+        # At alpha = 0.3, dt = 0.05 from x0 = 2, w*|g'| reaches about 2.5, where
+        # the fixed point diverged on every step (see test_fixed_point_record).
         fld, calls = self.counted(["x - x^3"])
         traj = solve_pece(CaputoProblem(0.3, fld, (), (2.0,), 50.0, 0.05))
         assert traj.escape_index is None
-        assert traj.meta.steps == traj.meta.unconverged_steps == 1000
+        assert traj.meta.steps == 1000
+        assert traj.meta.unconverged_steps == 0
+        assert traj.meta.max_residual <= CORRECTOR_TOL
+        assert traj.meta.corrector_iterations < CORRECTOR_MAX_ITER
+        assert traj.meta.field_evals == calls[0]
+        assert traj.meta.jacobian_evals == calls[1]
+        # every step evaluates g once more than J
+        assert traj.meta.field_evals == 1 + 1000 + traj.meta.jacobian_evals
+        assert traj.meta.field_evals / traj.meta.steps <= 5.0
+
+    # Saddle draws at dt = 0.05 where x = b + w*(gamma - x^2) loses its real
+    # root on the way to -infinity: Newton cannot converge there, and the
+    # escape comes from the predictor the step keeps.
+    NO_ROOT = [(-0.8090, 0.4566, 0.4460), (-0.8277, 0.8789, -0.3492),
+               (0.7443, 0.4987, -1.2946), (-0.9858, 0.7625, -0.1200)]
+
+    @pytest.mark.parametrize("gamma, alpha, x0", NO_ROOT)
+    def test_steps_without_a_root_keep_the_predictor_and_escape(self, gamma, alpha, x0):
+        fld, calls = self.counted(["gamma - x^2"], ("gamma",))
+        traj = solve_pece(CaputoProblem(alpha, fld, (gamma,), (x0,), 50.0, 0.05))
+        assert traj.escape_index is not None and traj.escape_sign == -1
+        assert 0 < traj.meta.unconverged_steps < traj.meta.steps == traj.escape_index
         assert traj.meta.corrector_iterations == CORRECTOR_MAX_ITER
-        assert traj.meta.max_residual > CORRECTOR_TOL
-        assert traj.meta.field_evals == calls[0] == 1 + 1000 * (CORRECTOR_MAX_ITER + 1)
+        assert traj.meta.field_evals == calls[0]
+        assert traj.meta.jacobian_evals == calls[1]
 
     def test_field_evals_count_whole_fields(self):
         fld, calls = self.counted(["y - x", "-x - y"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0, 0.0), 1.0, 0.01))
         assert calls[0] == 2 * traj.meta.field_evals
+        assert calls[1] == 4 * traj.meta.jacobian_evals  # J has no zero entry
 
     def test_corrector_limits_are_read_at_call_time(self, monkeypatch):
         fld, calls = self.counted(["x - x^3"])
         stiff = CaputoProblem(0.3, fld, (), (2.0,), 50.0, 0.05)
-        solve_pece(stiff)  # the corrector for d = 1 exists before the patch
-        calls[0] = 0
-        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 3)
+        solve_pece(stiff)  # the corrector for this pattern exists before the patch
+        calls[:] = [0, 0]
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
         traj = solve_pece(stiff)
-        assert traj.meta.corrector_iterations == 3
-        assert traj.meta.field_evals == calls[0] == 1 + 1000 * (3 + 1)
+        # One iteration takes no Newton step: every step keeps its predictor
+        # and evaluates g there a second time.
+        assert traj.meta.corrector_iterations == 1
+        assert traj.meta.unconverged_steps == 1000
+        assert traj.meta.field_evals == calls[0] == 1 + 1000 * 2
+        assert traj.meta.jacobian_evals == calls[1] == 0
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 10)
         monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", 1e-3)
         traj = solve_pece(CaputoProblem(0.5, fld, (), (0.5,), 1.0, 0.01))
         assert traj.meta.unconverged_steps == 0
@@ -461,4 +581,22 @@ class TestSolverStats:
         assert traj.meta.steps == traj.escape_index == 1
         # the start, then the first corrector evaluation, which fails
         assert traj.meta.field_evals == calls[0] == 2
+        assert traj.meta.jacobian_evals == calls[1] == 0
         assert traj.meta.unconverged_steps == 0
+
+    def test_fixed_point_record(self):
+        # The fixed-point corrector that Newton's method replaced: where it
+        # contracts, both solve the same equations; on the stiff start of the
+        # cubic it stopped at the iteration cap on every step.
+        alpha, dt = 0.5, 0.01
+        forcing = np.full((501, 1), 1.0)
+        newton = _reference_pece_loop(alpha, LINEAR, (), forcing, dt)
+        fixed = _reference_pece_loop(alpha, LINEAR, (), forcing, dt, _fixed_point)
+        assert fixed.meta.unconverged_steps == newton.meta.unconverged_steps == 0
+        np.testing.assert_allclose(fixed.states, newton.states, rtol=0.0, atol=1e-12)
+        forcing = np.full((1001, 1), 2.0)
+        fixed = _reference_pece_loop(0.3, CUBIC, (), forcing, 0.05, _fixed_point)
+        assert fixed.meta.unconverged_steps == 1000
+        assert fixed.meta.max_residual > 1.0
+        newton = _reference_pece_loop(0.3, CUBIC, (), forcing, 0.05)
+        assert newton.meta.unconverged_steps == 0

@@ -227,5 +227,5 @@ class TestAnalysis:
                    "--dt-levels", "2", "--f0", "1.0")
         doc = json.loads(proc.stdout)
         assert len(doc["defects"]) == 2
-        assert doc["ratios"][0] >= 1.5
+        assert max(doc["defects"]) <= 1e-12  # CORRECTOR_TOL
         assert doc["state_space_defect"] > 0.01

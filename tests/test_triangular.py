@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracdyn import CaputoProblem, solve_pece
+from fracdyn import field_expr
 from fracdyn.catalog import get
 from fracdyn.field_expr import parse_expr
 from fracdyn.triangular_systems import (
@@ -131,3 +132,26 @@ class TestComponentwiseLimits:
         assert componentwise_limits(tf, (-2.0, 2.0), BOX2) == pytest.approx(
             (-1.0, 1.0), abs=1e-9
         )
+
+
+class TestCompiledOnce:
+    def test_repeat_calls_compile_nothing(self, monkeypatch):
+        # The h_i, the assembled field and the signed scalar factors are kept
+        # on the field, and with them their compiled lambdas.
+        compiles = [0]
+        original = field_expr._lambda
+
+        def counting(*args):
+            compiles[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(field_expr, "_lambda", counting)
+        tf = make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "y*(1 - y^2)"])
+        assert tf.assembled() is tf.assembled()
+        for call in (lambda: componentwise_limits(tf, (0.5, -0.5), BOX2),
+                     lambda: product_attractor(tf, BOX2),
+                     lambda: validate_triangular(tf, BOX2, a=2.5, b=1.0)):
+            call()
+            compiles[0] = 0
+            call()
+            assert compiles[0] == 0
