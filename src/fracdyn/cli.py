@@ -19,7 +19,7 @@ from . import bifurcation as bif
 from . import catalog
 from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
-from .field_expr import FieldDef, FieldEvalError, ParseError
+from .field_expr import FieldDef, FieldEvalError, ParseError, parse_expr
 from .function_space_semigroup import RhoParams, semigroup_defects, state_space_defect
 from .mittag_leffler import MLConvergenceError, MLOverflowError, MLQuery, ml_eval
 from .triangular_systems import (
@@ -60,7 +60,7 @@ def _emit_json(obj):
 
 def _parse_params(pairs):
     names, values = [], []
-    for pair in pairs or []:
+    for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--param expects name=value, got '{pair}'")
         name, _, value = pair.partition("=")
@@ -69,38 +69,35 @@ def _parse_params(pairs):
     return names, values
 
 
-def _add_field_args(p, triangular=False):
-    p.add_argument("--catalog", help="named catalog field")
+def _add_field_args(p, catalog_flag=True):
+    if catalog_flag:
+        p.add_argument("--catalog", help="named catalog field (a triangular one assembled)")
     p.add_argument("--component", action="append", default=[],
                    help="component expression (repeat per coordinate)")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="parameter value (repeatable)")
-    if triangular:
-        p.add_argument("--h", action="append", default=[], metavar="EXPR",
-                       help="prefactor h_i expression (repeat per coordinate)")
-        p.add_argument("--f", action="append", default=[], metavar="EXPR",
-                       help="scalar factor f_i expression (repeat per coordinate)")
 
 
-def _resolve_scalar_field(args, parser):
-    """Returns (FieldDef, params tuple, catalog entry or None)."""
-    if bool(args.catalog) == bool(args.component):
-        parser.error("exactly one of --catalog or --component is required")
+def _resolve_field(args, parser, name, source="--catalog"):
+    """(FieldDef, params tuple, catalog entry or None) from the catalog entry
+    `name` or from --component, with --param.
+
+    A triangular entry gives its assembled field.  --param overrides an
+    entry's declared parameters and declares those of --component.
+    """
+    if bool(name) == bool(args.component):
+        parser.error(f"exactly one of {source} or --component is required")
     names, values = _parse_params(args.param)
-    if args.catalog:
-        entry = catalog.get(args.catalog)
-        if entry.triangular:
-            parser.error(f"catalog field '{args.catalog}' is triangular; "
-                         "use the 'triangular' subcommand")
-        fld = entry.fld
-        params = list(entry.default_params)
-        for n, v in zip(names, values):
-            if n not in fld.params:
-                parser.error(f"field has no parameter '{n}'")
-            params[fld.params.index(n)] = v
-        return fld, tuple(params), entry
-    fld = FieldDef.parse(args.component, tuple(names))
-    return fld, tuple(values), None
+    if not name:
+        return FieldDef.parse(args.component, tuple(names)), tuple(values), None
+    entry = catalog.get(name)
+    fld = entry.fld.assembled() if entry.triangular else entry.fld
+    params = list(entry.default_params)
+    for n, v in zip(names, values):
+        if n not in fld.params:
+            parser.error(f"field has no parameter '{n}'")
+        params[fld.params.index(n)] = v
+    return fld, tuple(params), entry
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +106,17 @@ def _resolve_scalar_field(args, parser):
 
 def cmd_ml(args, parser):
     if args.batch:
+        if args.alpha is not None or args.z is not None:
+            parser.error("--batch reads alpha and z from stdin; drop --alpha and --z")
         rows = []
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(sys.stdin, 1):
+            if not line.strip():
                 continue
-            a, b, z = (float(tok) for tok in line.split())
+            try:
+                a, b, z = (float(tok) for tok in line.split())
+            except ValueError:
+                raise ValueError(f"stdin line {n}: expected 'alpha beta z', "
+                                 f"got '{line.strip()}'") from None
             rows.append((a, b, z, ml_eval(MLQuery(a, b, z))))
         _write_csv(None, ["alpha", "beta", "z", "value"], np.array(rows))
         return 0
@@ -126,11 +128,7 @@ def cmd_ml(args, parser):
 
 def cmd_simulate(args, parser):
     x0 = tuple(float(v) for v in args.x0.split(","))
-    if args.catalog and catalog.get(args.catalog).triangular:
-        entry = catalog.get(args.catalog)
-        fld, params = entry.fld.assembled(), ()
-    else:
-        fld, params, _ = _resolve_scalar_field(args, parser)
+    fld, params, _ = _resolve_field(args, parser, args.catalog)
     p = CaputoProblem(args.alpha, fld, params, x0, args.t_end, args.dt)
     traj = solve_pece(p)
     header = ["t"] + [f"x{i + 1}" for i in range(fld.dimension)]
@@ -152,7 +150,7 @@ def _scan_from_args(args, entry):
 
 
 def cmd_attractor(args, parser):
-    fld, params, entry = _resolve_scalar_field(args, parser)
+    fld, params, entry = _resolve_field(args, parser, args.catalog)
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
     iv = sa.attractor_interval(zs)
@@ -168,7 +166,7 @@ def cmd_attractor(args, parser):
 
 
 def cmd_limits(args, parser):
-    fld, params, entry = _resolve_scalar_field(args, parser)
+    fld, params, entry = _resolve_field(args, parser, args.catalog)
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
     etas = [float(v) for v in args.eta.split(",")]
@@ -181,7 +179,7 @@ def cmd_limits(args, parser):
 
 
 def cmd_heteroclinic(args, parser):
-    fld, params, entry = _resolve_scalar_field(args, parser)
+    fld, params, entry = _resolve_field(args, parser, args.catalog)
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
     orbit = sa.heteroclinic_orbit(
@@ -201,9 +199,12 @@ def cmd_heteroclinic(args, parser):
 
 
 def cmd_triangular(args, parser):
-    has_custom = bool(args.f)
-    if bool(args.catalog) == has_custom:
+    if bool(args.catalog) == bool(args.f or args.h):
         parser.error("exactly one of --catalog or --f/--h expressions is required")
+    if args.alpha is not None and not args.x0:
+        parser.error("--alpha needs --x0, the seed to solve from")
+    if args.out and args.alpha is None:
+        parser.error("--out needs --alpha, the order of the solve it writes")
     if args.catalog:
         entry = catalog.get(args.catalog)
         if not entry.triangular:
@@ -212,8 +213,6 @@ def cmd_triangular(args, parser):
     else:
         d = len(args.f)
         hs = list(args.h) + ["1"] * (d - len(args.h))
-        from .field_expr import parse_expr
-
         tf = TriangularField(
             d,
             tuple(parse_expr(h, d) for h in hs),
@@ -231,34 +230,22 @@ def cmd_triangular(args, parser):
     if args.x0:
         x0 = tuple(float(v) for v in args.x0.split(","))
         out["predicted_limits"] = list(componentwise_limits(tf, x0, box))
-        if args.alpha is not None:
-            traj = solve_pece(CaputoProblem(
-                args.alpha, tf.assembled(), (), x0, args.t_end, args.dt))
-            out["solver_endpoint"] = [float(v) for v in traj.endpoint()]
-            if args.out:
-                header = ["t"] + [f"x{i + 1}" for i in range(tf.dimension)]
-                _write_csv(args.out, header, np.column_stack((traj.times, traj.states)))
+    if args.alpha is not None:
+        traj = solve_pece(CaputoProblem(args.alpha, tf.assembled(), (), x0, args.t_end, args.dt))
+        out["solver_endpoint"] = [float(v) for v in traj.endpoint()]
+    if args.out:
+        header = ["t"] + [f"x{i + 1}" for i in range(tf.dimension)]
+        _write_csv(args.out, header, np.column_stack((traj.times, traj.states)))
     _emit_json(out)
     return 0
 
 
 def cmd_bifurcate(args, parser):
-    if args.family in ("saddle", "pitchfork"):
-        if args.component:
-            parser.error("--component conflicts with a named --family")
-        fld = catalog.get(args.family).fld
-        params = ()
-    elif args.family == "custom":
-        if not args.component:
-            parser.error("--family custom requires --component")
-        names, values = _parse_params(args.param)
-        if "gamma" not in names:
-            names = ["gamma"] + names
-            values = [0.0] + values
-        fld = FieldDef.parse(args.component, tuple(names))
-        params = tuple(values)
-    else:
-        parser.error(f"unknown family '{args.family}'")
+    custom = args.family == "custom"
+    if custom and "gamma" not in _parse_params(args.param)[0]:
+        args.param.insert(0, "gamma=0")  # the swept parameter, always declared
+    fld, params, _ = _resolve_field(args, parser, None if custom else args.family,
+                                    "a named --family")
     lo, _, rest = args.gamma_range.partition(":")
     hi, _, m = rest.partition(":")
     diag = bif.sweep(fld, (float(lo), float(hi)), int(m), base_params=params)
@@ -282,7 +269,7 @@ def cmd_bifurcate(args, parser):
 
 
 def cmd_semigroup(args, parser):
-    fld, params, _ = _resolve_scalar_field(args, parser)
+    fld, params, _ = _resolve_field(args, parser, args.catalog)
     defects = semigroup_defects(args.tau1, args.tau2, [args.f0] * fld.dimension, fld, params,
                                 args.alpha, args.dt0, args.dt_levels,
                                 RhoParams(n_max=args.n_max))
@@ -364,7 +351,12 @@ def build_parser():
     p.set_defaults(fn=cmd_heteroclinic)
 
     p = sub.add_parser("triangular", help="product attractor of a triangular field")
-    _add_field_args(p, triangular=True)
+    p.add_argument("--catalog", help="named triangular catalog field")
+    p.add_argument("--h", action="append", default=[], metavar="EXPR",
+                   help="prefactor h_i expression (repeat per coordinate; "
+                        "missing trailing ones are 1)")
+    p.add_argument("--f", action="append", default=[], metavar="EXPR",
+                   help="scalar factor f_i expression (repeat per coordinate)")
     p.add_argument("--x0", help="comma-separated seed for limit prediction")
     p.add_argument("--alpha", type=float)
     p.add_argument("--t-end", type=float, default=500.0)
@@ -373,11 +365,10 @@ def build_parser():
     p.set_defaults(fn=cmd_triangular)
 
     p = sub.add_parser("bifurcate", help="one-parameter bifurcation sweep")
-    p.add_argument("--family", required=True,
-                   help="saddle | pitchfork | custom")
+    p.add_argument("--family", required=True, choices=("saddle", "pitchfork", "custom"),
+                   help="a catalog family, or custom: --component in x and gamma")
     p.add_argument("--gamma-range", required=True, metavar="LO:HI:M")
-    p.add_argument("--component", action="append", default=[])
-    p.add_argument("--param", action="append", default=[])
+    _add_field_args(p, catalog_flag=False)
     p.add_argument("--out", help="CSV output path (gamma,zero,stability)")
     p.set_defaults(fn=cmd_bifurcate)
 

@@ -88,24 +88,19 @@ class RhoParams:
 
 
 def rho(f: SampledFunction, h: SampledFunction, p: RhoParams = RhoParams()) -> float:
-    """Truncated metric sum_{n<=n_max} 2^-n sup_[0,n]|f-h| / (1 + sup_[0,n]|f-h|).
+    """Truncated metric sum_{n<=n_max} 2^-n sup_[0,n]|f-h| / (1 + sup_[0,n]|f-h|),
+    for f and h sampled on one grid.
 
     Truncation error is below 2^-n_max since each summand is below 1.
     """
-    horizon = min(f.horizon, h.horizon)
-    if horizon < p.n_max - 1e-12:
+    grid = f.theta_grid
+    if grid.shape != h.theta_grid.shape or not np.allclose(grid, h.theta_grid, atol=1e-12):
+        raise ValueError("rho needs both functions sampled on one grid")
+    if f.horizon < p.n_max - 1e-12:
         raise ValueError(
-            f"samples cover [0, {horizon}] but the metric needs [0, {p.n_max}]"
+            f"samples cover [0, {f.horizon}] but the metric needs [0, {p.n_max}]"
         )
-    if f.theta_grid.shape == h.theta_grid.shape and np.allclose(
-        f.theta_grid, h.theta_grid, atol=1e-12
-    ):
-        grid = f.theta_grid
-        diff = np.linalg.norm(f.values - h.values, axis=1)
-    else:
-        n_pts = max(len(f.theta_grid), len(h.theta_grid))
-        grid = np.linspace(0.0, horizon, n_pts)
-        diff = np.linalg.norm(f.at(grid) - h.at(grid), axis=1)
+    diff = np.linalg.norm(f.values - h.values, axis=1)
     total = 0.0
     for n in range(1, p.n_max + 1):
         sup = float(np.max(diff[grid <= n + 1e-12]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalar_analysis as sa
-from .field_expr import BinOp, Call, FieldDef, Neg, Var, eval_points
+from .field_expr import BinOp, Call, FieldDef, Neg, Num, Var, diff, eval_points
 
 __all__ = [
     "TriangularField",
@@ -34,22 +34,10 @@ class TriangularValidationError(ValueError):
         self.witness = witness
 
 
-def _referenced_vars(node, acc):
-    if isinstance(node, Var):
-        acc.add(node.index)
-    elif isinstance(node, Neg):
-        _referenced_vars(node.arg, acc)
-    elif isinstance(node, BinOp):
-        _referenced_vars(node.lhs, acc)
-        _referenced_vars(node.rhs, acc)
-    elif isinstance(node, Call):
-        _referenced_vars(node.arg, acc)
-    return acc
-
-
 def _remap_vars(node, mapping):
+    """node with each Var(j) replaced by the node mapping[j]."""
     if isinstance(node, Var):
-        return Var(mapping[node.index])
+        return mapping[node.index]
     if isinstance(node, Neg):
         return Neg(_remap_vars(node.arg, mapping))
     if isinstance(node, BinOp):
@@ -61,7 +49,10 @@ def _remap_vars(node, mapping):
 
 @dataclass(frozen=True)
 class TriangularField:
-    """Per-coordinate factor pair (h_i, f_i); h_1 is the constant 1 by default."""
+    """Per-coordinate factor pair (h_i, f_i): h_i depends on x_1..x_{i-1} only
+    (so h_1 is a constant) and f_i on x_i only.  An expression depends on x_j
+    when diff does not fold its derivative in x_j to 0, the rule by which the
+    solver drops zero entries of the Jacobian."""
 
     dimension: int
     h_factors: tuple  # ExprAst over x_1..x_{i-1}
@@ -74,15 +65,11 @@ class TriangularField:
         if len(self.h_factors) != d or len(self.f_factors) != d:
             raise ValueError("need one (h_i, f_i) pair per coordinate")
         for i, (h, f) in enumerate(zip(self.h_factors, self.f_factors)):
-            h_vars = _referenced_vars(h, set())
-            if any(v >= i for v in h_vars):
-                raise ValueError(
-                    f"h_{i + 1} references coordinate index >= {i + 1}; "
-                    "the field is not triangular"
-                )
-            f_vars = _referenced_vars(f, set())
-            if f_vars - {i}:
-                raise ValueError(f"f_{i + 1} must reference only coordinate {i + 1}")
+            if any(diff(h, j) != Num(0.0) for j in range(i, d)):
+                raise ValueError(f"h_{i + 1} depends on a coordinate >= {i + 1}; "
+                                 "the field is not triangular")
+            if any(diff(f, j) != Num(0.0) for j in range(d) if j != i):
+                raise ValueError(f"f_{i + 1} must depend only on coordinate {i + 1}")
 
     def _keep(self, key, build):
         """build(), on the first call for key only; the result is kept, so that
@@ -101,8 +88,14 @@ class TriangularField:
         return self._keep("h", lambda: FieldDef(self.dimension, self.h_factors, self.params))
 
     def scalar_factor(self, i) -> FieldDef:
-        """f_i as a one-dimensional field (its variable remapped to x1)."""
-        ast = _remap_vars(self.f_factors[i], {i: 0})
+        """f_i as a one-dimensional field (its variable remapped to x1).
+
+        f_i does not depend on the other coordinates (see __post_init__), so
+        any value may stand for them: 1, where 0/x_j and 0*log(x_j) are finite.
+        """
+        mapping = {j: Num(1.0) for j in range(self.dimension)}
+        mapping[i] = Var(0)
+        ast = _remap_vars(self.f_factors[i], mapping)
         return FieldDef(1, (ast,), self.params)
 
     def signed_scalar_factor(self, i, sign) -> FieldDef:

@@ -8,11 +8,14 @@ import sys
 import pytest
 
 from fracdyn import CaputoProblem, bifurcation, catalog, cli, solve_pece, verification
+from fracdyn import scalar_analysis as sa
+from fracdyn.field_expr import FieldDef, parse_expr
+from fracdyn.triangular_systems import TriangularField, product_attractor, validate_triangular
 
 CLI = [sys.executable, "-m", "fracdyn.cli"]
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=""):
     return subprocess.run(
         CLI + list(args), input=stdin, capture_output=True, text=True
     )
@@ -52,6 +55,24 @@ class TestExitCodes:
         ("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",
          "--t-back=-1", "--t-fwd", "1"),
         ("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "1"),  # on a zero
+        # Field flags a subcommand would not read.
+        ("triangular", "--catalog", "fig2", "--component", "x", "--param", "a=1"),
+        ("triangular", "--catalog", "fig2", "--alpha", "0.5", "--out", "-"),
+        ("triangular", "--catalog", "fig2", "--alpha", "0.5"),               # no --x0
+        ("triangular", "--catalog", "fig2", "--x0", "0.5,-0.3", "--out", "-"),  # no --alpha
+        ("triangular", "--catalog", "fig2", "--h", "1"),
+        ("simulate", "--catalog", "fig2", "--component", "x", "--alpha", "0.5",
+         "--x0", "0.5,-0.3", "--t-end", "1", "--dt", "0.1"),
+        ("simulate", "--catalog", "fig2", "--param", "q=3", "--alpha", "0.5",
+         "--x0", "0.5,-0.3", "--t-end", "1", "--dt", "0.1"),
+        ("bifurcate", "--family", "saddle", "--gamma-range=-1:1:21", "--param", "nonsense"),
+        ("bifurcate", "--family", "saddle", "--gamma-range=-1:1:21", "--component", "x"),
+        ("bifurcate", "--family", "custom", "--gamma-range=-1:1:21"),
+        ("bifurcate", "--family", "nosuchfamily", "--gamma-range=-1:1:21"),
+        ("ml", "--batch", "--alpha", "0.9", "--z", "5"),
+        ("ml", "--batch", "--z", "5"),
+        ("attractor", "--catalog", "fig2"),     # the library's d=1 rule
+        ("limits", "--catalog", "fig2", "--eta", "0.5"),
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
@@ -102,6 +123,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "field failed at t=0.1" in proc.stderr and "escape" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_ml_batch_malformed_line_names_it(self):
+        proc = run("ml", "--batch", stdin="0.5 1 -1\n\n0.5 1\n")
+        assert proc.returncode == 2
+        assert "line 3" in proc.stderr and "alpha beta z" in proc.stderr
+        assert "unpack" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_scalar_analysis_of_a_triangular_field_is_the_library_error(self):
+        proc = run("attractor", "--catalog", "fig2")
+        assert proc.returncode == 2
+        assert "scalar analysis needs d=1, got d=2" in proc.stderr
 
     def test_ml_batch_overflow_is_two(self):
         proc = run("ml", "--batch", stdin="0.5 1 -1\n0.05 1 3\n")
@@ -229,3 +261,107 @@ class TestAnalysis:
         assert len(doc["defects"]) == 2
         assert max(doc["defects"]) <= 1e-12  # CORRECTOR_TOL
         assert doc["state_space_defect"] > 0.01
+
+
+def _csv_text(path, header, traj):
+    _reference_write_csv(path, header, _trajectory_rows(traj))
+    return path.read_text()
+
+
+class TestFieldFlags:
+    """Each source of a field (--catalog, --family, --component, --f/--h) with
+    --param, against the library calls it stands for."""
+
+    def test_param_overrides_a_catalog_default(self, tmp_path):
+        proc = run("simulate", "--catalog", "saddle", "--param", "gamma=-0.5", "--alpha", "0.5",
+                   "--x0", "0.5", "--t-end", "1", "--dt", "0.1", "--out", "-")
+        assert proc.returncode == 0, proc.stderr
+        traj = solve_pece(CaputoProblem(0.5, catalog.get("saddle").fld, (-0.5,), (0.5,), 1.0, 0.1))
+        assert proc.stdout == _csv_text(tmp_path / "ref.csv", ["t", "x1"], traj)
+
+    def test_component_with_params(self, tmp_path):
+        proc = run("simulate", "--component", "a*x - b*x^3", "--param", "a=2",
+                   "--param", "b=0.5", "--alpha", "0.7", "--x0", "0.3", "--t-end", "2",
+                   "--dt", "0.1", "--out", "-")
+        assert proc.returncode == 0, proc.stderr
+        fld = FieldDef.parse(["a*x - b*x^3"], ("a", "b"))
+        traj = solve_pece(CaputoProblem(0.7, fld, (2.0, 0.5), (0.3,), 2.0, 0.1))
+        assert proc.stdout == _csv_text(tmp_path / "ref.csv", ["t", "x1"], traj)
+        doc = json.loads(run("attractor", "--component", "a - x^2", "--param", "a=4").stdout)
+        assert doc["stable"] == pytest.approx([2.0], abs=1e-9)
+
+    def test_simulate_triangular_catalog_is_the_assembled_field(self, tmp_path):
+        proc = run("simulate", "--catalog", "fig2", "--alpha", "0.6", "--x0", "0.5,-0.3",
+                   "--t-end", "2", "--dt", "0.1", "--out", "-")
+        assert proc.returncode == 0, proc.stderr
+        traj = solve_pece(CaputoProblem(0.6, catalog.get("fig2").fld.assembled(), (),
+                                        (0.5, -0.3), 2.0, 0.1))
+        assert proc.stdout == _csv_text(tmp_path / "ref.csv", ["t", "x1", "x2"], traj)
+
+    def test_semigroup_on_a_triangular_catalog_field(self):
+        # The assembled fig2 field, as two --component expressions give it.
+        comps = ("--component", "1*(x*(1 - x^2))", "--component", "(1 + x^2)*(y*(1 - y^2))")
+        common = ("--alpha", "0.5", "--tau1", "0.3", "--tau2", "0.4", "--dt-levels", "2")
+        named = run("semigroup", "--catalog", "fig2", *common)
+        given = run("semigroup", *comps, *common)
+        assert named.returncode == 0, named.stderr
+        assert named.stdout == given.stdout
+        assert len(json.loads(named.stdout)["defects"]) == 2
+
+    @pytest.mark.parametrize("component, params, names, base", [
+        ("gamma - x^2", (), ("gamma",), (0.0,)),
+        ("gamma - x^2", ("gamma=0.3",), ("gamma",), (0.3,)),
+        ("gamma*x - c*x^3", ("c=2",), ("gamma", "c"), (0.0, 2.0)),
+        ("gamma*x - c*x^3", ("c=2", "gamma=5"), ("c", "gamma"), (2.0, 5.0)),
+    ])
+    def test_bifurcate_custom_family(self, tmp_path, component, params, names, base):
+        argv = ["bifurcate", "--family", "custom", "--component", component,
+                "--gamma-range=-1:1:21", "--out", str(tmp_path / "new.csv")]
+        for pair in params:
+            argv += ["--param", pair]
+        proc = run(*argv)
+        assert proc.returncode == 0, proc.stderr
+        diag = bifurcation.sweep(FieldDef.parse([component], names), (-1.0, 1.0), 21,
+                                 base_params=base)
+        doc = json.loads(proc.stdout)
+        assert doc["classification"] == bifurcation.classify(diag)
+        assert doc["zero_counts"] == diag.counts()
+        rows = [(p.gamma, p.zero, "degenerate" if p.degenerate
+                 else "stable" if p.stable else "unstable")
+                for pts in diag.points for p in pts]
+        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_triangular_factors_match_the_catalog_field(self):
+        given = run("triangular", "--f", "x*(1 - x^2)", "--f", "y*(1 - y^2)",
+                    "--h", "1", "--h", "1 + x^2", "--x0", "0.5,-0.3")
+        named = run("triangular", "--catalog", "fig2", "--x0", "0.5,-0.3")
+        assert given.returncode == 0, given.stderr
+        assert given.stdout == named.stdout
+
+    def test_triangular_missing_trailing_prefactor_is_one(self):
+        proc = run("triangular", "--f", "x*(1 - x^2)", "--f", "y*(1 - y^2)", "--h", "1")
+        assert proc.returncode == 0, proc.stderr
+        tf = TriangularField(2, (parse_expr("1", 2),) * 2,
+                             (parse_expr("x*(1 - x^2)", 2), parse_expr("y*(1 - y^2)", 2)))
+        box = [(-3.0, 3.0)] * 2
+        doc = json.loads(proc.stdout)
+        assert doc["h_signs"] == list(validate_triangular(tf, box).h_signs)
+        assert doc["attractor_box"] == [[iv.lo, iv.hi]
+                                        for iv in product_attractor(tf, box).intervals]
+
+    def test_heteroclinic_orbit(self, tmp_path):
+        out = tmp_path / "orbit.csv"
+        proc = run("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",
+                   "--t-back", "3", "--t-fwd", "5", "--dt", "0.05", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        fld = catalog.get("cubic").fld
+        orbit = sa.heteroclinic_orbit(fld, 0.6, sa.find_zeros(fld, (-5.0, 5.0)), 0.5,
+                                      3.0, 5.0, 0.05)
+        doc = json.loads(proc.stdout)
+        assert (doc["source"], doc["target"]) == (orbit.source, orbit.target)
+        assert doc["backward_endpoint"] == float(orbit.values[0])
+        assert doc["forward_endpoint"] == float(orbit.values[-1])
+        _reference_write_csv(tmp_path / "ref.csv", ["t", "x1"],
+                             [(float(t), float(v)) for t, v in zip(orbit.times, orbit.values)])
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()

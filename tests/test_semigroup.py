@@ -90,6 +90,14 @@ class TestRho:
         h = SampledFunction.constant([1.0e9], 25.0, 0.5)
         assert rho(f, h) < 1.0
 
+    def test_different_grids_rejected(self):
+        f = SampledFunction.constant([0.0], 25.0, 0.5)
+        for h in (SampledFunction.constant([0.0], 25.0, 0.25),   # finer
+                  SampledFunction.constant([0.0], 30.0, 0.5),    # longer
+                  SampledFunction(0.5 * np.arange(51) + 0.1, np.zeros(51))):  # shifted
+            with pytest.raises(ValueError, match="one grid"):
+                rho(f, h)
+
     def test_short_horizon_rejected(self):
         f = SampledFunction.constant([0.0], 5.0, 0.5)
         with pytest.raises(ValueError):

@@ -29,12 +29,19 @@ def make_tf(h_exprs, f_exprs):
 
 class TestStructure:
     def test_factor_coordinate_restrictions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h_2 depends on a coordinate >= 2"):
             # h_2 may only reference x1
             make_tf(["1", "1 + y^2"], ["x*(1 - x^2)", "y*(1 - y^2)"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f_2 must depend only on coordinate 2"):
             # f_2 may only reference x2
             make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "x*(1 - y^2)"])
+
+    def test_dependence_is_read_from_derivatives(self):
+        # 0*y folds to a derivative of 0 in y: a constant, though y appears in it.
+        assert make_tf(["1", "0*y"], ["x*(1 - x^2)", "y*(1 - y^2)"]).dimension == 2
+        # f_2 with a term in x whose derivative folds to 0: its scalar factor is f_2 in y.
+        tf = make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "y*(1 - y^2) + 0*x"])
+        assert product_attractor(tf, BOX2) == product_attractor(get("fig2").fld, BOX2)
 
     def test_assembled_field_multiplies_factors(self):
         tf = get("fig2").fld
