@@ -9,19 +9,22 @@ the predictor holds g constant on each step (rectangle rule), and the
 corrector takes g linear on each step (trapezoid rule), which makes each
 step an implicit equation x = b + w*g(x).  The corrector solves it by
 Newton's method with the field's exact Jacobian (Garrappa 2018,
-Mathematics 6:16): iterations evaluate g and, until the residual is at
-most CORRECTOR_TOL, the nonzero entries of J, so a smooth scalar field
-takes about 3 evaluations of g and 2 of g' per step.  A step that does not
-converge within CORRECTOR_MAX_ITER iterations (where the equation has no
-real root, as on the way to a blow-up) keeps the explicit predictor and is
-counted in `SolverMeta.unconverged_steps`.  The two history sums are split
-by the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput.
-6:532; Garrappa 2018): numpy takes the nodes of the step's own leaf of
-LEAF nodes by one product of both rules' stacked weights with their g
-values, and adds older leaves in FFT blocks, so that a solve of N steps
-costs O(N log^2 N).  The corrector is Python source generated once per
-nonzero pattern of J that works on d float locals, where numpy's per-call
-overhead would dominate the step; a triangular field's J is lower
+Mathematics 6:16), started from the linear extrapolation 2*x(m-1) - x(m-2)
+of the last two states (from the explicit predictor at the first step).
+Iterations evaluate g and, until the residual is at most CORRECTOR_TOL
+after at least one Newton update, the nonzero entries of J, so a smooth
+scalar field takes about 2 evaluations of g and 1 of g' per step.  A step
+that does not converge within CORRECTOR_MAX_ITER iterations (where the
+equation has no real root, as on the way to a blow-up) keeps the explicit
+predictor and is counted in `SolverMeta.unconverged_steps`.  The history
+sums are split by the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci.
+Stat. Comput. 6:532; Garrappa 2018): numpy takes the nodes of the step's
+own leaf of LEAF nodes by one product of the corrector's weight row with
+their g values (the predictor's only where a step needs it), and adds
+older leaves of both rules in FFT blocks, so that a solve of N steps costs
+O(N log^2 N).  The corrector is Python source generated once per nonzero
+pattern of J that runs a whole leaf on d float locals, where numpy's
+per-call overhead would dominate the step; a triangular field's J is lower
 triangular, and its Newton step a forward substitution.  Both rules, and
 the memory integral of the function-space semigroup, take their weights
 from one per-offset rule, `_weights`.  The same recurrence with x0
@@ -99,9 +102,11 @@ class CaputoProblem:
 @dataclass
 class SolverMeta:
     """What one solve did: iterations and residual are the maxima over steps,
-    field_evals counts whole-field evaluations of g and jacobian_evals those of
-    J's nonzero entries, and unconverged_steps the steps whose Newton
-    corrector missed CORRECTOR_TOL and kept the predictor."""
+    newton_iterations the sum of iterations over steps (newton_iterations /
+    steps is the mean per step), field_evals counts whole-field evaluations
+    of g and jacobian_evals those of J's nonzero entries, and
+    unconverged_steps the steps whose Newton corrector took no update or
+    missed CORRECTOR_TOL and kept the predictor."""
 
     corrector_iterations: int = 0
     max_residual: float = 0.0
@@ -109,6 +114,7 @@ class SolverMeta:
     field_evals: int = 0
     unconverged_steps: int = 0
     jacobian_evals: int = 0
+    newton_iterations: int = 0
 
 
 @dataclass
@@ -215,75 +221,110 @@ def _elimination(pattern):
 
 @lru_cache(maxsize=None)
 def _corrector(pattern):
-    """The corrector of one step, generated once per nonzero pattern of J
+    """The corrector of one leaf, generated once per nonzero pattern of J
     (see _jacobian), for d = len(pattern) components.
 
-    correct(fns, jac, p, xp, xb, hist, w, fv, sv, j) solves
-    F(x) = x - b - w*g(x) = 0 with b = xb + hist[1] by Newton's method from
-    the predictor xp + hist[0], on d float locals.  Each iteration evaluates
-    g and F, stops once max|F| <= CORRECTOR_TOL (a nan F does not), and else
-    evaluates J's nonzero entries, the lambdas jac, and steps by
-    (I - w*J) delta = F.  After CORRECTOR_MAX_ITER iterations, a zero pivot
-    or a failing entry of J, the step keeps the predictor and evaluates g
-    there.  Both limits are read at call time.  g(x) then goes to
-    fv[j : j + d] and x to sv[j : j + d] unless it leaves
-    +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
+    correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts) solves
+    the steps to the nodes m = max(s, 1) .. e - 1 in turn, on d float
+    locals.  Node m's equation is F(x) = x - b - w*g(x) = 0 with
+    b = xb[m] + W[1, N + s - m : N] @ fvals[s:m], the corrector's offset
+    and its in-leaf history.  Newton's method starts from the linear
+    extrapolation 2*x(m-1) - x(m-2), or at m = 1 from the explicit predictor
+    xp[m] + W[0, N + s - m : N] @ fvals[s:m].  Each iteration evaluates g and
+    F, and from the second iteration on stops once max|F| <= CORRECTOR_TOL
+    (a nan F does not), so that a step is accepted only after at least one
+    Newton update; otherwise it evaluates J's nonzero entries, the lambdas
+    jac, and steps by (I - w*J) delta = F.  After CORRECTOR_MAX_ITER
+    iterations, a zero pivot or a failing entry of J, the step keeps the
+    predictor, evaluates g there and counts as unconverged.  Both limits are
+    read at call time.  g(x) then goes to fvals[m] and x to states[m] unless
+    it leaves +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
 
-    Returns (iterations, residual, evaluations, jacobian evaluations,
-    escaped): residual is max|F| at the last iterate, escaped is None once x
-    is written, else the state to clamp.  A failed evaluation of g (overflow,
-    complex value) returns iterations 0 and the iterate it was evaluated at.
+    counts holds SolverMeta's fields but steps, in order: max iterations,
+    max residual (max|F| at a step's last iterate), evaluations of g,
+    unconverged steps, evaluations of J and iterations.  The call returns
+    them updated by its steps, with the escape: None once every node is
+    written, else (m, the state to clamp).  A failed evaluation of g
+    (overflow, complex value) ends the leaf at the iterate it was evaluated
+    at; that step counts only by its evaluations.
     """
     d = len(pattern)
 
     def each(fmt, sep=", "):
-        return sep.join(fmt.format(i=i, at=f"j + {i}" if i else "j") for i in range(d))
+        return sep.join(fmt.format(i=i) for i in range(d))
 
     def block(lines, indent):
         return "\n".join(" " * indent + line for line in lines)
 
     x = each("x{i}") + ","  # a tuple also for d = 1
     n_jac = sum(map(sum, pattern))
-    evaluate = [f"s = {x}", *(f"g{i} = float(f{i}(s, p))" for i in range(d))]
+    counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
+    evaluate = [f"pt = {x}", *(f"g{i} = float(f{i}(pt, p))" for i in range(d))]
+    # The line that sets {0}0.. to the in-leaf history of the weight row {1}:
+    # a float dot product on the flat view for d = 1, else the d sums of one
+    # (k,) @ (k, d) product.
+    history = ("{0}0 = float({1}[o - m : N].dot(fv[s:m]))" if d == 1 else
+               each("{{0}}{i}") + ", = ({1}[o - m : N] @ fvals[s:m]).tolist()")
+    predictor = [history.format("q", "P"), "pm = xp[m].tolist()",
+                 *(f"x{i} = pm[{i}] + q{i}" for i in range(d))]
     lines = [
-        "def correct(fns, jac, p, xp, xb, hist, w, fv, sv, j):",
+        "def correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts):",
         f"    {each('f{i}')}, = fns",
         *([f"    {', '.join(f'j{n}' for n in range(n_jac))}, = jac"] if n_jac else []),
-        f"    ({each('h{i}')},), ({each('k{i}')},) = hist",
-        each("    x{i} = xp[{i}] + h{i}", "\n"),
-        each("    b{i} = xb[{i}] + k{i}", "\n"),
+        "    P, C = W",
+        "    N = C.shape[0] - 1",
+        "    o = N + s",
+        "    sv, fv = states.reshape(-1), fvals.reshape(-1)",
+        f"    {counts} = counts",
         "    tol, cap = CORRECTOR_TOL, CORRECTOR_MAX_ITER",
-        "    evals = jevals = 0",
+        "    m = s or 1",
+        # The two states before node m; at m = 1 only the first is read.
+        f"    ({each('u{i}')},), ({each('v{i}')},) = states[[m - 1, max(m - 2, 0)]].tolist()",
         "    try:",
-        "        for iters in range(1, cap + 1):",
-        "            evals += 1",
+        f"        for m, ({each('c{i}')},) in zip(range(m, e), xb[m:e].tolist()):",
+        "            " + history.format("k", "C"),
+        each("            b{i} = c{i} + k{i}", "\n"),
+        "            if m > 1:",
+        each("                x{i} = 2.0 * u{i} - v{i}", "\n"),
+        "            else:",
+        block(predictor, 16),
+        "            for iters in range(1, cap + 1):",
+        "                evals += 1",
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-        block(evaluate, 12),
-        each("            r{i} = x{i} - b{i} - w * g{i}", "\n"),
-        "            residual = abs(r0)",
-        *(f"            r = abs(r{i})\n"
-          "            if r > residual or r != r:\n"
-          "                residual = r" for i in range(1, d)),
-        "            if residual <= tol or iters == cap:",
-        "                break",
-        "            jevals += 1",
-        "            try:",
-        block([f"e{n} = float(j{n}(s, p))" for n in range(n_jac)]
-              + _elimination(pattern) or ["pass"], 16),
-        "            except (ArithmeticError, ValueError, TypeError):",
-        "                break",
-        each("            x{i} -= r{i}", "\n"),
-        "        if not residual <= tol:  # keep the predictor",
-        each("            x{i} = xp[{i}] + h{i}", "\n"),
-        "            evals += 1",
-        block(evaluate, 12),
+        block(evaluate, 16),
+        each("                r{i} = x{i} - b{i} - w * g{i}", "\n"),
+        "                residual = abs(r0)",
+        *(f"                r = abs(r{i})\n"
+          "                if r > residual or r != r:\n"
+          "                    residual = r" for i in range(1, d)),
+        "                if residual <= tol and iters > 1 or iters == cap:",
+        "                    break",
+        "                jevals += 1",
+        "                try:",
+        block([f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)]
+              + _elimination(pattern) or ["pass"], 20),
+        "                except (ArithmeticError, ValueError, TypeError):",
+        "                    break",
+        each("                x{i} -= r{i}", "\n"),
+        "            if not (residual <= tol and iters > 1):  # keep the predictor",
+        block(predictor, 16),
+        "                evals += 1",
+        block(evaluate, 16),
+        "                unconverged += 1",
+        "            total += iters",
+        "            if iters > max_iters:",
+        "                max_iters = iters",
+        "            if residual > max_residual:  # a nan residual leaves it",
+        "                max_residual = residual",
+        f"            j = {d} * m",
+        each("            fv[j + {i}] = g{i}", "\n"),
+        f"            if not ({each('abs(x{i}) <= ESCAPE_THRESHOLD', ' and ')}):  # true for nan",
+        f"                return {counts}, (m, pt)",
+        each("            sv[j + {i}] = x{i}", "\n"),
+        each("            v{i}, u{i} = u{i}, x{i}", "\n"),
         "    except (ArithmeticError, ValueError, TypeError):",
-        f"        return 0, 0.0, evals, jevals, ({x})",
-        each("    fv[{at}] = g{i}", "\n"),
-        f"    if {each('abs(x{i}) <= ESCAPE_THRESHOLD', ' and ')}:  # false for nan",
-        each("        sv[{at}] = x{i}", "\n"),
-        "        return iters, residual, evals, jevals, None",
-        "    return iters, residual, evals, jevals, s",
+        f"        return {counts}, (m, pt)",
+        f"    return {counts}, None",
     ]
     namespace = {}
     # The module's globals, so that the limits are looked up on every call.
@@ -295,8 +336,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
 
     The grid is walked in leaves of LEAF nodes.  A node takes its history
-    from the earlier nodes of its own leaf by one product of the two rules'
-    weight rows with their g values; the rest has already been added to its
+    from the earlier nodes of its own leaf by one product of a rule's weight
+    row with their g values; the rest has already been added to its
     offsets xp (predictor) and xb (corrector) by FFT blocks, the convolution
     splitting of Hairer, Lubich & Schlichte 1985 (SIAM J. Sci. Stat. Comput.
     6:532) that Garrappa 2018 (Mathematics 6:16) uses in his
@@ -305,8 +346,9 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     rules and added to the targets [e, e + L); each source reaches each later
     target of another leaf exactly once, so a solve costs O(N log^2 N) rather
     than O(N^2).  A solve with N + 1 <= LEAF is one leaf and takes no FFT.
-    The step's corrector is `_corrector`'s Newton step, generated for the
-    nonzero pattern of the field's Jacobian.
+    Each leaf's steps run in one call of `_corrector`'s generated Newton
+    kernel for the nonzero pattern of the field's Jacobian, which returns the
+    solve's counts and the escape, if any.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
@@ -328,7 +370,6 @@ def _pece_loop(alpha, fld, params, forcing, dt):
 
     states = np.empty((N + 1, d))
     fvals = np.empty((N + 1, d))
-    sv, fv = states.reshape(-1), fvals.reshape(-1)  # flat views for the corrector
     states[0] = forcing[0]
     escape_index, escape_sign = None, 0
     params = tuple(params)
@@ -337,7 +378,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     correct = _corrector(pattern)
     eval_points(fld, states[:1], params)  # FieldEvalError unless real and finite
     fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
-    max_iters, max_residual, evals, jevals, unconverged = 0, 0.0, 1, 0, 0
+    counts = (0, 0.0, 1, 0, 0, 0)  # SolverMeta's fields but steps; see _corrector
     spectra = {}  # L -> _block_spectrum, kept while a later block has size L
 
     # Overflow on the way to an escape is expected; the escape check catches it.
@@ -365,36 +406,21 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                 xb[s:hi] += np.fft.irfft(src * w[:, 1:], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
             # The leaf's offsets are complete.  Its own earlier nodes are added
             # last, as in one direct sum, so that a one-leaf solve keeps its bits.
-            xp_leaf, xb_leaf = xp[s : s + LEAF].tolist(), xb[s : s + LEAF].tolist()
-            for m in range(s or 1, min(s + LEAF, N + 1)):
-                hist = (W[:, N + s - m : N] @ fvals[s:m]).tolist()
-                iters, residual, n, nj, escaped = correct(
-                    eval_fns, jac, params, xp_leaf[m - s], xb_leaf[m - s], hist, w_self,
-                    fv, sv, m * d)
-                evals += n
-                jevals += nj
-                if iters:  # the step's evaluations all succeeded
-                    if iters > max_iters:
-                        max_iters = iters
-                    if residual > max_residual:  # a nan residual leaves it
-                        max_residual = residual
-                    if not residual <= CORRECTOR_TOL:
-                        unconverged += 1
-                if escaped is None:
-                    continue
-                # nan takes the sign of the last state; +-inf clamps like any overflow.
-                x = np.where(np.isnan(escaped), np.sign(states[m - 1]) * ESCAPE_THRESHOLD,
-                             escaped)
-                x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
-                states[m:] = x
-                escape_index = m
-                peak = x[int(np.argmax(np.abs(x)))]
-                escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
-                break
-            if escape_index is not None:
-                break
+            counts, escaped = correct(eval_fns, jac, params, W, states, fvals, xp, xb, s,
+                                      min(s + LEAF, N + 1), w_self, counts)
+            if escaped is None:
+                continue
+            # nan takes the sign of the last state; +-inf clamps like any overflow.
+            m, x = escaped
+            x = np.where(np.isnan(x), np.sign(states[m - 1]) * ESCAPE_THRESHOLD, x)
+            x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
+            states[m:] = x
+            escape_index = m
+            peak = x[int(np.argmax(np.abs(x)))]
+            escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
+            break
 
-    meta = SolverMeta(max_iters, max_residual, escape_index or N, evals, unconverged, jevals)
+    meta = SolverMeta(*counts[:2], escape_index or N, *counts[2:])
     return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
 
 

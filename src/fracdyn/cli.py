@@ -106,8 +106,9 @@ def _resolve_field(args, parser, name, source="--catalog"):
 
 def cmd_ml(args, parser):
     if args.batch:
-        if args.alpha is not None or args.z is not None:
-            parser.error("--batch reads alpha and z from stdin; drop --alpha and --z")
+        if args.alpha is not None or args.beta is not None or args.z is not None:
+            parser.error("--batch reads alpha, beta and z from stdin; "
+                         "drop --alpha, --beta and --z")
         rows = []
         for n, line in enumerate(sys.stdin, 1):
             if not line.strip():
@@ -122,7 +123,8 @@ def cmd_ml(args, parser):
         return 0
     if args.alpha is None or args.z is None:
         parser.error("--alpha and --z are required unless --batch is given")
-    print(_fmt(ml_eval(MLQuery(args.alpha, args.beta, args.z))))
+    beta = 1.0 if args.beta is None else args.beta
+    print(_fmt(ml_eval(MLQuery(args.alpha, beta, args.z))))
     return 0
 
 
@@ -203,8 +205,10 @@ def cmd_triangular(args, parser):
         parser.error("exactly one of --catalog or --f/--h expressions is required")
     if args.alpha is not None and not args.x0:
         parser.error("--alpha needs --x0, the seed to solve from")
-    if args.out and args.alpha is None:
-        parser.error("--out needs --alpha, the order of the solve it writes")
+    if args.alpha is None and (args.out or args.t_end is not None or args.dt is not None):
+        parser.error("--out, --t-end and --dt need --alpha, the order of the solve")
+    t_end = 500.0 if args.t_end is None else args.t_end
+    dt = 0.05 if args.dt is None else args.dt
     if args.catalog:
         entry = catalog.get(args.catalog)
         if not entry.triangular:
@@ -231,7 +235,7 @@ def cmd_triangular(args, parser):
         x0 = tuple(float(v) for v in args.x0.split(","))
         out["predicted_limits"] = list(componentwise_limits(tf, x0, box))
     if args.alpha is not None:
-        traj = solve_pece(CaputoProblem(args.alpha, tf.assembled(), (), x0, args.t_end, args.dt))
+        traj = solve_pece(CaputoProblem(args.alpha, tf.assembled(), (), x0, t_end, dt))
         out["solver_endpoint"] = [float(v) for v in traj.endpoint()]
     if args.out:
         header = ["t"] + [f"x{i + 1}" for i in range(tf.dimension)]
@@ -313,7 +317,7 @@ def build_parser():
 
     p = sub.add_parser("ml", help="evaluate the Mittag-Leffler function")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float)  # 1 unless given
     p.add_argument("--z", type=float)
     p.add_argument("--batch", action="store_true",
                    help="read 'alpha beta z' lines from stdin, emit CSV")
@@ -359,8 +363,8 @@ def build_parser():
                    help="scalar factor f_i expression (repeat per coordinate)")
     p.add_argument("--x0", help="comma-separated seed for limit prediction")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--t-end", type=float, default=500.0)
-    p.add_argument("--dt", type=float, default=0.05)
+    p.add_argument("--t-end", type=float)  # 500 unless given
+    p.add_argument("--dt", type=float)  # 0.05 unless given
     p.add_argument("--out", help="orbit CSV output path")
     p.set_defaults(fn=cmd_triangular)
 

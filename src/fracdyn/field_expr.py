@@ -395,6 +395,17 @@ def _codegen(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _max_coordinate(node):
+    """The largest coordinate index that node reads; -1 when it reads none."""
+    if isinstance(node, Var):
+        return node.index
+    if isinstance(node, (Neg, Call)):
+        return _max_coordinate(node.arg)
+    if isinstance(node, BinOp):
+        return max(_max_coordinate(node.lhs), _max_coordinate(node.rhs))
+    return -1
+
+
 def _lambda(ast, functions):
     """Compile one component's _codegen source against a function table."""
     return eval(compile(f"lambda s, p: {_codegen(ast)}", "<field>", "eval"), dict(functions))
@@ -414,6 +425,10 @@ class FieldDef:
             raise ValueError(
                 f"{len(self.components)} components for dimension {self.dimension}"
             )
+        for k, comp in enumerate(self.components):
+            if (i := _max_coordinate(comp)) >= self.dimension:
+                raise ValueError(f"component {k + 1} reads x{i + 1}, "
+                                 f"outside dimension {self.dimension}")
 
     @classmethod
     def parse(cls, sources, params=(), dimension=None):

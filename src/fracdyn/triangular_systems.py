@@ -70,6 +70,7 @@ class TriangularField:
                                  "the field is not triangular")
             if any(diff(f, j) != Num(0.0) for j in range(d) if j != i):
                 raise ValueError(f"f_{i + 1} must depend only on coordinate {i + 1}")
+        self.assembled()  # FieldDef refuses a factor that reads a coordinate >= d
 
     def _keep(self, key, build):
         """build(), on the first call for key only; the result is kept, so that

@@ -262,41 +262,43 @@ def _eliminate(A, r):
     return r
 
 
-def _newton(x, base, w, evaluate, jacobian):
-    """Newton's method on F(x) = x - base - w*g(x) from the predictor x; a step
-    that misses CORRECTOR_TOL within CORRECTOR_MAX_ITER iterations, or meets a
-    zero pivot or a failing J, keeps the predictor.  Returns
-    (x, g(x), iterations, residual at the last iterate)."""
-    predictor = x
+def _newton(x, predictor, base, w, evaluate, jacobian):
+    """Newton's method on F(x) = x - base - w*g(x) from the start x; a step is
+    accepted at max|F| <= CORRECTOR_TOL only after at least one Newton update.
+    A step that is not accepted within CORRECTOR_MAX_ITER iterations, or meets
+    a zero pivot or a failing J, keeps the predictor.  Returns
+    (x, g(x), iterations, residual at the last iterate, accepted)."""
     for iters in range(1, CORRECTOR_MAX_ITER + 1):
         g = evaluate(x)
         F = x - base - w * g
         residual = float(np.max(np.abs(F)))
-        if residual <= CORRECTOR_TOL or iters == CORRECTOR_MAX_ITER:
+        if residual <= CORRECTOR_TOL and iters > 1 or iters == CORRECTOR_MAX_ITER:
             break
         try:
             x = x - _eliminate(np.eye(len(x)) - w * jacobian(x), F)
         except (ArithmeticError, ValueError, TypeError):
             break
-    if not residual <= CORRECTOR_TOL:
+    accepted = residual <= CORRECTOR_TOL and iters > 1
+    if not accepted:
         x = predictor
         g = evaluate(x)
-    return x, g, iters, residual
+    return x, g, iters, residual, accepted
 
 
-def _fixed_point(x, base, w, evaluate, jacobian):
+def _fixed_point(x, predictor, base, w, evaluate, jacobian):
     """The corrector this solver had before Newton's method, kept as the
     record of its behaviour: x = base + w*g(x) iterated from the predictor,
     until the change is at most CORRECTOR_TOL or CORRECTOR_MAX_ITER
     iterations are spent, then g evaluated once more at the last iterate."""
     del jacobian
+    x = predictor
     for iters in range(1, CORRECTOR_MAX_ITER + 1):
         x_new = base + w * evaluate(x)
         residual = float(np.max(np.abs(x_new - x)))
         x = x_new
         if residual <= CORRECTOR_TOL:
             break
-    return x, evaluate(x), iters, residual
+    return x, evaluate(x), iters, residual, residual <= CORRECTOR_TOL
 
 
 def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
@@ -305,9 +307,10 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
 
     Kept as the reference: bit-identical to the solver within one leaf, and
     the direct sum that the solver's FFT blocks must reproduce beyond it.  It
-    takes the solver's summation order: one product of the stacked weight
-    rows with the g values of every earlier node, node 0 included, whose
-    trapezoid weight the corrector's start takes back out.
+    takes the solver's summation order: one product per rule of its weight
+    row with the g values of every earlier node, node 0 included, whose
+    trapezoid weight the corrector's offset takes back out.  Newton starts
+    from the predictor at the first step and from 2*x(n) - x(n-1) after it.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     rect, far, near = _weights(alpha, max(N, 1))
@@ -347,14 +350,16 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     fvals[0] = evaluate(states[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            hist = W[:, N - n - 1 : N] @ fvals[: n + 1]
-            x = forcing[n + 1] + hist[0]
-            base = (forcing[n + 1] + node0[n + 1] * fvals[0]) + hist[1]
+            predictor = forcing[n + 1] + W[0, N - n - 1 : N] @ fvals[: n + 1]
+            base = (forcing[n + 1] + node0[n + 1] * fvals[0]) + W[1, N - n - 1 : N] @ fvals[: n + 1]
+            x = 2.0 * states[n] - states[n - 1] if n else predictor
             try:
-                x, fvals[n + 1], iters, residual = corrector(x, base, w_self, evaluate, jacobian)
+                x, fvals[n + 1], iters, residual, accepted = corrector(
+                    x, predictor, base, w_self, evaluate, jacobian)
                 meta.corrector_iterations = max(meta.corrector_iterations, iters)
+                meta.newton_iterations += iters
                 meta.max_residual = max(meta.max_residual, residual)
-                meta.unconverged_steps += not residual <= CORRECTOR_TOL
+                meta.unconverged_steps += not accepted
                 escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD
             except (ArithmeticError, ValueError, TypeError):
                 x, escaped = last[0], True
@@ -402,6 +407,7 @@ class TestFloatKernel:
         assert traj.meta.field_evals == ref.meta.field_evals
         assert traj.meta.jacobian_evals == ref.meta.jacobian_evals
         assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
+        assert traj.meta.newton_iterations == ref.meta.newton_iterations
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_matches_numpy_reference(self, case):
@@ -471,6 +477,7 @@ class TestLeafSplit:
         assert traj.meta.field_evals == ref.meta.field_evals
         assert traj.meta.jacobian_evals == ref.meta.jacobian_evals
         assert traj.meta.unconverged_steps == ref.meta.unconverged_steps
+        assert traj.meta.newton_iterations == ref.meta.newton_iterations
 
     @pytest.mark.parametrize("case", SPLIT_CASES)
     def test_matches_direct_sums(self, case):
@@ -508,7 +515,7 @@ class TestSolverStats:
 
     def test_converging_solve(self):
         # g is linear, so one Newton step solves each step's equation: per step
-        # g at the predictor, J once, and g at the root.
+        # g at the start, J once, and g at the root.
         fld, calls = self.counted(["-x"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0,), 5.0, 0.01))
         assert traj.meta.steps == 500
@@ -517,6 +524,29 @@ class TestSolverStats:
         assert traj.meta.corrector_iterations == 2
         assert traj.meta.field_evals == calls[0] == 1 + 2 * 500
         assert traj.meta.jacobian_evals == calls[1] == 500
+        assert traj.meta.newton_iterations == 2 * 500
+
+    def test_extrapolated_start_takes_one_newton_step(self):
+        # From 2*x(m-1) - x(m-2), within O(dt^2) of the root, one Newton update
+        # meets CORRECTOR_TOL on almost every step of the cubic.
+        traj = solve_pece(CaputoProblem(0.6, CUBIC, (), (2.0,), 1000.0, 0.01))
+        meta = traj.meta
+        assert meta.steps == 100_000 and meta.unconverged_steps == 0
+        assert meta.max_residual <= CORRECTOR_TOL
+        assert meta.field_evals / meta.steps <= 2.1
+        assert meta.jacobian_evals / meta.steps <= 1.1
+        assert 2.0 <= meta.newton_iterations / meta.steps <= 2.1
+        assert meta.field_evals == 1 + meta.newton_iterations  # no step kept its predictor
+
+    def test_small_states_scale_with_the_initial_value(self):
+        # x' = -x is linear, so the solve from 1e-20 is 1e-20 times the solve
+        # from 1.  Every residual there is below the absolute CORRECTOR_TOL, so
+        # without the rule of one Newton update each start would be accepted
+        # unchanged (the predictor made it the rectangle rule, 3.2e-3 off).
+        tiny = solve_pece(CaputoProblem(0.6, LINEAR, (), (1e-20,), 10.0, 0.01))
+        unit = solve_pece(CaputoProblem(0.6, LINEAR, (), (1.0,), 10.0, 0.01))
+        np.testing.assert_allclose(tiny.states, 1e-20 * unit.states, rtol=1e-13, atol=0.0)
+        assert tiny.meta.unconverged_steps == 0
 
     def test_stiff_solve_converges_on_every_step(self):
         # At alpha = 0.3, dt = 0.05 from x0 = 2, w*|g'| reaches about 2.5, where

@@ -71,6 +71,8 @@ class TestExitCodes:
         ("bifurcate", "--family", "nosuchfamily", "--gamma-range=-1:1:21"),
         ("ml", "--batch", "--alpha", "0.9", "--z", "5"),
         ("ml", "--batch", "--z", "5"),
+        ("ml", "--batch", "--beta", "2"),
+        ("triangular", "--catalog", "fig2", "--t-end", "5", "--dt", "0.5"),  # no --alpha
         ("attractor", "--catalog", "fig2"),     # the library's d=1 rule
         ("limits", "--catalog", "fig2", "--eta", "0.5"),
     ])

@@ -145,6 +145,14 @@ class TestFieldDef:
         f = FieldDef.parse(["y", "-x"])
         assert eval_points(f, [(1.0, 2.0)]).tolist() == [[2.0, -1.0]]
 
+    def test_component_reading_past_the_dimension_is_refused(self):
+        # parse_expr's own dimension admits z; the field's does not.
+        with pytest.raises(ValueError, match="component 2 reads x3, outside dimension 2"):
+            FieldDef(2, (parse_expr("x", 2), parse_expr("z", 3)))
+        with pytest.raises(ValueError, match="component 1 reads x2"):
+            FieldDef(1, (parse_expr("sin(-x) * (1 + y^2)", 2),))
+        FieldDef(2, (parse_expr("x", 1), parse_expr("y - 1", 2)))  # within bounds
+
     def test_compiled_matches_ast_walker(self):
         f = FieldDef.parse(["x*(1 - x^2) + cos(y)", "tanh(x) - y^3"])
         # the second field covers the rest of the function table

@@ -36,6 +36,13 @@ class TestStructure:
             # f_2 may only reference x2
             make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "x*(1 - y^2)"])
 
+    def test_factor_reading_past_the_dimension_is_refused(self):
+        # parse_expr's own dimension admits z; the field's does not.
+        for h, f in (("1", "z"), ("z", "y")):
+            with pytest.raises(ValueError, match="component 2 reads x3, outside dimension 2"):
+                TriangularField(2, (parse_expr("1", 2), parse_expr(h, 3)),
+                                (parse_expr("x", 2), parse_expr(f, 3)))
+
     def test_dependence_is_read_from_derivatives(self):
         # 0*y folds to a derivative of 0 in y: a constant, though y appears in it.
         assert make_tf(["1", "0*y"], ["x*(1 - x^2)", "y*(1 - y^2)"]).dimension == 2
