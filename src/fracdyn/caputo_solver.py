@@ -18,18 +18,20 @@ that does not converge within CORRECTOR_MAX_ITER iterations (where the
 equation has no real root, as on the way to a blow-up) keeps the explicit
 predictor and is counted in `SolverMeta.unconverged_steps`.  The history
 sums are split by the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci.
-Stat. Comput. 6:532; Garrappa 2018): numpy takes the nodes of the step's
-own leaf of LEAF nodes by one product of the corrector's weight row with
-their g values (the predictor's only where a step needs it), and adds
-older leaves of both rules in FFT blocks, so that a solve of N steps costs
-O(N log^2 N).  The corrector is Python source generated once per nonzero
-pattern of J that runs a whole leaf on d float locals, where numpy's
-per-call overhead would dominate the step; a triangular field's J is lower
-triangular, and its Newton step a forward substitution.  Both rules, and
-the memory integral of the function-space semigroup, take their weights
-from one per-offset rule, `_weights`.  The same recurrence with x0
-replaced by a forcing function f(t_n) solves the forced singular Volterra
-integral equation.
+Stat. Comput. 6:532; Garrappa 2018): older leaves of LEAF nodes enter both
+rules in FFT blocks, so that a solve of N steps costs O(N log^2 N).  Inside
+its own leaf, a step takes the corrector's history by sub-blocks of SUB
+nodes: one np.correlate per component, made where a sub-block starts,
+gives the earlier sub-blocks' sum to all of its steps, and each step adds
+the nodes of its own sub-block on floats (the predictor's history, only
+where a step needs it, is one product of its weight row).  The corrector
+is Python source generated once per nonzero pattern of J that runs a whole
+leaf on d float locals, where numpy's per-call overhead would dominate the
+step; a triangular field's J is lower triangular, and its Newton step a
+forward substitution.  Both rules, and the memory integral of the
+function-space semigroup, take their weights from one per-offset rule,
+`_weights`.  The same recurrence with x0 replaced by a forcing function
+f(t_n) solves the forced singular Volterra integral equation.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ CORRECTOR_TOL = 1e-12
 CORRECTOR_MAX_ITER = 10
 #: Nodes per leaf of _pece_loop: the history inside a leaf is summed directly.
 LEAF = 1024
+#: Nodes per sub-block of a leaf, the unit of _corrector's direct sums; divides LEAF.
+SUB = 8
 
 #: Sentinel returned by convergence_order when all errors are at rounding level.
 EXACT_ORDER = "exact"
@@ -226,9 +230,19 @@ def _corrector(pattern):
 
     correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts) solves
     the steps to the nodes m = max(s, 1) .. e - 1 in turn, on d float
-    locals.  Node m's equation is F(x) = x - b - w*g(x) = 0 with
-    b = xb[m] + W[1, N + s - m : N] @ fvals[s:m], the corrector's offset
-    and its in-leaf history.  Newton's method starts from the linear
+    locals.  W holds both rules' weight rows by lag, W[r, N - k] at lag k,
+    after SUB leading zeros.  Node m's equation is F(x) = x - b - w*g(x) = 0
+    with b = xb[m] + W[1, N + s - m : N] @ fvals[s:m], the corrector's offset
+    and its in-leaf history.  That history is split by sub-blocks of SUB
+    nodes aligned at the leaf start.  When a sub-block other than the leaf's
+    first starts at node m0, one np.correlate per component of the weight row
+    with fvals[s:m0] gives the history of the earlier sub-blocks for all its
+    targets m0 .. m0 + SUB - 1.  Each step adds the nodes m0 .. m - 1 of its
+    own sub-block on floats, as w1*h1 + ... + w(SUB-1)*h(SUB-1) lag by lag
+    (the lag weights are read once per call, and the registers h hold g at
+    the last nodes of the sub-block, 0.0 before its start), then that sum to
+    the earlier sub-blocks' and the result to xb[m].  Node 0 belongs to the
+    first sub-block of leaf 0.  Newton's method starts from the linear
     extrapolation 2*x(m-1) - x(m-2), or at m = 1 from the explicit predictor
     xp[m] + W[0, N + s - m : N] @ fvals[s:m].  Each iteration evaluates g and
     F, and from the second iteration on stops once max|F| <= CORRECTOR_TOL
@@ -249,6 +263,7 @@ def _corrector(pattern):
     at; that step counts only by its evaluations.
     """
     d = len(pattern)
+    lags = range(1, SUB)
 
     def each(fmt, sep=", "):
         return sep.join(fmt.format(i=i) for i in range(d))
@@ -260,13 +275,13 @@ def _corrector(pattern):
     n_jac = sum(map(sum, pattern))
     counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
     evaluate = [f"pt = {x}", *(f"g{i} = float(f{i}(pt, p))" for i in range(d))]
-    # The line that sets {0}0.. to the in-leaf history of the weight row {1}:
-    # a float dot product on the flat view for d = 1, else the d sums of one
-    # (k,) @ (k, d) product.
-    history = ("{0}0 = float({1}[o - m : N].dot(fv[s:m]))" if d == 1 else
-               each("{{0}}{i}") + ", = ({1}[o - m : N] @ fvals[s:m]).tolist()")
-    predictor = [history.format("q", "P"), "pm = xp[m].tolist()",
-                 *(f"x{i} = pm[{i}] + q{i}" for i in range(d))]
+    # The predictor's in-leaf history: a float dot product on the flat view
+    # for d = 1, else the d sums of one (k,) @ (k, d) product.
+    predictor = ["q0 = float(P[o - m : N].dot(fv[s:m]))" if d == 1 else
+                 each("q{i}") + ", = (P[o - m : N] @ fvals[s:m]).tolist()",
+                 "pm = xp[m].tolist()", *(f"x{i} = pm[{i}] + q{i}" for i in range(d))]
+    # Register h{l}_{i} holds g_i at the node l steps back in the sub-block.
+    registers = " = ".join(f"h{l}_{i}" for i in range(d) for l in lags)
     lines = [
         "def correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts):",
         f"    {each('f{i}')}, = fns",
@@ -280,10 +295,24 @@ def _corrector(pattern):
         "    m = s or 1",
         # The two states before node m; at m = 1 only the first is read.
         f"    ({each('u{i}')},), ({each('v{i}')},) = states[[m - 1, max(m - 2, 0)]].tolist()",
+        f"    {', '.join(f'w{l}' for l in lags)}, = C[N - 1 : N - {SUB} : -1].tolist()",
+        f"    {registers} = 0.0",
+        # Node 0 is at lag 1 of node 1; a leaf s > 0 clears the registers at node s.
+        f"    {each('h1_{i}')}, = fvals[0].tolist()",
+        # H{i}[t], the history of the earlier sub-blocks at the sub-block's
+        # node t: none in the leaf's first.
+        f"    {each('H{i}', ' = ')} = {(0.0,) * SUB}",
         "    try:",
         f"        for m, ({each('c{i}')},) in zip(range(m, e), xb[m:e].tolist()):",
-        "            " + history.format("k", "C"),
-        each("            b{i} = c{i} + k{i}", "\n"),
+        f"            t = m % {SUB}",
+        "            if not t:",
+        f"                {registers} = 0.0",
+        "                if m > s:",
+        # Output j of the correlation is the history of node m + SUB - 1 - j.
+        *(f"                    H{i} = np.correlate(C[o - m - {SUB - 1} : N], fvals[s:m, {i}], "
+          f"'valid').tolist()[::-1]" for i in range(d)),
+        *(f"            b{i} = c{i} + (H{i}[t] + ({' + '.join(f'w{l} * h{l}_{i}' for l in lags)}))"
+          for i in range(d)),
         "            if m > 1:",
         each("                x{i} = 2.0 * u{i} - v{i}", "\n"),
         "            else:",
@@ -322,6 +351,9 @@ def _corrector(pattern):
         f"                return {counts}, (m, pt)",
         each("            sv[j + {i}] = x{i}", "\n"),
         each("            v{i}, u{i} = u{i}, x{i}", "\n"),
+        # One assignment at a time: a tuple would be allocated on every step.
+        *(f"            h{l}_{i} = h{l - 1}_{i}" for i in range(d) for l in reversed(lags[1:])),
+        each("            h1_{i} = g{i}", "\n"),
         "    except (ArithmeticError, ValueError, TypeError):",
         f"        return {counts}, (m, pt)",
         f"    return {counts}, None",
@@ -336,8 +368,9 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
 
     The grid is walked in leaves of LEAF nodes.  A node takes its history
-    from the earlier nodes of its own leaf by one product of a rule's weight
-    row with their g values; the rest has already been added to its
+    from the earlier nodes of its own leaf in `_corrector`'s kernel, by
+    sub-blocks of SUB nodes for the corrector and by one product with the
+    weight row for the predictor; the rest has already been added to its
     offsets xp (predictor) and xb (corrector) by FFT blocks, the convolution
     splitting of Hairer, Lubich & Schlichte 1985 (SIAM J. Sci. Stat. Comput.
     6:532) that Garrappa 2018 (Mathematics 6:16) uses in his
@@ -360,10 +393,11 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     # slice: W[0, N - k] = rect[k] weights the node k steps back in the
     # predictor, and W[1, N - k] = far[k] + near[k + 1] in the corrector, the
     # trapezoid weight far of the step before the node plus near of the step
-    # after it.  Node 0 has no step before it: W[1, 0] = 0.
-    W = np.empty((2, N + 1))
+    # after it.  Node 0 has no step before it: W[1, 0] = 0.  W is a view past
+    # SUB zeros, on which _corrector's correlations may reach beyond lag N.
+    padded = np.zeros((2, SUB + N + 1))
+    W = padded[:, SUB:]
     W[0] = rect[::-1]
-    W[1, 0] = 0.0
     W[1, 1:] = (far[:-1] + near[1:])[::-1]
     W *= scale
     w_self = float(scale * near[1])
@@ -405,8 +439,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                 xp[s:hi] += np.fft.irfft(src * w[:, :1], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
                 xb[s:hi] += np.fft.irfft(src * w[:, 1:], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
             # The leaf's offsets are complete.  Its own earlier nodes are added
-            # last, as in one direct sum, so that a one-leaf solve keeps its bits.
-            counts, escaped = correct(eval_fns, jac, params, W, states, fvals, xp, xb, s,
+            # last, so that a one-leaf solve sums exactly as a solve without leaves.
+            counts, escaped = correct(eval_fns, jac, params, padded, states, fvals, xp, xb, s,
                                       min(s + LEAF, N + 1), w_self, counts)
             if escaped is None:
                 continue

@@ -395,15 +395,15 @@ def _codegen(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _max_coordinate(node):
-    """The largest coordinate index that node reads; -1 when it reads none."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, (Neg, Call)):
-        return _max_coordinate(node.arg)
-    if isinstance(node, BinOp):
-        return max(_max_coordinate(node.lhs), _max_coordinate(node.rhs))
-    return -1
+def _leaves(node):
+    """The Var and Param nodes that node reads, in order."""
+    if isinstance(node, (Var, Param)):
+        yield node
+    elif isinstance(node, (Neg, Call)):
+        yield from _leaves(node.arg)
+    elif isinstance(node, BinOp):
+        yield from _leaves(node.lhs)
+        yield from _leaves(node.rhs)
 
 
 def _lambda(ast, functions):
@@ -426,9 +426,15 @@ class FieldDef:
                 f"{len(self.components)} components for dimension {self.dimension}"
             )
         for k, comp in enumerate(self.components):
-            if (i := _max_coordinate(comp)) >= self.dimension:
-                raise ValueError(f"component {k + 1} reads x{i + 1}, "
-                                 f"outside dimension {self.dimension}")
+            for leaf in _leaves(comp):
+                if isinstance(leaf, Var) and leaf.index >= self.dimension:
+                    raise ValueError(f"component {k + 1} reads x{leaf.index + 1}, "
+                                     f"outside dimension {self.dimension}")
+                if isinstance(leaf, Param) and not (
+                        0 <= leaf.index < len(self.params)
+                        and self.params[leaf.index] == leaf.name):
+                    raise ValueError(f"component {k + 1} reads parameter {leaf.name!r} "
+                                     f"as params[{leaf.index}], but params are {self.params}")
 
     @classmethod
     def parse(cls, sources, params=(), dimension=None):

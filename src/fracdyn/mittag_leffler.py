@@ -40,6 +40,10 @@ CONTOUR_MAX_NODES = 200
 # refinements; past p ~ 240 the powers overflow, and p = inf never settles.
 CONTOUR_MAX_REFINEMENTS = 200
 LOG_EPS = math.log(np.finfo(float).eps)
+# z values per block of the contour rule: (64, 2N + 1) complex temporaries stay
+# below glibc's default mmap threshold (128 KiB) for N <= 63, so that a long
+# array of z neither maps fresh pages per call nor depends on the heap's layout.
+Z_BLOCK = 64
 
 
 class MLDomainError(ValueError):
@@ -191,13 +195,21 @@ def _cheapest_rule(p0, phi):
 
 
 def _trapezoid(alpha, beta, z, n, mu, h):
-    """(1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds on s = mu (1 + iu)^2."""
+    """(1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds on s = mu (1 + iu)^2.
+
+    z is taken in blocks of Z_BLOCK values, so that the (block, 2n + 1)
+    complex temporaries stay small and are reused from the heap.
+    """
     u = h * np.arange(-n, n + 1)
     s = mu * (1.0 + 1j * u) ** 2
     log_s = np.log(s)
     weight = np.exp(s + (alpha - beta) * log_s) * (2.0 * mu * (1j - u))
-    terms = weight / (np.exp(alpha * log_s) - z[:, None])
-    return (h / (2j * np.pi) * terms.sum(axis=1)).real
+    s_alpha = np.exp(alpha * log_s)
+    out = np.empty(z.shape)
+    for i in range(0, z.shape[0], Z_BLOCK):
+        terms = weight / (s_alpha - z[i : i + Z_BLOCK, None])
+        out[i : i + Z_BLOCK] = (h / (2j * np.pi) * terms.sum(axis=1)).real
+    return out
 
 
 def _contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Fractional Adams predictor-corrector solver: exactness, accuracy, order."""
 
+import collections
 import math
+import os
+import re
+import sys
 import warnings
 
 import mpmath
@@ -16,6 +20,7 @@ from fracdyn.caputo_solver import (
     ESCAPE_THRESHOLD,
     EXACT_ORDER,
     LEAF,
+    SUB,
     SolverMeta,
     Trajectory,
     _weights,
@@ -301,23 +306,51 @@ def _fixed_point(x, predictor, base, w, evaluate, jacobian):
     return x, evaluate(x), iters, residual, residual <= CORRECTOR_TOL
 
 
+def _earlier_sub_blocks(row, fvals, m0):
+    """The corrector's history from the nodes before m0 of the targets
+    m0 .. m0 + SUB - 1, row by row, by the solver's np.correlate on row, its
+    padded weight row (row[n - k] weights lag k): zeros when m0 = 0."""
+    n = row.shape[0] - 1
+    d = fvals.shape[1]
+    if not m0:
+        return np.zeros((SUB, d))
+    return np.stack([np.correlate(row[n - m0 - (SUB - 1) : n], fvals[:m0, i], "valid")[::-1]
+                     for i in range(d)], axis=1)
+
+
+def _own_sub_block(row, fvals, m):
+    """The corrector's history of node m from the earlier nodes of its own
+    sub-block, summed as the solver sums it: lag by lag 1 .. SUB - 1, with a
+    +0.0 term for each lag that reaches before the sub-block's start."""
+    n = row.shape[0] - 1
+    m0 = m - m % SUB
+    total = None
+    for lag in range(1, SUB):
+        g = fvals[m - lag] if m - lag >= m0 else np.zeros(fvals.shape[1])
+        total = row[n - lag] * g if total is None else total + row[n - lag] * g
+    return total
+
+
 def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     """The corrector on length-d numpy arrays, with both history sums taken
     directly over every earlier node at every step, O(N^2).
 
     Kept as the reference: bit-identical to the solver within one leaf, and
     the direct sum that the solver's FFT blocks must reproduce beyond it.  It
-    takes the solver's summation order: one product per rule of its weight
-    row with the g values of every earlier node, node 0 included, whose
-    trapezoid weight the corrector's offset takes back out.  Newton starts
-    from the predictor at the first step and from 2*x(n) - x(n-1) after it.
+    takes the solver's summation order over the g values of every earlier
+    node, node 0 included, whose trapezoid weight the corrector's offset
+    takes back out.  The predictor's sum is one product with its weight row;
+    the corrector's, split by sub-blocks of SUB nodes aligned at node 0, is
+    the earlier sub-blocks' sum plus that of the node's own sub-block.
+    Newton starts from the predictor at the first step and from
+    2*x(n) - x(n-1) after it.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     rect, far, near = _weights(alpha, max(N, 1))
     scale = dt**alpha / math.gamma(alpha)
-    W = np.empty((2, N + 1))  # row 0 rect, row 1 the trapezoid weights, by lag from N
+    padded = np.zeros((2, SUB + N + 1))  # the solver's weight rows, SUB zeros first
+    W = padded[:, SUB:]  # row 0 rect, row 1 the trapezoid weights, by lag from N
     W[0] = rect[::-1]
-    W[1, 0] = 0.0
     W[1, 1:] = (far[:-1] + near[1:])[::-1]
     W *= scale
     node0 = scale * far - W[1, ::-1]  # node 0 at step m: far[m] less its weight in W
@@ -351,7 +384,11 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
             predictor = forcing[n + 1] + W[0, N - n - 1 : N] @ fvals[: n + 1]
-            base = (forcing[n + 1] + node0[n + 1] * fvals[0]) + W[1, N - n - 1 : N] @ fvals[: n + 1]
+            t = (n + 1) % SUB
+            if not (n and t):  # a sub-block starts, or node 1's
+                earlier = _earlier_sub_blocks(padded[1], fvals, n + 1 - t)
+            base = ((forcing[n + 1] + node0[n + 1] * fvals[0])
+                    + (earlier[t] + _own_sub_block(padded[1], fvals, n + 1)))
             x = 2.0 * states[n] - states[n - 1] if n else predictor
             try:
                 x, fvals[n + 1], iters, residual, accepted = corrector(
@@ -449,9 +486,13 @@ def _leaf_case(n_nodes, x0=(2.0,), fld=CUBIC, alpha=0.6, dt=0.01):
     return (alpha, fld, (), x0, (n_nodes - 1) * dt, dt)
 
 
-# Solves on both sides of a leaf boundary, and over several leaves, whose
-# older history the FFT blocks carry.
+# Solves on both sides of a sub-block and of a leaf boundary, and over several
+# leaves, whose older history the FFT blocks carry.
 SPLIT_CASES = {
+    "one_short_of_a_sub_block": _leaf_case(SUB - 1),
+    "one_sub_block": _leaf_case(SUB),
+    "one_past_a_sub_block": _leaf_case(SUB + 1),
+    "three_sub_blocks_and_five": _leaf_case(3 * SUB + 5),
     "one_short_of_a_leaf": _leaf_case(LEAF - 1),
     "one_leaf": _leaf_case(LEAF),
     "one_past_a_leaf": _leaf_case(LEAF + 1),
@@ -490,11 +531,63 @@ class TestLeafSplit:
         traj = solve_pece(CaputoProblem(*SPLIT_CASES["escape_in_second_leaf"]))
         assert traj.escape_index == 1052 and traj.escape_sign == +1
 
+    def test_forced_solve_in_one_leaf(self):
+        grid = 0.01 * np.arange(3 * SUB + 5)
+        f = SampledFunction(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None])
+        traj = solve_svie(f, CUBIC, (), 0.6, grid[-1], 0.01)
+        assert len(traj.times) == len(grid)
+        self.assert_matches(traj, _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.01))
+
     def test_forced_solve_over_several_leaves(self):
         grid = 0.005 * np.arange(4001)
         f = SampledFunction(grid, (1.0 + 0.5 * np.sin(3.0 * grid))[:, None])
         traj = solve_svie(f, CUBIC, (), 0.6, 20.0, 0.005)
         self.assert_matches(traj, _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.005))
+
+
+class TestSubBlockKernel:
+    @staticmethod
+    def numpy_calls(kernel, problem):
+        """The solve of problem, and the calls that kernel made into numpy
+        during it, by name: ndarray methods and numpy's Python functions."""
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_code is kernel.__code__:
+                if isinstance(getattr(arg, "__self__", None), np.ndarray):
+                    calls[arg.__name__] += 1
+            elif (event == "call" and frame.f_back is not None
+                  and frame.f_back.f_code is kernel.__code__
+                  and f"{os.sep}numpy{os.sep}" in frame.f_code.co_filename
+                  and not frame.f_code.co_name.endswith("_dispatcher")):
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            traj = solve_pece(problem)
+        finally:
+            sys.setprofile(None)
+        return traj, calls
+
+    def test_lorenz_kernel_has_no_numpy_call_per_step(self):
+        alpha, fld, params, x0, _, dt = KERNEL_CASES["lorenz_3d_params"]
+        kernel = caputo_solver._corrector(caputo_solver._jacobian(fld)[0])
+        lag_weights = {v for v in kernel.__code__.co_varnames if re.fullmatch(r"w\d+", v)}
+        assert lag_weights == {f"w{lag}" for lag in range(1, SUB)}
+        seen = []
+        for n_nodes in (SUB + 1, 1000):
+            problem = CaputoProblem(alpha, fld, params, x0, (n_nodes - 1) * dt, dt)
+            traj, calls = self.numpy_calls(kernel, problem)
+            assert traj.meta.unconverged_steps == 0 and traj.escape_index is None
+            later_sub_blocks = -(-n_nodes // SUB) - 1  # all but the leaf's first
+            assert calls["correlate"] == 3 * later_sub_blocks
+            seen.append((later_sub_blocks, calls))
+        # 991 more steps add only each later sub-block's correlations and
+        # their tolist(), one per component.
+        (few, calls_few), (many, calls_many) = seen
+        extra = 3 * (many - few)
+        assert calls_many - calls_few == collections.Counter(correlate=extra, tolist=extra)
+        assert not calls_few - calls_many
 
 
 class TestSolverStats:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -16,14 +17,38 @@ CLI = [sys.executable, "-m", "fracdyn.cli"]
 
 
 def run(*args, stdin=""):
-    return subprocess.run(
-        CLI + list(args), input=stdin, capture_output=True, text=True
-    )
+    """cli.main(args) in this process, as `python -m fracdyn.cli` runs it: stdin
+    reads the text, stdout and stderr are captured, and the exit code is what
+    main returns or raises with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return subprocess.CompletedProcess(args, code or 0, out.getvalue(), err.getvalue())
 
 
 class TestExitCodes:
     def test_success_is_zero(self):
         assert run("ml", "--alpha", "0.5", "--z", "-1").returncode == 0
+
+    @pytest.mark.parametrize("args, code", [
+        (("ml", "--alpha", "0.5", "--z", "-1"), 0),
+        (("verify", "--suite", "scalar", "--fault", "inflate-gamma"), 1),
+        (("ml", "--alpha", "3.0", "--z", "-1"), 2),
+    ], ids=["success", "failed_check", "usage_error"])
+    def test_module_entry_point_exit_codes(self, args, code):
+        # The in-process run() stands for these: one interpreter per exit code.
+        proc = subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.returncode == run(*args).returncode
+        assert ("error:" in proc.stderr) == (code == 2)
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("args", [
         ("ml", "--alpha", "3.0", "--z", "-1"),       # alpha out of range
@@ -289,7 +314,8 @@ class TestFieldFlags:
         fld = FieldDef.parse(["a*x - b*x^3"], ("a", "b"))
         traj = solve_pece(CaputoProblem(0.7, fld, (2.0, 0.5), (0.3,), 2.0, 0.1))
         assert proc.stdout == _csv_text(tmp_path / "ref.csv", ["t", "x1"], traj)
-        doc = json.loads(run("attractor", "--component", "a - x^2", "--param", "a=4").stdout)
+        with pytest.warns(UserWarning, match="even number of zeros"):  # zeros -2 and 2
+            doc = json.loads(run("attractor", "--component", "a - x^2", "--param", "a=4").stdout)
         assert doc["stable"] == pytest.approx([2.0], abs=1e-9)
 
     def test_simulate_triangular_catalog_is_the_assembled_field(self, tmp_path):

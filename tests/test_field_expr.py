@@ -153,6 +153,17 @@ class TestFieldDef:
             FieldDef(1, (parse_expr("sin(-x) * (1 + y^2)", 2),))
         FieldDef(2, (parse_expr("x", 1), parse_expr("y - 1", 2)))  # within bounds
 
+    def test_parameter_outside_params_is_refused(self):
+        # parse_expr's params put a at index 1; the field has only index 0.
+        with pytest.raises(ValueError, match=r"component 1 reads parameter 'a' as params\[1\]"):
+            FieldDef(1, (parse_expr("a*x", 1, ("b", "a")),), ("a",))
+        with pytest.raises(ValueError, match=r"reads parameter 'a' as params\[0\]"):
+            FieldDef(1, (parse_expr("-sin(a)", 1, ("a",)),), ("b",))  # another name
+        with pytest.raises(ValueError, match="reads parameter 'a'"):
+            FieldDef(1, (parse_expr("a", 1, ("a",)),))  # no params at all
+        fld = FieldDef(1, (parse_expr("a*x - b", 1, ("b", "a")),), ("b", "a"))
+        assert eval_points(fld, [(2.0,)], (1.0, 3.0)).tolist() == [[5.0]]
+
     def test_compiled_matches_ast_walker(self):
         f = FieldDef.parse(["x*(1 - x^2) + cos(y)", "tanh(x) - y^3"])
         # the second field covers the rest of the function table

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from fracdyn.mittag_leffler import (
+    Z_BLOCK,
     MLConvergenceError,
     MLDomainError,
     MLOverflowError,
     MLQuery,
+    _contour,
     ml,
     ml_decay,
     ml_eval,
@@ -153,6 +155,16 @@ class TestContourAccuracy:
         for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
             for z in (-60.0, -25.0, -7.0, -1.5, -0.3, -1e-3):
                 assert abs(ml(alpha, beta, z) - ml_series_mp(alpha, beta, z)) <= 1e-12, (beta, z)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (0.97, 1.0), (0.6, 2.5)])
+    def test_blocks_of_z_match_single_points(self, alpha, beta):
+        # 65 values: one full block of Z_BLOCK and one of a single value.
+        assert Z_BLOCK == 64
+        z = -np.geomspace(1e-3, 1e3, 65)
+        one_by_one = [ml_eval(MLQuery(alpha, beta, float(zi))) for zi in z]
+        assert np.array_equal(_contour(alpha, beta, z), one_by_one)
+        t = np.linspace(0.0, 50.0, 65)
+        assert np.array_equal(ml_decay(alpha, 1.0, t), [ml_decay(alpha, 1.0, ti) for ti in t])
 
     def test_beta_against_series(self):
         for alpha in (0.5, 0.8, 1.0):
