@@ -1,9 +1,10 @@
 """Numerical dynamics of autonomous Caputo fractional differential equations.
 
-Mittag-Leffler special functions, a fractional Adams predictor-corrector
-solver, scalar attractor analysis with decay envelopes and heteroclinic
-orbits, triangular product-form systems, one-parameter bifurcation sweeps,
-and the semigroup the dynamics generates on a function space.
+Mittag-Leffler special functions, a fractional Adams solver (the implicit
+product-trapezoid rule, solved by Newton's method), scalar attractor
+analysis with decay envelopes and heteroclinic orbits, triangular
+product-form systems, one-parameter bifurcation sweeps, and the semigroup
+the dynamics generates on a function space.
 """
 
 __version__ = "0.1.0"

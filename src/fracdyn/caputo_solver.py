@@ -1,37 +1,36 @@
-"""Fractional Adams predictor-corrector for Caputo initial value problems.
+"""Fractional Adams corrector for Caputo initial value problems.
 
 Solves the integral form
 
     x(t) = x0 + (1/Gamma(alpha)) * int_0^t (t-s)^(alpha-1) g(x(s)) ds
 
-on a uniform grid by product integration (Diethelm, Ford & Freed 2002):
-the predictor holds g constant on each step (rectangle rule), and the
-corrector takes g linear on each step (trapezoid rule), which makes each
-step an implicit equation x = b + w*g(x).  The corrector solves it by
-Newton's method with the field's exact Jacobian (Garrappa 2018,
-Mathematics 6:16), started from the linear extrapolation 2*x(m-1) - x(m-2)
-of the last two states (from the explicit predictor at the first step).
-Iterations evaluate g and, until the residual is at most CORRECTOR_TOL
-after at least one Newton update, the nonzero entries of J, so a smooth
-scalar field takes about 2 evaluations of g and 1 of g' per step.  A step
-that does not converge within CORRECTOR_MAX_ITER iterations (where the
-equation has no real root, as on the way to a blow-up) keeps the explicit
-predictor and is counted in `SolverMeta.unconverged_steps`.  The history
-sums are split by the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci.
-Stat. Comput. 6:532; Garrappa 2018): older leaves of LEAF nodes enter both
-rules in FFT blocks, so that a solve of N steps costs O(N log^2 N).  Inside
-its own leaf, a step takes the corrector's history by sub-blocks of SUB
-nodes: one np.correlate per component, made where a sub-block starts,
-gives the earlier sub-blocks' sum to all of its steps, and each step adds
-the nodes of its own sub-block on floats (the predictor's history, only
-where a step needs it, is one product of its weight row).  The corrector
-is Python source generated once per nonzero pattern of J that runs a whole
-leaf on d float locals, where numpy's per-call overhead would dominate the
-step; a triangular field's J is lower triangular, and its Newton step a
-forward substitution.  Both rules, and the memory integral of the
-function-space semigroup, take their weights from one per-offset rule,
-`_weights`.  The same recurrence with x0 replaced by a forcing function
-f(t_n) solves the forced singular Volterra integral equation.
+on a uniform grid by product integration (Diethelm, Ford & Freed 2002)
+with g linear on each step (the trapezoid rule), which makes each step an
+implicit equation x = b + w*g(x).  The corrector solves it by Newton's
+method with the field's exact Jacobian (Garrappa 2018, Mathematics 6:16),
+which needs no predictor: it starts from the linear extrapolation
+2*x(m-1) - x(m-2) of the last two states, and at the first step from the
+explicit step b + w*g(x(m-1)).  Iterations evaluate g and, until the
+residual is at most CORRECTOR_TOL after at least one Newton update, the
+nonzero entries of J, so a smooth scalar field takes about 2 evaluations
+of g and 1 of g' per step.  A step that does not converge within
+CORRECTOR_MAX_ITER iterations (where the equation has no real root, as on
+the way to a blow-up) keeps the explicit step and is counted in
+`SolverMeta.unconverged_steps`.  The history sums are split by the lag
+(Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532;
+Garrappa 2018): older leaves of LEAF nodes enter in FFT blocks, so that a
+solve of N steps costs O(N log^2 N).  Inside its own leaf, a step takes
+its history by sub-blocks of SUB nodes: one np.correlate per component,
+made where a sub-block starts, gives the earlier sub-blocks' sum to all of
+its steps, and each step adds the nodes of its own sub-block on floats.
+The corrector is Python source generated once per nonzero pattern of J
+that runs a whole leaf on d float locals, where numpy's per-call overhead
+would dominate the step; a triangular field's J is lower triangular, and
+its Newton step a forward substitution.  The solver and the memory
+integral of the function-space semigroup take their weights from one
+per-offset rule, `_weights`.  The same recurrence with x0 replaced by a
+forcing function f(t_n) solves the forced singular Volterra integral
+equation.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class SolverMeta:
     steps is the mean per step), field_evals counts whole-field evaluations
     of g and jacobian_evals those of J's nonzero entries, and
     unconverged_steps the steps whose Newton corrector took no update or
-    missed CORRECTOR_TOL and kept the predictor."""
+    missed CORRECTOR_TOL and kept the explicit step."""
 
     corrector_iterations: int = 0
     max_residual: float = 0.0
@@ -148,15 +147,15 @@ def _weights(alpha, n):
     """Product-integration weights of I^alpha on a unit grid, per offset k = 0..n.
 
     The one rule behind every memory integral here: with u the distance to
-    the target time in steps, the step between offsets k-1 and k carries
+    the target time in steps, g linear on the step between offsets k-1 and
+    k splits its integral
 
-        rect[k] = int_{k-1}^{k} u^(alpha-1) du,
+        rect[k] = int_{k-1}^{k} u^(alpha-1) du
 
-    which g constant on the step multiplies, and for g linear on the step
-    the split rect[k] = far[k] + near[k]: far[k] weights g at the node k
-    steps back, near[k] at the node k-1 steps back.  Entry 0 is zero.
-    Differences of powers are taken through expm1/log1p, so the relative
-    error grows like k * eps rather than k^2 * eps.
+    into far[k] + near[k]: far[k] weights g at the node k steps back,
+    near[k] at the node k-1 steps back.  Returns (far, near); entry 0 is
+    zero.  Differences of powers are taken through expm1/log1p, so the
+    relative error grows like k * eps rather than k^2 * eps.
     """
     k = np.arange(1, n + 1, dtype=float)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
@@ -165,18 +164,17 @@ def _weights(alpha, n):
     rect = -k_alpha * em / alpha
     near = k_alpha * (-(k + alpha) * em - alpha) / (alpha * (alpha + 1.0))
     zero = np.zeros(1)
-    return (np.concatenate((zero, rect)), np.concatenate((zero, rect - near)),
-            np.concatenate((zero, near)))
+    return np.concatenate((zero, rect - near)), np.concatenate((zero, near))
 
 
 def _block_spectrum(W, L):
-    """rfft of both rules' weights at lags 1..2L, in two columns: lag p + 1 at
-    row p.  Lags past N reach no node of the grid and are left zero."""
-    N = W.shape[1] - 1
-    lags = np.zeros((2 * L, 2))
+    """rfft of the weights at lags 1..2L: lag p + 1 at entry p.  Lags past N
+    reach no node of the grid and are left zero."""
+    N = W.shape[0] - 1
+    lags = np.zeros(2 * L)
     k = min(2 * L, N)
-    lags[:k] = W[:, N - k : N][:, ::-1].T
-    return np.fft.rfft(lags, axis=0)
+    lags[:k] = W[N - k : N][::-1]
+    return np.fft.rfft(lags)
 
 
 def _jacobian(fld):
@@ -228,31 +226,32 @@ def _corrector(pattern):
     """The corrector of one leaf, generated once per nonzero pattern of J
     (see _jacobian), for d = len(pattern) components.
 
-    correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts) solves
-    the steps to the nodes m = max(s, 1) .. e - 1 in turn, on d float
-    locals.  W holds both rules' weight rows by lag, W[r, N - k] at lag k,
-    after SUB leading zeros.  Node m's equation is F(x) = x - b - w*g(x) = 0
-    with b = xb[m] + W[1, N + s - m : N] @ fvals[s:m], the corrector's offset
-    and its in-leaf history.  That history is split by sub-blocks of SUB
-    nodes aligned at the leaf start.  When a sub-block other than the leaf's
-    first starts at node m0, one np.correlate per component of the weight row
-    with fvals[s:m0] gives the history of the earlier sub-blocks for all its
+    correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts) solves the
+    steps to the nodes m = max(s, 1) .. e - 1 in turn, on d float locals.
+    W is the weight row by lag, W[N - k] at lag k, after SUB leading zeros.
+    Node m's equation is F(x) = x - b - w*g(x) = 0 with
+    b = xb[m] + W[N + s - m : N] @ fvals[s:m], its offset and its in-leaf
+    history.  That history is split by sub-blocks of SUB nodes aligned at
+    the leaf start.  When a sub-block other than the leaf's first starts at
+    node m0, one np.correlate per component of the weight row with
+    fvals[s:m0] gives the history of the earlier sub-blocks for all its
     targets m0 .. m0 + SUB - 1.  Each step adds the nodes m0 .. m - 1 of its
     own sub-block on floats, as w1*h1 + ... + w(SUB-1)*h(SUB-1) lag by lag
     (the lag weights are read once per call, and the registers h hold g at
     the last nodes of the sub-block, 0.0 before its start), then that sum to
     the earlier sub-blocks' and the result to xb[m].  Node 0 belongs to the
     first sub-block of leaf 0.  Newton's method starts from the linear
-    extrapolation 2*x(m-1) - x(m-2), or at m = 1 from the explicit predictor
-    xp[m] + W[0, N + s - m : N] @ fvals[s:m].  Each iteration evaluates g and
-    F, and from the second iteration on stops once max|F| <= CORRECTOR_TOL
-    (a nan F does not), so that a step is accepted only after at least one
-    Newton update; otherwise it evaluates J's nonzero entries, the lambdas
-    jac, and steps by (I - w*J) delta = F.  After CORRECTOR_MAX_ITER
-    iterations, a zero pivot or a failing entry of J, the step keeps the
-    predictor, evaluates g there and counts as unconverged.  Both limits are
-    read at call time.  g(x) then goes to fvals[m] and x to states[m] unless
-    it leaves +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
+    extrapolation 2*x(m-1) - x(m-2), or at m = 1 from the explicit step
+    b + w*g(x(m-1)), with g(x(m-1)) read from fvals[m - 1].  Each iteration
+    evaluates g and F, and from the second iteration on stops once
+    max|F| <= CORRECTOR_TOL (a nan F does not), so that a step is accepted
+    only after at least one Newton update; otherwise it evaluates J's
+    nonzero entries, the lambdas jac, and steps by (I - w*J) delta = F.
+    After CORRECTOR_MAX_ITER iterations, a zero pivot or a failing entry of
+    J, the step keeps the explicit step, evaluates g there and counts as
+    unconverged.  Both limits are read at call time.  g(x) then goes to
+    fvals[m] and x to states[m] unless it leaves +-ESCAPE_THRESHOLD.  fns
+    are the field's compiled() components.
 
     counts holds SolverMeta's fields but steps, in order: max iterations,
     max residual (max|F| at a step's last iterate), evaluations of g,
@@ -275,19 +274,16 @@ def _corrector(pattern):
     n_jac = sum(map(sum, pattern))
     counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
     evaluate = [f"pt = {x}", *(f"g{i} = float(f{i}(pt, p))" for i in range(d))]
-    # The predictor's in-leaf history: a float dot product on the flat view
-    # for d = 1, else the d sums of one (k,) @ (k, d) product.
-    predictor = ["q0 = float(P[o - m : N].dot(fv[s:m]))" if d == 1 else
-                 each("q{i}") + ", = (P[o - m : N] @ fvals[s:m]).tolist()",
-                 "pm = xp[m].tolist()", *(f"x{i} = pm[{i}] + q{i}" for i in range(d))]
+    # The explicit step, read only at m = 1 and on an unconverged step.
+    explicit = [f"{each('y{i}')}, = fvals[m - 1].tolist()",
+                *(f"x{i} = b{i} + w * y{i}" for i in range(d))]
     # Register h{l}_{i} holds g_i at the node l steps back in the sub-block.
     registers = " = ".join(f"h{l}_{i}" for i in range(d) for l in lags)
     lines = [
-        "def correct(fns, jac, p, W, states, fvals, xp, xb, s, e, w, counts):",
+        "def correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts):",
         f"    {each('f{i}')}, = fns",
         *([f"    {', '.join(f'j{n}' for n in range(n_jac))}, = jac"] if n_jac else []),
-        "    P, C = W",
-        "    N = C.shape[0] - 1",
+        "    N = W.shape[0] - 1",
         "    o = N + s",
         "    sv, fv = states.reshape(-1), fvals.reshape(-1)",
         f"    {counts} = counts",
@@ -295,7 +291,7 @@ def _corrector(pattern):
         "    m = s or 1",
         # The two states before node m; at m = 1 only the first is read.
         f"    ({each('u{i}')},), ({each('v{i}')},) = states[[m - 1, max(m - 2, 0)]].tolist()",
-        f"    {', '.join(f'w{l}' for l in lags)}, = C[N - 1 : N - {SUB} : -1].tolist()",
+        f"    {', '.join(f'w{l}' for l in lags)}, = W[N - 1 : N - {SUB} : -1].tolist()",
         f"    {registers} = 0.0",
         # Node 0 is at lag 1 of node 1; a leaf s > 0 clears the registers at node s.
         f"    {each('h1_{i}')}, = fvals[0].tolist()",
@@ -309,14 +305,14 @@ def _corrector(pattern):
         f"                {registers} = 0.0",
         "                if m > s:",
         # Output j of the correlation is the history of node m + SUB - 1 - j.
-        *(f"                    H{i} = np.correlate(C[o - m - {SUB - 1} : N], fvals[s:m, {i}], "
+        *(f"                    H{i} = np.correlate(W[o - m - {SUB - 1} : N], fvals[s:m, {i}], "
           f"'valid').tolist()[::-1]" for i in range(d)),
         *(f"            b{i} = c{i} + (H{i}[t] + ({' + '.join(f'w{l} * h{l}_{i}' for l in lags)}))"
           for i in range(d)),
         "            if m > 1:",
         each("                x{i} = 2.0 * u{i} - v{i}", "\n"),
         "            else:",
-        block(predictor, 16),
+        block(explicit, 16),
         "            for iters in range(1, cap + 1):",
         "                evals += 1",
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
@@ -335,8 +331,8 @@ def _corrector(pattern):
         "                except (ArithmeticError, ValueError, TypeError):",
         "                    break",
         each("                x{i} -= r{i}", "\n"),
-        "            if not (residual <= tol and iters > 1):  # keep the predictor",
-        block(predictor, 16),
+        "            if not (residual <= tol and iters > 1):  # keep the explicit step",
+        block(explicit, 16),
         "                evals += 1",
         block(evaluate, 16),
         "                unconverged += 1",
@@ -365,40 +361,36 @@ def _corrector(pattern):
 
 
 def _pece_loop(alpha, fld, params, forcing, dt):
-    """Shared predictor-corrector recurrence; forcing has shape (N+1, d).
+    """Shared corrector recurrence; forcing has shape (N+1, d).
 
     The grid is walked in leaves of LEAF nodes.  A node takes its history
     from the earlier nodes of its own leaf in `_corrector`'s kernel, by
-    sub-blocks of SUB nodes for the corrector and by one product with the
-    weight row for the predictor; the rest has already been added to its
-    offsets xp (predictor) and xb (corrector) by FFT blocks, the convolution
-    splitting of Hairer, Lubich & Schlichte 1985 (SIAM J. Sci. Stat. Comput.
-    6:532) that Garrappa 2018 (Mathematics 6:16) uses in his
-    product-integration solvers.  When a leaf ends at node e, with
-    L = e & -e, the block of sources [e - L, e) is convolved by FFT with both
-    rules and added to the targets [e, e + L); each source reaches each later
-    target of another leaf exactly once, so a solve costs O(N log^2 N) rather
-    than O(N^2).  A solve with N + 1 <= LEAF is one leaf and takes no FFT.
-    Each leaf's steps run in one call of `_corrector`'s generated Newton
-    kernel for the nonzero pattern of the field's Jacobian, which returns the
-    solve's counts and the escape, if any.
+    sub-blocks of SUB nodes; the rest has already been added to its offset
+    xb by FFT blocks, the convolution splitting of Hairer, Lubich & Schlichte
+    1985 (SIAM J. Sci. Stat. Comput. 6:532) that Garrappa 2018 (Mathematics
+    6:16) uses in his product-integration solvers.  When a leaf ends at node
+    e, with L = e & -e, the block of sources [e - L, e) is convolved by FFT
+    with the weight row and added to the targets [e, e + L); each source
+    reaches each later target of another leaf exactly once, so a solve costs
+    O(N log^2 N) rather than O(N^2).  A solve with N + 1 <= LEAF is one leaf
+    and takes no FFT.  Each leaf's steps run in one call of `_corrector`'s
+    generated Newton kernel for the nonzero pattern of the field's Jacobian,
+    which returns the solve's counts and the escape, if any.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
-    rect, far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
+    far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
     scale = dt**alpha / math.gamma(alpha)
-    # Both rules' weights by lag, reversed so that step n reads one contiguous
-    # slice: W[0, N - k] = rect[k] weights the node k steps back in the
-    # predictor, and W[1, N - k] = far[k] + near[k + 1] in the corrector, the
+    # The weights by lag, reversed so that step n reads one contiguous slice:
+    # W[N - k] = far[k] + near[k + 1] weights the node k steps back, the
     # trapezoid weight far of the step before the node plus near of the step
-    # after it.  Node 0 has no step before it: W[1, 0] = 0.  W is a view past
-    # SUB zeros, on which _corrector's correlations may reach beyond lag N.
-    padded = np.zeros((2, SUB + N + 1))
-    W = padded[:, SUB:]
-    W[0] = rect[::-1]
-    W[1, 1:] = (far[:-1] + near[1:])[::-1]
+    # after it.  Node 0 has no step before it: W[0] = 0.  W is a view past SUB
+    # zeros, on which _corrector's correlations may reach beyond lag N.
+    padded = np.zeros(SUB + N + 1)
+    W = padded[SUB:]
+    W[1:] = (far[:-1] + near[1:])[::-1]
     W *= scale
     w_self = float(scale * near[1])
 
@@ -417,14 +409,13 @@ def _pece_loop(alpha, fld, params, forcing, dt):
 
     # Overflow on the way to an escape is expected; the escape check catches it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Node 0 enters the corrector by its far weight alone.  The sums below
-        # give it the trapezoid weight W[1, N - m] at step m, so its offset
-        # holds far less that weight.
-        xp = forcing.astype(float)
+        # Node 0 enters by its far weight alone.  The sums below give it the
+        # trapezoid weight W[N - m] at step m, so its offset holds far less
+        # that weight.
         node0 = scale * far[: N + 1]
-        node0 -= W[1, ::-1]
+        node0 -= W[::-1]
         xb = forcing + node0[:, None] * fvals[0]
-        del rect, far, near, node0  # only W and w_self are read from here on
+        del far, near, node0  # only W and w_self are read from here on
         for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
             if s:  # the leaf before ends here: add its block to the nodes ahead
                 L = s & -s
@@ -434,13 +425,13 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                     if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
                         spectra[L] = w
                 src = np.fft.rfft(fvals[s - L : s], 2 * L, axis=0)
+                src *= w[:, None]
                 hi = min(s + L, N + 1)
                 # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.
-                xp[s:hi] += np.fft.irfft(src * w[:, :1], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
-                xb[s:hi] += np.fft.irfft(src * w[:, 1:], 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
+                xb[s:hi] += np.fft.irfft(src, 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
             # The leaf's offsets are complete.  Its own earlier nodes are added
             # last, so that a one-leaf solve sums exactly as a solve without leaves.
-            counts, escaped = correct(eval_fns, jac, params, padded, states, fvals, xp, xb, s,
+            counts, escaped = correct(eval_fns, jac, params, padded, states, fvals, xb, s,
                                       min(s + LEAF, N + 1), w_self, counts)
             if escaped is None:
                 continue

@@ -152,7 +152,7 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
     # rule: sum_j far[m+i-j] g_j + near[m+i-j] g_{j+1}, one pair of
     # convolutions per component.  Row i = 0 is the solver's own last step;
     # the endpoint replaces it.
-    _, far, near = _weights(alpha, m + n_out)
+    far, near = _weights(alpha, m + n_out)
     memory = np.column_stack([
         np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
         for c in range(g.shape[1])

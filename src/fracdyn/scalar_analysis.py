@@ -438,16 +438,21 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
         )
     lo = np.nextafter(zs.zeros[j], zs.zeros[j + 1])
     hi = np.nextafter(zs.zeros[j + 1], zs.zeros[j])
-    flo = _forward_endpoint(fld, params, alpha, lo, t_back, dt) - eta
-    fhi = _forward_endpoint(fld, params, alpha, hi, t_back, dt) - eta
+    xlo = _forward_endpoint(fld, params, alpha, lo, t_back, dt)
+    xhi = _forward_endpoint(fld, params, alpha, hi, t_back, dt)
+    flo, fhi = xlo - eta, xhi - eta
     if flo == 0.0:
         return float(lo)
     if fhi == 0.0:
         return float(hi)
     if (flo < 0.0) == (fhi < 0.0):
+        # The end next to the source zero has already passed eta: its
+        # solution runs away from that zero towards eta and beyond.
+        end, value, zero = (lo, xlo, zs.zeros[j]) if flo > 0.0 else (hi, xhi, zs.zeros[j + 1])
         raise BracketFailureError(
-            f"no sign change over ({lo}, {hi}) at horizon {t_back}; eta is "
-            "too close to a zero for this horizon"
+            f"no sign change at horizon {t_back}: the solution from {end}, the "
+            f"double next to the zero {zero}, is already at {value}, past "
+            f"eta={eta}; the preimage lies closer to that zero than doubles resolve"
         )
     for _ in range(300):
         mid = 0.5 * (lo + hi)

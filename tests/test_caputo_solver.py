@@ -1,4 +1,4 @@
-"""Fractional Adams predictor-corrector solver: exactness, accuracy, order."""
+"""Fractional Adams corrector solver: exactness, accuracy, order."""
 
 import collections
 import math
@@ -63,11 +63,11 @@ class TestExactCases:
 class TestWeights:
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.99])
     def test_against_extended_precision(self, alpha):
-        # rect = int_{k-1}^{k} u^(a-1) du, far/near its split for g linear on
-        # the step; 50 digits leave ~39 after the cancellation at k = 2e5.
+        # far/near split rect = int_{k-1}^{k} u^(a-1) du for g linear on the
+        # step; 50 digits leave ~39 after the cancellation at k = 2e5.
         n = 200_000
-        rect, far, near = _weights(alpha, n)
-        assert rect[0] == far[0] == near[0] == 0.0
+        far, near = _weights(alpha, n)
+        assert far[0] == near[0] == 0.0
         offsets = sorted({*range(1, 40), *np.geomspace(40, n, 60).astype(int).tolist()})
         with mpmath.workdps(50):
             a = mpmath.mpf(alpha)
@@ -75,7 +75,7 @@ class TestWeights:
                 k_ = mpmath.mpf(k)
                 r = (k_**a - (k_ - 1) ** a) / a
                 p = (k_ ** (a + 1) - (k_ - 1) ** (a + 1)) / (a + 1)
-                for got, want in ((rect[k], r), (far[k], p - (k_ - 1) * r),
+                for got, want in ((far[k] + near[k], r), (far[k], p - (k_ - 1) * r),
                                   (near[k], k_ * r - p)):
                     assert abs(got - want) <= 1e-9 * want, (k, got, want)
 
@@ -267,11 +267,11 @@ def _eliminate(A, r):
     return r
 
 
-def _newton(x, predictor, base, w, evaluate, jacobian):
+def _newton(x, explicit, base, w, evaluate, jacobian):
     """Newton's method on F(x) = x - base - w*g(x) from the start x; a step is
     accepted at max|F| <= CORRECTOR_TOL only after at least one Newton update.
     A step that is not accepted within CORRECTOR_MAX_ITER iterations, or meets
-    a zero pivot or a failing J, keeps the predictor.  Returns
+    a zero pivot or a failing J, keeps the explicit step.  Returns
     (x, g(x), iterations, residual at the last iterate, accepted)."""
     for iters in range(1, CORRECTOR_MAX_ITER + 1):
         g = evaluate(x)
@@ -285,18 +285,18 @@ def _newton(x, predictor, base, w, evaluate, jacobian):
             break
     accepted = residual <= CORRECTOR_TOL and iters > 1
     if not accepted:
-        x = predictor
+        x = explicit
         g = evaluate(x)
     return x, g, iters, residual, accepted
 
 
-def _fixed_point(x, predictor, base, w, evaluate, jacobian):
+def _fixed_point(x, explicit, base, w, evaluate, jacobian):
     """The corrector this solver had before Newton's method, kept as the
-    record of its behaviour: x = base + w*g(x) iterated from the predictor,
+    record of its behaviour: x = base + w*g(x) iterated from the explicit step,
     until the change is at most CORRECTOR_TOL or CORRECTOR_MAX_ITER
     iterations are spent, then g evaluated once more at the last iterate."""
     del jacobian
-    x = predictor
+    x = explicit
     for iters in range(1, CORRECTOR_MAX_ITER + 1):
         x_new = base + w * evaluate(x)
         residual = float(np.max(np.abs(x_new - x)))
@@ -332,28 +332,27 @@ def _own_sub_block(row, fvals, m):
 
 
 def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
-    """The corrector on length-d numpy arrays, with both history sums taken
+    """The corrector on length-d numpy arrays, with the history sum taken
     directly over every earlier node at every step, O(N^2).
 
     Kept as the reference: bit-identical to the solver within one leaf, and
     the direct sum that the solver's FFT blocks must reproduce beyond it.  It
     takes the solver's summation order over the g values of every earlier
     node, node 0 included, whose trapezoid weight the corrector's offset
-    takes back out.  The predictor's sum is one product with its weight row;
-    the corrector's, split by sub-blocks of SUB nodes aligned at node 0, is
-    the earlier sub-blocks' sum plus that of the node's own sub-block.
-    Newton starts from the predictor at the first step and from
-    2*x(n) - x(n-1) after it.
+    takes back out.  The sum, split by sub-blocks of SUB nodes aligned at
+    node 0, is the earlier sub-blocks' sum plus that of the node's own
+    sub-block.  Newton starts from the explicit step base + w*g(x(n)) at the
+    first step and from 2*x(n) - x(n-1) after it; an unconverged step keeps
+    the explicit step.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
-    rect, far, near = _weights(alpha, max(N, 1))
+    far, near = _weights(alpha, max(N, 1))
     scale = dt**alpha / math.gamma(alpha)
-    padded = np.zeros((2, SUB + N + 1))  # the solver's weight rows, SUB zeros first
-    W = padded[:, SUB:]  # row 0 rect, row 1 the trapezoid weights, by lag from N
-    W[0] = rect[::-1]
-    W[1, 1:] = (far[:-1] + near[1:])[::-1]
+    padded = np.zeros(SUB + N + 1)  # the solver's weight row, SUB zeros first
+    W = padded[SUB:]  # the trapezoid weights, by lag from N
+    W[1:] = (far[:-1] + near[1:])[::-1]
     W *= scale
-    node0 = scale * far - W[1, ::-1]  # node 0 at step m: far[m] less its weight in W
+    node0 = scale * far - W[::-1]  # node 0 at step m: far[m] less its weight in W
     w_self = scale * near[1]
 
     states = np.empty((N + 1, d))
@@ -383,16 +382,16 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     fvals[0] = evaluate(states[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            predictor = forcing[n + 1] + W[0, N - n - 1 : N] @ fvals[: n + 1]
             t = (n + 1) % SUB
             if not (n and t):  # a sub-block starts, or node 1's
-                earlier = _earlier_sub_blocks(padded[1], fvals, n + 1 - t)
+                earlier = _earlier_sub_blocks(padded, fvals, n + 1 - t)
             base = ((forcing[n + 1] + node0[n + 1] * fvals[0])
-                    + (earlier[t] + _own_sub_block(padded[1], fvals, n + 1)))
-            x = 2.0 * states[n] - states[n - 1] if n else predictor
+                    + (earlier[t] + _own_sub_block(padded, fvals, n + 1)))
+            explicit = base + w_self * fvals[n]
+            x = 2.0 * states[n] - states[n - 1] if n else explicit
             try:
                 x, fvals[n + 1], iters, residual, accepted = corrector(
-                    x, predictor, base, w_self, evaluate, jacobian)
+                    x, explicit, base, w_self, evaluate, jacobian)
                 meta.corrector_iterations = max(meta.corrector_iterations, iters)
                 meta.newton_iterations += iters
                 meta.max_residual = max(meta.max_residual, residual)
@@ -500,7 +499,7 @@ SPLIT_CASES = {
     "n_2e4": _leaf_case(20_001),
     "fig2_assembled": _leaf_case(4 * LEAF + 3, (0.5, -0.3),
                                  catalog.get("fig2").fld.assembled()),
-    # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1052.
+    # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1051.
     "escape_in_second_leaf": _leaf_case(3001, (0.1,), FieldDef.parse(["x*x"]), 0.9),
 }
 
@@ -529,7 +528,7 @@ class TestLeafSplit:
 
     def test_escape_in_second_leaf(self):
         traj = solve_pece(CaputoProblem(*SPLIT_CASES["escape_in_second_leaf"]))
-        assert traj.escape_index == 1052 and traj.escape_sign == +1
+        assert traj.escape_index == 1051 and traj.escape_sign == +1
 
     def test_forced_solve_in_one_leaf(self):
         grid = 0.01 * np.arange(3 * SUB + 5)
@@ -629,13 +628,13 @@ class TestSolverStats:
         assert meta.field_evals / meta.steps <= 2.1
         assert meta.jacobian_evals / meta.steps <= 1.1
         assert 2.0 <= meta.newton_iterations / meta.steps <= 2.1
-        assert meta.field_evals == 1 + meta.newton_iterations  # no step kept its predictor
+        assert meta.field_evals == 1 + meta.newton_iterations  # no step kept its explicit step
 
     def test_small_states_scale_with_the_initial_value(self):
         # x' = -x is linear, so the solve from 1e-20 is 1e-20 times the solve
         # from 1.  Every residual there is below the absolute CORRECTOR_TOL, so
         # without the rule of one Newton update each start would be accepted
-        # unchanged (the predictor made it the rectangle rule, 3.2e-3 off).
+        # unchanged.
         tiny = solve_pece(CaputoProblem(0.6, LINEAR, (), (1e-20,), 10.0, 0.01))
         unit = solve_pece(CaputoProblem(0.6, LINEAR, (), (1.0,), 10.0, 0.01))
         np.testing.assert_allclose(tiny.states, 1e-20 * unit.states, rtol=1e-13, atol=0.0)
@@ -659,7 +658,7 @@ class TestSolverStats:
 
     # Saddle draws at dt = 0.05 where x = b + w*(gamma - x^2) loses its real
     # root on the way to -infinity: Newton cannot converge there, and the
-    # escape comes from the predictor the step keeps.
+    # escape comes from the explicit step that the step keeps.
     NO_ROOT = [(-0.8090, 0.4566, 0.4460), (-0.8277, 0.8789, -0.3492),
                (0.7443, 0.4987, -1.2946), (-0.9858, 0.7625, -0.1200)]
 
@@ -679,6 +678,26 @@ class TestSolverStats:
         assert calls[0] == 2 * traj.meta.field_evals
         assert calls[1] == 4 * traj.meta.jacobian_evals  # J has no zero entry
 
+    def test_unconverged_steps_keep_the_explicit_step(self, monkeypatch):
+        # With one iteration no step converges, so every step keeps the
+        # explicit step x(m) = b + w*g(x(m-1)).  For g = lam x, with
+        # c = dt^alpha / Gamma(alpha) and g_k = g(x_k):
+        #   x1 = x0 + c (far[1] + near[1]) g0 = x0 (1 + lam dt^alpha / Gamma(alpha + 1)),
+        #   x2 = x0 + c (far[2] g0 + (near[2] + far[1] + near[1]) g1).
+        alpha, dt, lam, x0 = 0.5, 0.1, -1.0, 1.0
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
+        fld = FieldDef.parse(["lam*x"], ("lam",))
+        traj = solve_pece(CaputoProblem(alpha, fld, (lam,), (x0,), 2 * dt, dt))
+        assert traj.meta.unconverged_steps == 2
+        x1, x2 = traj.scalar()[1:]
+        assert x1 == pytest.approx(x0 * (1.0 + lam * dt**alpha / math.gamma(alpha + 1.0)),
+                                   rel=1e-14)
+        c = dt**alpha / math.gamma(alpha)
+        far, near = _weights(alpha, 2)
+        g0, g1 = lam * x0, lam * x1
+        expect = x0 + c * (far[2] * g0 + (near[2] + far[1] + near[1]) * g1)
+        assert x2 == pytest.approx(expect, rel=1e-14)
+
     def test_corrector_limits_are_read_at_call_time(self, monkeypatch):
         fld, calls = self.counted(["x - x^3"])
         stiff = CaputoProblem(0.3, fld, (), (2.0,), 50.0, 0.05)
@@ -686,7 +705,7 @@ class TestSolverStats:
         calls[:] = [0, 0]
         monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
         traj = solve_pece(stiff)
-        # One iteration takes no Newton step: every step keeps its predictor
+        # One iteration takes no Newton step: every step keeps its explicit step
         # and evaluates g there a second time.
         assert traj.meta.corrector_iterations == 1
         assert traj.meta.unconverged_steps == 1000

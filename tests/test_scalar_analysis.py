@@ -42,7 +42,8 @@ class TestZeroSets:
         assert zs.stable() == (zs.zeros[0], zs.zeros[2])
 
     def test_saddle_zeros_move_with_gamma(self):
-        zs = sa.find_zeros(SADDLE, (-5.0, 5.0), params=(4.0,))
+        with pytest.warns(UserWarning, match="even number"):  # zeros -2 and 2
+            zs = sa.find_zeros(SADDLE, (-5.0, 5.0), params=(4.0,))
         assert np.allclose(zs.zeros, (-2.0, 2.0), atol=1e-9)
 
     def test_exact_grid_zero_is_found(self):
@@ -263,6 +264,21 @@ class TestBackwardExtension:
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
         with pytest.raises(sa.BracketFailureError):
             sa.backward_extend(CUBIC, 0.6, 2.0, 5.0, 0.01, zs=zs)
+
+    def test_preimage_closer_than_doubles_names_the_source_end(self):
+        # eta = 2.5 sits halfway between the zeros 2 and 3, but at horizon 50
+        # the solution from the double next to the source zero 2 is already
+        # past it: the preimage lies closer to 2 than doubles resolve.
+        fld = FieldDef.parse(["(x-2) - (x-2)^3"])
+        zs = sa.find_zeros(fld, (-5.0, 5.0))
+        assert zs.zeros == (1.0, 2.0, 3.0)
+        with pytest.raises(sa.BracketFailureError,
+                           match=r"from 2\.0000000000000004, the double next to the zero 2\.0, "
+                                 r"is already at 2\.95\d*, past eta=2\.5; the preimage lies "
+                                 r"closer to that zero than doubles resolve"):
+            sa.backward_extend(fld, 0.6, 2.5, 50.0, 0.01, zs=zs)
+        zeta = sa.backward_extend(fld, 0.6, 2.5, 12.5, 0.01, zs=zs)
+        assert zeta == pytest.approx(2.0000015750, abs=1e-10)
 
 
 class TestHeteroclinic:

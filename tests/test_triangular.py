@@ -109,7 +109,8 @@ class TestProductAttractor:
     def test_logistic_first_factor_box(self):
         # first factor x(1-x) has zeros {0, 1}; second keeps [-1, 1]
         tf = get("sec3text").fld
-        attractor = product_attractor(tf, [(-0.5, 1.5), (-3.0, 3.0)])
+        with pytest.warns(UserWarning, match="even number"):  # zeros 0 and 1
+            attractor = product_attractor(tf, [(-0.5, 1.5), (-3.0, 3.0)])
         assert attractor.intervals[0].lo == pytest.approx(0.0, abs=1e-9)
         assert attractor.intervals[0].hi == pytest.approx(1.0, abs=1e-9)
         assert attractor.intervals[1].lo == pytest.approx(-1.0, abs=1e-9)
