@@ -24,13 +24,16 @@ its history by sub-blocks of SUB nodes: one np.correlate per component,
 made where a sub-block starts, gives the earlier sub-blocks' sum to all of
 its steps, and each step adds the nodes of its own sub-block on floats.
 The corrector is Python source generated once per nonzero pattern of J
-that runs a whole leaf on d float locals, where numpy's per-call overhead
-would dominate the step; a triangular field's J is lower triangular, and
-its Newton step a forward substitution.  The solver and the memory
-integral of the function-space semigroup take their weights from one
-per-offset rule, `_weights`.  The same recurrence with x0 replaced by a
-forcing function f(t_n) solves the forced singular Volterra integral
-equation.
+that runs a whole leaf on float locals, where numpy's per-call overhead
+would dominate the step.  It writes the SUB steps of a sub-block out one
+after the other, each reading the g values of the sub-block's earlier
+nodes from the locals of the steps before it, so that no step shifts a
+register or tests its place in the sub-block.  A triangular field's J is
+lower triangular, and its Newton step a forward substitution.  The solver
+and the memory integral of the function-space semigroup take their weights
+from one per-offset rule, `_weights`.  The same recurrence with x0
+replaced by a forcing function f(t_n) solves the forced singular Volterra
+integral equation.
 """
 
 from __future__ import annotations
@@ -227,29 +230,35 @@ def _corrector(pattern):
     (see _jacobian), for d = len(pattern) components.
 
     correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts) solves the
-    steps to the nodes m = max(s, 1) .. e - 1 in turn, on d float locals.
+    steps to the nodes m = max(s, 1) .. e - 1 in turn, on float locals.
     W is the weight row by lag, W[N - k] at lag k, after SUB leading zeros.
     Node m's equation is F(x) = x - b - w*g(x) = 0 with
     b = xb[m] + W[N + s - m : N] @ fvals[s:m], its offset and its in-leaf
-    history.  That history is split by sub-blocks of SUB nodes aligned at
-    the leaf start.  When a sub-block other than the leaf's first starts at
-    node m0, one np.correlate per component of the weight row with
-    fvals[s:m0] gives the history of the earlier sub-blocks for all its
-    targets m0 .. m0 + SUB - 1.  Each step adds the nodes m0 .. m - 1 of its
-    own sub-block on floats, as w1*h1 + ... + w(SUB-1)*h(SUB-1) lag by lag
-    (the lag weights are read once per call, and the registers h hold g at
-    the last nodes of the sub-block, 0.0 before its start), then that sum to
-    the earlier sub-blocks' and the result to xb[m].  Node 0 belongs to the
-    first sub-block of leaf 0.  Newton's method starts from the linear
-    extrapolation 2*x(m-1) - x(m-2), or at m = 1 from the explicit step
-    b + w*g(x(m-1)), with g(x(m-1)) read from fvals[m - 1].  Each iteration
-    evaluates g and F, and from the second iteration on stops once
-    max|F| <= CORRECTOR_TOL (a nan F does not), so that a step is accepted
-    only after at least one Newton update; otherwise it evaluates J's
-    nonzero entries, the lambdas jac, and steps by (I - w*J) delta = F.
-    After CORRECTOR_MAX_ITER iterations, a zero pivot or a failing entry of
-    J, the step keeps the explicit step, evaluates g there and counts as
-    unconverged.  Both limits are read at call time.  g(x) then goes to
+    history.  The leaf is walked by sub-blocks of SUB nodes aligned at its
+    start, and the SUB steps of a sub-block are written out one after the
+    other as bodies t = 0 .. SUB - 1, each for the node m0 + t of the
+    sub-block that starts at node m0.  Body t keeps its state in x{t}_i and
+    g there in q{t}_i, so that the steps after it read them without a copy.
+    When a sub-block other than the leaf's first starts, one np.correlate
+    per component of the weight row with fvals[s:m0] gives the history of
+    the earlier sub-blocks for all its nodes, unpacked into H{i}_0 ..
+    H{i}_(SUB-1), and one slice of the leaf's offsets into c{t}_i.  Body t
+    adds its own sub-block's earlier nodes on floats, exactly t lag terms
+    w1*q(t-1) + ... + wt*q0 (the lag weights are read once per call), then
+    that sum to H{i}_t and the result to c{t}_i.  Every body from 1 on ends
+    the leaf first if m is past its last node.  Node 0, body 0 of leaf 0,
+    holds the initial state and is not solved.  Newton's method starts from
+    the linear extrapolation 2*x(m-1) - x(m-2), or at m = 1 (body 1 of
+    leaf 0) from the explicit step b + w*g(x(m-1)).  Its first iteration is
+    peeled: g and F are evaluated at the start, then each pass of the loop
+    evaluates J's nonzero entries (the lambdas jac), steps by
+    (I - w*J) delta = F, and evaluates g and F at the result, until
+    max|F| <= CORRECTOR_TOL (a nan F does not stop it), so that a step is
+    accepted only after at least one Newton update.  max|F| is taken by
+    comparisons, without a call of abs().  After CORRECTOR_MAX_ITER
+    evaluations, a zero pivot or a failing entry of J, the step keeps the
+    explicit step, evaluates g there and counts as unconverged.  The limits
+    and ESCAPE_THRESHOLD are read once per call.  g(x) then goes to
     fvals[m] and x to states[m] unless it leaves +-ESCAPE_THRESHOLD.  fns
     are the field's compiled() components.
 
@@ -262,94 +271,100 @@ def _corrector(pattern):
     at; that step counts only by its evaluations.
     """
     d = len(pattern)
-    lags = range(1, SUB)
-
-    def each(fmt, sep=", "):
-        return sep.join(fmt.format(i=i) for i in range(d))
-
-    def block(lines, indent):
-        return "\n".join(" " * indent + line for line in lines)
-
-    x = each("x{i}") + ","  # a tuple also for d = 1
+    comps = range(d)
     n_jac = sum(map(sum, pattern))
     counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
-    evaluate = [f"pt = {x}", *(f"g{i} = float(f{i}(pt, p))" for i in range(d))]
-    # The explicit step, read only at m = 1 and on an unconverged step.
-    explicit = [f"{each('y{i}')}, = fvals[m - 1].tolist()",
-                *(f"x{i} = b{i} + w * y{i}" for i in range(d))]
-    # Register h{l}_{i} holds g_i at the node l steps back in the sub-block.
-    registers = " = ".join(f"h{l}_{i}" for i in range(d) for l in lags)
+    solve = [f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)] + _elimination(pattern)
+
+    def names(fmt, *args):
+        return ", ".join(fmt.format(*args, i) for i in comps) + ","  # a tuple also for d = 1
+
+    def indent(lines, n=1):
+        return ["    " * n + line for line in lines]
+
+    def body(t):
+        """The lines that solve node m0 + t and write it out."""
+        before, twice = (t - 1) % SUB, (t - 2) % SUB
+        lines = ["m += 1", "if m >= e:", "    break"] if t else []
+        for i in comps:
+            own = " + ".join(f"w{lag} * q{t - lag}_{i}" for lag in range(1, t + 1))
+            lines.append(f"b{i} = c{t}_{i} + " + (f"(H{i}_{t} + ({own}))" if t else f"H{i}_0"))
+        explicit = [f"x{t}_{i} = b{i} + w * q{before}_{i}" for i in comps]
+        extrapolated = [f"x{t}_{i} = 2.0 * x{before}_{i} - x{twice}_{i}" for i in comps]
+        # float() of a complex value (x^0.5 at x < 0) raises TypeError.
+        evaluate = ["evals += 1", f"pt = {names('x{}_{}', t)}",
+                    *(f"q{t}_{i} = float(f{i}(pt, p))" for i in comps)]
+        residual = [*(f"r{i} = x{t}_{i} - b{i} - w * q{t}_{i}" for i in comps),
+                    "residual = r0 if r0 >= 0.0 else -r0"]
+        for i in comps[1:]:
+            residual += [f"r = r{i} if r{i} >= 0.0 else -r{i}",
+                         "if r > residual or r != r:", "    residual = r"]
+        newton = ["jevals += 1", "try:", *indent(solve or ["pass"]),
+                  "except (ArithmeticError, ValueError, TypeError):", "    break",
+                  *(f"x{t}_{i} -= r{i}" for i in comps), "iters += 1"]
+        if d == 1:
+            stores, index = [], "m"
+        else:
+            stores, index = [f"j = {d} * m"], "j + {}"
+        in_range = " and ".join(f"-big <= x{t}_{i} <= big" for i in comps)
+        lines += [
+            *(["if m0:", *indent(extrapolated), "else:  # m = 1", *indent(explicit)]
+              if t == 1 else extrapolated),
+            *evaluate,
+            *residual,
+            "iters = 1",
+            "while iters < cap:",
+            *indent(newton + evaluate + residual + ["if residual <= tol:", "    break"]),
+            "if not (residual <= tol and iters > 1):  # keep the explicit step",
+            *indent(explicit + evaluate + ["unconverged += 1"]),
+            "total += iters",
+            "if iters > max_iters:",
+            "    max_iters = iters",
+            "if residual > max_residual:  # a nan residual leaves it",
+            "    max_residual = residual",
+            *stores,
+            *(f"fv[{index.format(i)}] = q{t}_{i}" for i in comps),
+            f"if not ({in_range}):  # true for nan",
+            f"    return {counts}, (m, pt)",
+            *(f"sv[{index.format(i)}] = x{t}_{i}" for i in comps),
+        ]
+        return lines
+
+    history = [f"{', '.join(f'H{i}_{t}' for t in reversed(range(SUB)))} = np.correlate("
+               f"W[N + s - m0 - {SUB - 1} : N], fvals[s:m0, {i}], 'valid').tolist()"
+               for i in comps]
     lines = [
         "def correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts):",
-        f"    {each('f{i}')}, = fns",
+        f"    {names('f{}')} = fns",
         *([f"    {', '.join(f'j{n}' for n in range(n_jac))}, = jac"] if n_jac else []),
         "    N = W.shape[0] - 1",
-        "    o = N + s",
         "    sv, fv = states.reshape(-1), fvals.reshape(-1)",
         f"    {counts} = counts",
-        "    tol, cap = CORRECTOR_TOL, CORRECTOR_MAX_ITER",
-        "    m = s or 1",
-        # The two states before node m; at m = 1 only the first is read.
-        f"    ({each('u{i}')},), ({each('v{i}')},) = states[[m - 1, max(m - 2, 0)]].tolist()",
-        f"    {', '.join(f'w{l}' for l in lags)}, = W[N - 1 : N - {SUB} : -1].tolist()",
-        f"    {registers} = 0.0",
-        # Node 0 is at lag 1 of node 1; a leaf s > 0 clears the registers at node s.
-        f"    {each('h1_{i}')}, = fvals[0].tolist()",
-        # H{i}[t], the history of the earlier sub-blocks at the sub-block's
-        # node t: none in the leaf's first.
-        f"    {each('H{i}', ' = ')} = {(0.0,) * SUB}",
+        "    tol, cap, big = CORRECTOR_TOL, CORRECTOR_MAX_ITER, ESCAPE_THRESHOLD",
+        f"    {', '.join(f'w{lag}' for lag in range(1, SUB))}, = W[N - 1 : N - {SUB} : -1].tolist()",
+        # The leaf's first sub-block has no earlier one.
+        f"    {' = '.join(f'H{i}_{t}' for i in comps for t in range(SUB))} = 0.0",
+        "    if s:  # the two states and the g value that the leaf's first body reads",
+        f"        ({names('x{}_{}', SUB - 2)}), ({names('x{}_{}', SUB - 1)}) = "
+        "states[s - 2 : s].tolist()",
+        f"        {names('q{}_{}', SUB - 1)} = fvals[s - 1].tolist()",
+        "    else:  # node 0",
+        f"        {names('x{}_{}', 0)} = states[0].tolist()",
+        f"        {names('q{}_{}', 0)} = fvals[0].tolist()",
+        # The offsets, with zeros past the leaf's end for a last sub-block that is not full.
+        f"    cs = xb[s:e].ravel().tolist() + [0.0] * {d * (SUB - 1)}",
         "    try:",
-        f"        for m, ({each('c{i}')},) in zip(range(m, e), xb[m:e].tolist()):",
-        f"            t = m % {SUB}",
-        "            if not t:",
-        f"                {registers} = 0.0",
-        "                if m > s:",
-        # Output j of the correlation is the history of node m + SUB - 1 - j.
-        *(f"                    H{i} = np.correlate(W[o - m - {SUB - 1} : N], fvals[s:m, {i}], "
-          f"'valid').tolist()[::-1]" for i in range(d)),
-        *(f"            b{i} = c{i} + (H{i}[t] + ({' + '.join(f'w{l} * h{l}_{i}' for l in lags)}))"
-          for i in range(d)),
-        "            if m > 1:",
-        each("                x{i} = 2.0 * u{i} - v{i}", "\n"),
-        "            else:",
-        block(explicit, 16),
-        "            for iters in range(1, cap + 1):",
-        "                evals += 1",
-        # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-        block(evaluate, 16),
-        each("                r{i} = x{i} - b{i} - w * g{i}", "\n"),
-        "                residual = abs(r0)",
-        *(f"                r = abs(r{i})\n"
-          "                if r > residual or r != r:\n"
-          "                    residual = r" for i in range(1, d)),
-        "                if residual <= tol and iters > 1 or iters == cap:",
-        "                    break",
-        "                jevals += 1",
-        "                try:",
-        block([f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)]
-              + _elimination(pattern) or ["pass"], 20),
-        "                except (ArithmeticError, ValueError, TypeError):",
-        "                    break",
-        each("                x{i} -= r{i}", "\n"),
-        "            if not (residual <= tol and iters > 1):  # keep the explicit step",
-        block(explicit, 16),
-        "                evals += 1",
-        block(evaluate, 16),
-        "                unconverged += 1",
-        "            total += iters",
-        "            if iters > max_iters:",
-        "                max_iters = iters",
-        "            if residual > max_residual:  # a nan residual leaves it",
-        "                max_residual = residual",
-        f"            j = {d} * m",
-        each("            fv[j + {i}] = g{i}", "\n"),
-        f"            if not ({each('abs(x{i}) <= ESCAPE_THRESHOLD', ' and ')}):  # true for nan",
-        f"                return {counts}, (m, pt)",
-        each("            sv[j + {i}] = x{i}", "\n"),
-        each("            v{i}, u{i} = u{i}, x{i}", "\n"),
-        # One assignment at a time: a tuple would be allocated on every step.
-        *(f"            h{l}_{i} = h{l - 1}_{i}" for i in range(d) for l in reversed(lags[1:])),
-        each("            h1_{i} = g{i}", "\n"),
+        f"        for m0 in range(s, e, {SUB}):",
+        "            if m0 > s:",
+        # Output j of the correlation is the history of node m0 + SUB - 1 - j.
+        *indent(history, 4),
+        f"            k = {d} * (m0 - s)",
+        f"            {', '.join(f'c{t}_{i}' for t in range(SUB) for i in comps)}, = "
+        f"cs[k : k + {d * SUB}]",
+        "            m = m0",
+        "            if m0:  # node 0 holds the initial state",
+        *indent(body(0), 4),
+        *(line for t in range(1, SUB) for line in indent(body(t), 3)),
         "    except (ArithmeticError, ValueError, TypeError):",
         f"        return {counts}, (m, pt)",
         f"    return {counts}, None",

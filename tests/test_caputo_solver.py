@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+import types
 import warnings
 
 import mpmath
@@ -320,8 +321,9 @@ def _earlier_sub_blocks(row, fvals, m0):
 
 def _own_sub_block(row, fvals, m):
     """The corrector's history of node m from the earlier nodes of its own
-    sub-block, summed as the solver sums it: lag by lag 1 .. SUB - 1, with a
-    +0.0 term for each lag that reaches before the sub-block's start."""
+    sub-block, summed lag by lag 1 .. SUB - 1 in the solver's order.  A lag
+    that reaches before the sub-block's start adds +0.0 here; the solver
+    adds only the lags inside the sub-block, and x + 0.0 == x."""
     n = row.shape[0] - 1
     m0 = m - m % SUB
     total = None
@@ -544,29 +546,72 @@ class TestLeafSplit:
         self.assert_matches(traj, _reference_pece_loop(0.6, CUBIC, (), f.at(traj.times), 0.005))
 
 
+SQUARE = FieldDef.parse(["x*x"])
+
+
+def _square_solve(x0, n_nodes, dt=0.01):
+    return solve_pece(CaputoProblem(0.9, SQUARE, (), (x0,), (n_nodes - 1) * dt, dt))
+
+
+def _seed_escaping_at(node, x0s):
+    """The middle x0 of the longest run of the scan x0s from which
+    x' = x^2 (alpha = 0.9, dt = 0.01) escapes at node."""
+    runs = [[]]
+    for x0 in x0s:
+        if _square_solve(x0, node + SUB).escape_index == node:
+            runs[-1].append(x0)
+        elif runs[-1]:
+            runs.append([])
+    run = max(runs, key=len)
+    assert run, f"no x0 of the scan escapes at node {node}"
+    return run[len(run) // 2]
+
+
+# Escapes at each body t of a later sub-block, and at the first node of leaf 1:
+# the node, and the scan of x0 that holds a seed for it.
+ESCAPE_NODES = {**{f"body_{t}": (5 * SUB + t, np.geomspace(2.3, 1.6, 150)) for t in range(SUB)},
+                "leaf_start": (LEAF, np.geomspace(0.103, 0.102, 50))}
+
+
 class TestSubBlockKernel:
     @staticmethod
-    def numpy_calls(kernel, problem):
-        """The solve of problem, and the calls that kernel made into numpy
-        during it, by name: ndarray methods and numpy's Python functions."""
-        calls = collections.Counter()
+    def kernel_calls(kernel, problem):
+        """The solve of problem, and the calls that kernel made during it, by
+        name: into numpy (ndarray methods and numpy's Python functions), and
+        into builtins (every other C function or method, and float)."""
+        numpy_calls, builtin_calls = collections.Counter(), collections.Counter()
+
+        # float is a type, whose calls the profiler does not report.  The solve
+        # runs a copy of kernel that finds this wrapper under float's name, so
+        # that each of its calls is a call event.
+        def counted_float(x):
+            return float(x)
+
+        probe = types.FunctionType(kernel.__code__,
+                                   {**kernel.__globals__, "float": counted_float})
 
         def profile(frame, event, arg):
             if event == "c_call" and frame.f_code is kernel.__code__:
                 if isinstance(getattr(arg, "__self__", None), np.ndarray):
-                    calls[arg.__name__] += 1
+                    numpy_calls[arg.__name__] += 1
+                else:
+                    builtin_calls[arg.__name__] += 1
             elif (event == "call" and frame.f_back is not None
-                  and frame.f_back.f_code is kernel.__code__
-                  and f"{os.sep}numpy{os.sep}" in frame.f_code.co_filename
-                  and not frame.f_code.co_name.endswith("_dispatcher")):
-                calls[frame.f_code.co_name] += 1
+                  and frame.f_back.f_code is kernel.__code__):
+                if frame.f_code is counted_float.__code__:
+                    builtin_calls["float"] += 1
+                elif (f"{os.sep}numpy{os.sep}" in frame.f_code.co_filename
+                      and not frame.f_code.co_name.endswith("_dispatcher")):
+                    numpy_calls[frame.f_code.co_name] += 1
 
-        sys.setprofile(profile)
-        try:
-            traj = solve_pece(problem)
-        finally:
-            sys.setprofile(None)
-        return traj, calls
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(caputo_solver, "_corrector", lambda pattern: probe)
+            sys.setprofile(profile)
+            try:
+                traj = solve_pece(problem)
+            finally:
+                sys.setprofile(None)
+        return traj, numpy_calls, builtin_calls
 
     def test_lorenz_kernel_has_no_numpy_call_per_step(self):
         alpha, fld, params, x0, _, dt = KERNEL_CASES["lorenz_3d_params"]
@@ -576,7 +621,7 @@ class TestSubBlockKernel:
         seen = []
         for n_nodes in (SUB + 1, 1000):
             problem = CaputoProblem(alpha, fld, params, x0, (n_nodes - 1) * dt, dt)
-            traj, calls = self.numpy_calls(kernel, problem)
+            traj, calls, _ = self.kernel_calls(kernel, problem)
             assert traj.meta.unconverged_steps == 0 and traj.escape_index is None
             later_sub_blocks = -(-n_nodes // SUB) - 1  # all but the leaf's first
             assert calls["correlate"] == 3 * later_sub_blocks
@@ -587,6 +632,54 @@ class TestSubBlockKernel:
         extra = 3 * (many - few)
         assert calls_many - calls_few == collections.Counter(correlate=extra, tolist=extra)
         assert not calls_few - calls_many
+
+    def test_lorenz_kernel_calls_no_builtin_but_float(self):
+        # float() of each evaluated component of g and entry of J is the only
+        # builtin a step calls: no abs() for the residual or the escape test.
+        alpha, fld, params, x0, _, dt = KERNEL_CASES["lorenz_3d_params"]
+        pattern = caputo_solver._jacobian(fld)[0]
+        kernel = caputo_solver._corrector(pattern)
+        problem = CaputoProblem(alpha, fld, params, x0, 999 * dt, dt)
+        traj, _, builtin_calls = self.kernel_calls(kernel, problem)
+        meta = traj.meta
+        assert meta.unconverged_steps == 0 and traj.escape_index is None
+        assert "abs" not in builtin_calls
+        nnz = sum(map(sum, pattern))
+        # The solver evaluates g at node 0 before the kernel runs.
+        budget = 3 * (meta.field_evals - 1) + nnz * meta.jacobian_evals
+        assert builtin_calls == collections.Counter(float=budget)
+
+    @pytest.mark.parametrize("case", ESCAPE_NODES)
+    def test_escape_at_every_sub_block_position(self, case):
+        # Each body of a sub-block is its own generated code: an escape in
+        # each, found from x' = x^2 by a scan, ends the solve as the oracle's.
+        node, x0s = ESCAPE_NODES[case]
+        x0 = _seed_escaping_at(node, x0s)
+        traj = _square_solve(x0, node + SUB)
+        assert traj.escape_index == node and traj.escape_sign == +1
+        ref = _reference_pece_loop(0.9, SQUARE, (), np.full((node + SUB, 1), x0), 0.01)
+        if node < LEAF:
+            TestFloatKernel.assert_identical(traj, ref)
+            return
+        # An FFT block rounds the history of leaf 1's nodes otherwise than the
+        # direct sum: the escaping step's residual, a difference of terms near
+        # 1e14, moves in its last digits.
+        assert np.array_equal(traj.states, ref.states)
+        assert traj.meta.corrector_iterations == ref.meta.corrector_iterations
+        TestLeafSplit.assert_matches(traj, ref)  # the escape and every count
+        assert traj.meta.max_residual == pytest.approx(ref.meta.max_residual, rel=1e-9)
+
+    def test_every_body_keeps_its_explicit_step(self, monkeypatch):
+        # With one iteration no step converges, so each body of the solve's
+        # sub-blocks, the last one short, falls back to its explicit step.
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
+        monkeypatch.setitem(_newton.__globals__, "CORRECTOR_MAX_ITER", 1)
+        alpha, fld, params, x0, t_end, dt = _leaf_case(3 * SUB + 5)
+        traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
+        assert traj.meta.unconverged_steps == traj.meta.steps == 3 * SUB + 4
+        forcing = np.tile(np.asarray(x0, dtype=float), (len(traj.times), 1))
+        TestFloatKernel.assert_identical(
+            traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
 
 
 class TestSolverStats:
@@ -663,7 +756,7 @@ class TestSolverStats:
                (0.7443, 0.4987, -1.2946), (-0.9858, 0.7625, -0.1200)]
 
     @pytest.mark.parametrize("gamma, alpha, x0", NO_ROOT)
-    def test_steps_without_a_root_keep_the_predictor_and_escape(self, gamma, alpha, x0):
+    def test_steps_without_a_root_keep_the_explicit_step_and_escape(self, gamma, alpha, x0):
         fld, calls = self.counted(["gamma - x^2"], ("gamma",))
         traj = solve_pece(CaputoProblem(alpha, fld, (gamma,), (x0,), 50.0, 0.05))
         assert traj.escape_index is not None and traj.escape_sign == -1
