@@ -756,7 +756,7 @@ class TestSolverStats:
                (0.7443, 0.4987, -1.2946), (-0.9858, 0.7625, -0.1200)]
 
     @pytest.mark.parametrize("gamma, alpha, x0", NO_ROOT)
-    def test_steps_without_a_root_keep_the_explicit_step_and_escape(self, gamma, alpha, x0):
+    def test_steps_without_a_root_keep_the_predictor_and_escape(self, gamma, alpha, x0):
         fld, calls = self.counted(["gamma - x^2"], ("gamma",))
         traj = solve_pece(CaputoProblem(alpha, fld, (gamma,), (x0,), 50.0, 0.05))
         assert traj.escape_index is not None and traj.escape_sign == -1
