@@ -22,12 +22,7 @@ from .caputo_solver import CaputoProblem, solve_pece
 from .field_expr import FieldDef, FieldEvalError, ParseError, parse_expr
 from .function_space_semigroup import RhoParams, semigroup_defects, state_space_defect
 from .mittag_leffler import MLConvergenceError, MLOverflowError, MLQuery, ml_eval
-from .triangular_systems import (
-    TriangularField,
-    componentwise_limits,
-    product_attractor,
-    validate_triangular,
-)
+from .triangular_systems import TriangularField, validate_triangular
 from .verification import run_checks
 
 FMT = "%.15g"
@@ -224,16 +219,15 @@ def cmd_triangular(args, parser):
         )
     box = [(-3.0, 3.0)] * tf.dimension
     report = validate_triangular(tf, box)
-    attractor = product_attractor(tf, box)
     out = {
         "version": __version__,
         "config": {"dimension": tf.dimension},
         "h_signs": list(report.h_signs),
-        "attractor_box": [[iv.lo, iv.hi] for iv in attractor.intervals],
+        "attractor_box": [[iv.lo, iv.hi] for iv in report.attractor().intervals],
     }
     if args.x0:
         x0 = tuple(float(v) for v in args.x0.split(","))
-        out["predicted_limits"] = list(componentwise_limits(tf, x0, box))
+        out["predicted_limits"] = list(report.limits(x0))
     if args.alpha is not None:
         traj = solve_pece(CaputoProblem(args.alpha, tf.assembled(), (), x0, t_end, dt))
         out["solver_endpoint"] = [float(v) for v in traj.endpoint()]

@@ -1,15 +1,15 @@
 """Product-form triangular vector fields g_i(x) = h_i(x_1..x_{i-1}) * f_i(x_i).
 
-When every prefactor h_i is sign-constant, the sign structure of each
-component is carried entirely by the scalar factor f_i, so the scalar
-attractor theory applies coordinate by coordinate: the attractor is the
-product of the per-coordinate zero-set intervals and limits classify
-componentwise.
+When every prefactor h_i is sign-constant, coordinate i follows the scalar
+factor sign(h_i) * f_i, so the scalar attractor theory applies coordinate by
+coordinate: the attractor is the product of the per-coordinate zero-set
+intervals and limits classify componentwise.  validate_triangular makes that
+analysis once; its report gives the attractor and the limits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,12 +52,13 @@ class TriangularField:
     """Per-coordinate factor pair (h_i, f_i): h_i depends on x_1..x_{i-1} only
     (so h_1 is a constant) and f_i on x_i only.  An expression depends on x_j
     when diff does not fold its derivative in x_j to 0, the rule by which the
-    solver drops zero entries of the Jacobian."""
+    solver drops zero entries of the Jacobian.  The factors take no
+    parameters.  The assembled field, the h_i and the scalar factors are
+    built once and kept on the field."""
 
     dimension: int
     h_factors: tuple  # ExprAst over x_1..x_{i-1}
     f_factors: tuple  # ExprAst over x_i only
-    params: tuple = ()
     _factors: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -82,29 +83,21 @@ class TriangularField:
     def assembled(self) -> FieldDef:
         """The full vector field with components h_i * f_i, built once."""
         return self._keep("assembled", lambda: FieldDef(self.dimension, tuple(
-            BinOp("*", h, f) for h, f in zip(self.h_factors, self.f_factors)), self.params))
+            BinOp("*", h, f) for h, f in zip(self.h_factors, self.f_factors))))
 
     def h_field(self) -> FieldDef:
         """The prefactors (h_1, ..., h_d) as one field, built once."""
-        return self._keep("h", lambda: FieldDef(self.dimension, self.h_factors, self.params))
+        return self._keep("h", lambda: FieldDef(self.dimension, self.h_factors))
 
     def scalar_factor(self, i) -> FieldDef:
-        """f_i as a one-dimensional field (its variable remapped to x1).
+        """f_i as a one-dimensional field (its variable remapped to x1), built once.
 
         f_i does not depend on the other coordinates (see __post_init__), so
         any value may stand for them: 1, where 0/x_j and 0*log(x_j) are finite.
         """
         mapping = {j: Num(1.0) for j in range(self.dimension)}
         mapping[i] = Var(0)
-        ast = _remap_vars(self.f_factors[i], mapping)
-        return FieldDef(1, (ast,), self.params)
-
-    def signed_scalar_factor(self, i, sign) -> FieldDef:
-        """sign(h_i) * f_i as a one-dimensional field, built once per (i, sign)."""
-        def build():
-            ast = self.scalar_factor(i).components[0]
-            return FieldDef(1, (ast if sign > 0 else Neg(ast),), self.params)
-        return self._keep((i, sign > 0), build)
+        return self._keep(i, lambda: FieldDef(1, (_remap_vars(self.f_factors[i], mapping),)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,19 @@ class TriangularReport:
     h_signs: tuple
     h_min_abs: tuple
     certificate: object
-    zero_sets: tuple
+    zero_sets: tuple  # zeros of f_i, with the derivatives of sign(h_i) * f_i
+
+    def attractor(self) -> ProductAttractor:
+        """The product of the per-coordinate attractor intervals."""
+        return ProductAttractor(tuple(sa.attractor_interval(zs) for zs in self.zero_sets))
+
+    def limits(self, x0):
+        """Predicted limit vector, one scalar classification per coordinate."""
+        d = len(self.zero_sets)
+        if len(x0) != d:
+            raise ValueError(f"x0 has length {len(x0)}, field dimension is {d}")
+        # No field: classify_limit reads the signs from the zero set alone.
+        return tuple(sa.classify_limit(None, zs, eta) for zs, eta in zip(self.zero_sets, x0))
 
 
 def _box_points(box, n_samples, seed):
@@ -131,27 +136,29 @@ def _box_points(box, n_samples, seed):
     return np.random.default_rng(seed).uniform(lo, hi, size=(n_samples, len(box)))
 
 
-def _sample_h(tf, i, box, n_samples, params):
-    """Sample h_i over the box; h_1 is constant and takes one point."""
+def _sample_h(tf, i, box, n_samples):
+    """Points of the box and h_i at them; h_1 is constant and takes one point."""
     pts = _box_points(box, n_samples if i else 1, 20_240_801 + i)
-    return eval_points(tf.h_field(), pts, params)[:, i]
+    return pts, eval_points(tf.h_field(), pts)[:, i]
 
 
-def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a=None, b=None):
+def validate_triangular(tf: TriangularField, box=None, n_samples=2000, a=None, b=None):
     """Check that every h_i is bounded away from zero with constant sign on
-    the box, that the assembled field is dissipative there, and that every
-    f_i is hyperbolic at its zeros."""
-    params = tuple(params if params is not None else ())
+    the box (by default [-10, 10]^d), that the assembled field is dissipative
+    there, and that every f_i is hyperbolic at its zeros."""
+    if box is None:
+        box = [(-10.0, 10.0)] * tf.dimension
     signs, min_abs = [], []
     for i in range(tf.dimension):
-        vals = _sample_h(tf, i, box, n_samples, params)
-        worst = float(np.min(np.abs(vals)))
+        pts, vals = _sample_h(tf, i, box, n_samples)
+        k = int(np.argmin(np.abs(vals)))
+        worst = float(abs(vals[k]))
         if worst <= H_VANISHING_FLOOR or np.min(vals) * np.max(vals) < 0:
-            idx = int(np.argmin(np.abs(vals)))
+            witness = tuple(pts[k].tolist())
             raise TriangularValidationError(
                 f"h_{i + 1} vanishes or changes sign on the box "
-                f"(|h| reaches {worst:.3g})",
-                witness=idx,
+                f"(|h| reaches {worst:.3g}) at x={witness}",
+                witness=witness,
             )
         signs.append(1 if float(vals[0]) > 0 else -1)
         min_abs.append(worst)
@@ -159,30 +166,22 @@ def validate_triangular(tf: TriangularField, box, n_samples=2000, params=None, a
     cert = None
     if a is not None and b is not None:
         cert = sa.certify_h1(tf.assembled(), a, b, _box_points(box, n_samples, 977),
-                             tuple(map(tuple, box)), params)
+                             tuple(map(tuple, box)))
 
-    zero_sets = [sa.find_zeros(tf.signed_scalar_factor(i, s), box[i], params=params)
-                 for i, s in enumerate(signs)]
+    # sign(h_i) * f_i has the zeros of f_i (the scan tests only signs) and
+    # the derivatives sign(h_i) * f_i'.
+    zero_sets = []
+    for i, s in enumerate(signs):
+        zs = sa.find_zeros(tf.scalar_factor(i), box[i])
+        zero_sets.append(replace(zs, derivs=tuple(s * d for d in zs.derivs)))
     return TriangularReport(tuple(signs), tuple(min_abs), cert, tuple(zero_sets))
 
 
-def product_attractor(tf: TriangularField, box=None, params=None) -> ProductAttractor:
-    """The product of the per-coordinate attractor intervals of the f_i."""
-    params = tuple(params if params is not None else ())
-    if box is None:
-        box = [(-10.0, 10.0)] * tf.dimension
-    report = validate_triangular(tf, box, params=params)
-    intervals = tuple(sa.attractor_interval(zs) for zs in report.zero_sets)
-    return ProductAttractor(intervals)
+def product_attractor(tf: TriangularField, box=None) -> ProductAttractor:
+    """The product of the per-coordinate attractor intervals of the sign(h_i) * f_i."""
+    return validate_triangular(tf, box).attractor()
 
 
-def componentwise_limits(tf: TriangularField, x0, box=None, params=None):
+def componentwise_limits(tf: TriangularField, x0, box=None):
     """Predicted limit vector, one scalar classification per coordinate."""
-    if len(x0) != tf.dimension:
-        raise ValueError(f"x0 has length {len(x0)}, field dimension is {tf.dimension}")
-    params = tuple(params if params is not None else ())
-    if box is None:
-        box = [(-10.0, 10.0)] * tf.dimension
-    report = validate_triangular(tf, box, params=params)
-    return tuple(sa.classify_limit(tf.signed_scalar_factor(i, s), zs, x0[i], params)
-                 for i, (s, zs) in enumerate(zip(report.h_signs, report.zero_sets)))
+    return validate_triangular(tf, box).limits(x0)

@@ -378,6 +378,23 @@ class TestFieldFlags:
         assert doc["attractor_box"] == [[iv.lo, iv.hi]
                                         for iv in product_attractor(tf, box).intervals]
 
+    @pytest.mark.parametrize("call", [
+        lambda: run("triangular", "--catalog", "fig2", "--x0", "0.5,-0.3"),
+        lambda: verification.run_check("triangular", "componentwise_limits_fig2"),
+    ], ids=["cli_triangular", "componentwise_limits_fig2"])
+    def test_one_validation_per_call(self, monkeypatch, call):
+        # One validate_triangular scans each coordinate's factor once.
+        calls = [0]
+        original = sa.find_zeros
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "find_zeros", counting)
+        call()
+        assert calls[0] == 2
+
     def test_heteroclinic_orbit(self, tmp_path):
         out = tmp_path / "orbit.csv"
         proc = run("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",

@@ -5,8 +5,10 @@ import pytest
 
 from fracdyn import CaputoProblem, solve_pece
 from fracdyn import field_expr
+from fracdyn import scalar_analysis as sa
+from fracdyn import triangular_systems as tri
 from fracdyn.catalog import get
-from fracdyn.field_expr import parse_expr
+from fracdyn.field_expr import FieldDef, Neg, eval_points, parse_expr
 from fracdyn.triangular_systems import (
     TriangularField,
     TriangularValidationError,
@@ -91,6 +93,19 @@ class TestValidation:
         with pytest.raises(TriangularValidationError):
             validate_triangular(tf, BOX2)
 
+    def test_witness_is_the_sampled_point_nearest_a_root_of_h(self):
+        tf = make_tf(["1", "x"], ["x*(1 - x^2)", "y*(1 - y^2)"])
+        with pytest.raises(TriangularValidationError) as err:
+            validate_triangular(tf, BOX2)
+        witness = err.value.witness
+        assert isinstance(witness, tuple) and len(witness) == 2
+        assert all(lo <= c <= hi for c, (lo, hi) in zip(witness, BOX2))
+        _, vals = tri._sample_h(tf, 1, BOX2, 2000)
+        worst = np.min(np.abs(vals))
+        assert abs(eval_points(tf.h_field(), np.array([witness]))[0, 1]) == worst
+        assert str(err.value) == (f"h_2 vanishes or changes sign on the box "
+                                  f"(|h| reaches {worst:.3g}) at x={witness}")
+
     def test_vanishing_prefactor_rejected(self):
         tf = make_tf(["0", "1 + x^2"], ["x*(1 - x^2)", "y*(1 - y^2)"])
         with pytest.raises(TriangularValidationError):
@@ -123,6 +138,24 @@ class TestProductAttractor:
         assert report.h_signs == (1, -1)
         limits = componentwise_limits(tf, (0.5, 0.5), BOX2)
         assert limits[1] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSignedZeroSets:
+    @pytest.mark.parametrize("tf, signs", [
+        (make_tf(["1", "-1 - x^2"], ["x*(1 - x^2)", "y - y^3"]), (1, -1)),
+        (get("fig2").fld, (1, 1)),
+    ], ids=["negative_h2", "fig2"])
+    def test_sign_flip_is_exact(self, tf, signs):
+        # The zero set of sign(h_i) * f_i is f_i's, with g' multiplied by the
+        # sign: equal, bit for bit, to a scan of the negated factor.
+        report = validate_triangular(tf, BOX2)
+        assert report.h_signs == signs
+        for i, sign in enumerate(signs):
+            f = tf.scalar_factor(i)
+            expect = sa.find_zeros(f if sign > 0 else FieldDef(1, (Neg(f.components[0]),)),
+                                   BOX2[i])
+            assert report.zero_sets[i].zeros == expect.zeros
+            assert report.zero_sets[i].derivs == expect.derivs
 
 
 class TestComponentwiseLimits:
