@@ -8,16 +8,21 @@ on a uniform grid by product integration (Diethelm, Ford & Freed 2002)
 with g linear on each step (the trapezoid rule), which makes each step an
 implicit equation x = b + w*g(x).  The corrector solves it by Newton's
 method with the field's exact Jacobian (Garrappa 2018, Mathematics 6:16),
-which needs no predictor: it starts from the linear extrapolation
-2*x(m-1) - x(m-2) of the last two states, and at the first step from the
-explicit step b + w*g(x(m-1)).  Iterations evaluate g and, until the
-residual is at most CORRECTOR_TOL after at least one Newton update, the
-nonzero entries of J, so a smooth scalar field takes about 2 evaluations
-of g and 1 of g' per step.  A step that does not converge within
-CORRECTOR_MAX_ITER iterations (where the equation has no real root, as on
-the way to a blow-up) keeps the explicit step and is counted in
-`SolverMeta.unconverged_steps`.  The history sums are split by the lag
-(Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532;
+which needs no predictor.  Each step starts with one chord update of the
+last state x(m-1) by a kept Jacobian J*, the simplified Newton step of
+stiff ODE codes (Hairer & Wanner 1996, Solving ODEs II, IV.8), which
+reuses the stored g(x(m-1)) and evaluates nothing.  J* is evaluated at the
+state before each leaf's first step and renewed by every later evaluation
+of J.  Where J fails or I - w*J has a zero pivot there, and after a step
+that keeps the explicit step, J* = 0 and the next start is the explicit
+step b + w*g(x(m-1)).  The step evaluates g there, and while the residual
+exceeds CORRECTOR_TOL, J and g at each Newton iterate.  J* changes little
+along a smooth path, so the cubic takes about 1.07 evaluations of g and
+0.07 of g' per step.  A step that does not converge
+within CORRECTOR_MAX_ITER evaluations of g (where the equation has no
+real root, as on the way to a blow-up) keeps the explicit step and is
+counted in `SolverMeta.unconverged_steps`.  The history sums are split by
+the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532;
 Garrappa 2018): older leaves of LEAF nodes enter in FFT blocks, so that a
 solve of N steps costs O(N log^2 N).  Inside its own leaf, a step takes
 its history by sub-blocks of SUB nodes: one np.correlate per component,
@@ -108,11 +113,13 @@ class CaputoProblem:
 @dataclass
 class SolverMeta:
     """What one solve did: iterations and residual are the maxima over steps,
-    newton_iterations the sum of iterations over steps (newton_iterations /
-    steps is the mean per step), field_evals counts whole-field evaluations
-    of g and jacobian_evals those of J's nonzero entries, and
-    unconverged_steps the steps whose Newton corrector took no update or
-    missed CORRECTOR_TOL and kept the explicit step."""
+    newton_iterations the sum of iterations (evaluations of g after the
+    chord start and after each Newton update) over steps (newton_iterations
+    / steps is the mean per step), field_evals counts whole-field
+    evaluations of g and jacobian_evals those of J's nonzero entries, one
+    per leaf for its kept J and one per Newton update, and
+    unconverged_steps the steps whose corrector missed CORRECTOR_TOL and
+    kept the explicit step."""
 
     corrector_iterations: int = 0
     max_residual: float = 0.0
@@ -192,36 +199,41 @@ def _jacobian(fld):
 
 
 def _elimination(pattern):
-    """Source lines that overwrite r0..r(d-1) with the solution of
-    (I - w*J) delta = r, given J's nonzero entries in e0, e1, ...
+    """Source lines that solve (I - w*J) delta = r, given J's nonzero entries
+    in e0, e1, ...: (factor, solve).  factor writes the factors of I - w*J
+    into a{k}_{i}; solve overwrites r0..r(d-1) with delta from them, so that
+    the factors of one J serve any number of right-hand sides.
 
     Elimination without pivoting that touches only entries that are not
     structurally zero: row k is divided by its pivot, then subtracted from the
-    rows below, and the upper part is substituted back.  A lower triangular J
-    leaves forward substitution; a zero pivot raises ZeroDivisionError.
+    rows below, and the upper part is substituted back.  A step of solve reads
+    only factors that are final, which is why the two can run apart.  A lower
+    triangular J leaves forward substitution; solve raises ZeroDivisionError
+    at a zero pivot.
     """
     d = len(pattern)
-    lines, a = [], set()  # (k, i) of the nonzero entries; a missing diagonal is 1
+    factor, solve, a = [], [], set()  # (k, i) of the nonzero entries; a missing diagonal is 1
     for n, (k, i) in enumerate((k, i) for k in range(d) for i in range(d) if pattern[k][i]):
         a.add((k, i))
-        lines.append(f"a{k}_{i} = {'1.0 - ' if k == i else '-'}w * e{n}")
+        factor.append(f"a{k}_{i} = {'1.0 - ' if k == i else '-'}w * e{n}")
     for k in range(d):
         upper = [j for j in range(k + 1, d) if (k, j) in a]
         if (k, k) in a:
-            lines += [f"r{k} /= a{k}_{k}", *(f"a{k}_{j} /= a{k}_{k}" for j in upper)]
+            solve.append(f"r{k} /= a{k}_{k}")
+            factor += [f"a{k}_{j} /= a{k}_{k}" for j in upper]
         for i in range(k + 1, d):
             if (i, k) not in a:
                 continue
-            lines.append(f"r{i} -= a{i}_{k} * r{k}")
+            solve.append(f"r{i} -= a{i}_{k} * r{k}")
             for j in upper:
                 if (i, j) in a:
-                    lines.append(f"a{i}_{j} -= a{i}_{k} * a{k}_{j}")
+                    factor.append(f"a{i}_{j} -= a{i}_{k} * a{k}_{j}")
                 else:  # fill-in
                     a.add((i, j))
-                    lines.append(f"a{i}_{j} = {'1.0 - ' if i == j else '-'}a{i}_{k} * a{k}_{j}")
+                    factor.append(f"a{i}_{j} = {'1.0 - ' if i == j else '-'}a{i}_{k} * a{k}_{j}")
     for k in reversed(range(d)):
-        lines += [f"r{k} -= a{k}_{j} * r{j}" for j in range(k + 1, d) if (k, j) in a]
-    return lines
+        solve += [f"r{k} -= a{k}_{j} * r{j}" for j in range(k + 1, d) if (k, j) in a]
+    return factor, solve
 
 
 @lru_cache(maxsize=None)
@@ -247,20 +259,27 @@ def _corrector(pattern):
     w1*q(t-1) + ... + wt*q0 (the lag weights are read once per call), then
     that sum to H{i}_t and the result to c{t}_i.  Every body from 1 on ends
     the leaf first if m is past its last node.  Node 0, body 0 of leaf 0,
-    holds the initial state and is not solved.  Newton's method starts from
-    the linear extrapolation 2*x(m-1) - x(m-2), or at m = 1 (body 1 of
-    leaf 0) from the explicit step b + w*g(x(m-1)).  Its first iteration is
-    peeled: g and F are evaluated at the start, then each pass of the loop
-    evaluates J's nonzero entries (the lambdas jac), steps by
-    (I - w*J) delta = F, and evaluates g and F at the result, until
-    max|F| <= CORRECTOR_TOL (a nan F does not stop it), so that a step is
-    accepted only after at least one Newton update.  max|F| is taken by
-    comparisons, without a call of abs().  After CORRECTOR_MAX_ITER
-    evaluations, a zero pivot or a failing entry of J, the step keeps the
-    explicit step, evaluates g there and counts as unconverged.  The limits
-    and ESCAPE_THRESHOLD are read once per call.  g(x) then goes to
-    fvals[m] and x to states[m] unless it leaves +-ESCAPE_THRESHOLD.  fns
-    are the field's compiled() components.
+    holds the initial state and is not solved.  The kept Jacobian J* is
+    J's nonzero entries e0, e1, ... (the lambdas jac) at their latest
+    evaluation, at x(s - 1) (x(0) for leaf 0) when the call starts, then at
+    each Newton iterate, and it is kept as the factors of I - w*J* (see
+    _elimination).  A leaf-start evaluation that fails, or whose elimination
+    meets a zero pivot, leaves J* = 0, and so does every step that keeps its
+    explicit step, so that the factors never hold a zero pivot and a nan
+    Newton iterate does not outlive its step.  A step starts with the chord
+    update x = x(m-1) - delta, where (I - w*J*) delta = x(m-1) - b -
+    w*g(x(m-1)) takes the stored g(x(m-1)) and the kept factors; with
+    J* = 0 it is the explicit step b + w*g(x(m-1)).  It evaluates g and
+    F = x - b - w*g(x) there, then while max|F| > CORRECTOR_TOL (a nan F
+    does not stop it) each pass of Newton's loop evaluates J, steps by
+    (I - w*J) delta = F and evaluates g and F at the result, so that a step
+    is accepted only after at least one update.  max|F| is taken by
+    comparisons, without a call of abs().
+    After CORRECTOR_MAX_ITER evaluations of g, a zero pivot or a failing
+    entry of J, the step keeps the explicit step, evaluates g there and
+    counts as unconverged.  The limits and ESCAPE_THRESHOLD are read once
+    per call.  g(x) then goes to fvals[m] and x to states[m] unless it
+    leaves +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
 
     counts holds SolverMeta's fields but steps, in order: max iterations,
     max residual (max|F| at a step's last iterate), evaluations of g,
@@ -274,7 +293,10 @@ def _corrector(pattern):
     comps = range(d)
     n_jac = sum(map(sum, pattern))
     counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
-    solve = [f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)] + _elimination(pattern)
+    factor, solve = _elimination(pattern)
+    renew = [f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)] + factor + solve
+    # J* = 0, whose factors make the chord start the explicit step.
+    zero = [f"{' = '.join(f'e{n}' for n in range(n_jac))} = 0.0", *factor] if n_jac else []
 
     def names(fmt, *args):
         return ", ".join(fmt.format(*args, i) for i in comps) + ","  # a tuple also for d = 1
@@ -284,13 +306,14 @@ def _corrector(pattern):
 
     def body(t):
         """The lines that solve node m0 + t and write it out."""
-        before, twice = (t - 1) % SUB, (t - 2) % SUB
+        before = (t - 1) % SUB
         lines = ["m += 1", "if m >= e:", "    break"] if t else []
         for i in comps:
             own = " + ".join(f"w{lag} * q{t - lag}_{i}" for lag in range(1, t + 1))
             lines.append(f"b{i} = c{t}_{i} + " + (f"(H{i}_{t} + ({own}))" if t else f"H{i}_0"))
+        chord = [*(f"r{i} = x{before}_{i} - b{i} - w * q{before}_{i}" for i in comps),
+                 *solve, *(f"x{t}_{i} = x{before}_{i} - r{i}" for i in comps)]
         explicit = [f"x{t}_{i} = b{i} + w * q{before}_{i}" for i in comps]
-        extrapolated = [f"x{t}_{i} = 2.0 * x{before}_{i} - x{twice}_{i}" for i in comps]
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
         evaluate = ["evals += 1", f"pt = {names('x{}_{}', t)}",
                     *(f"q{t}_{i} = float(f{i}(pt, p))" for i in comps)]
@@ -299,7 +322,7 @@ def _corrector(pattern):
         for i in comps[1:]:
             residual += [f"r = r{i} if r{i} >= 0.0 else -r{i}",
                          "if r > residual or r != r:", "    residual = r"]
-        newton = ["jevals += 1", "try:", *indent(solve or ["pass"]),
+        newton = ["jevals += 1", "try:", *indent(renew or ["pass"]),
                   "except (ArithmeticError, ValueError, TypeError):", "    break",
                   *(f"x{t}_{i} -= r{i}" for i in comps), "iters += 1"]
         if d == 1:
@@ -308,15 +331,14 @@ def _corrector(pattern):
             stores, index = [f"j = {d} * m"], "j + {}"
         in_range = " and ".join(f"-big <= x{t}_{i} <= big" for i in comps)
         lines += [
-            *(["if m0:", *indent(extrapolated), "else:  # m = 1", *indent(explicit)]
-              if t == 1 else extrapolated),
+            *chord,
             *evaluate,
             *residual,
             "iters = 1",
-            "while iters < cap:",
-            *indent(newton + evaluate + residual + ["if residual <= tol:", "    break"]),
-            "if not (residual <= tol and iters > 1):  # keep the explicit step",
-            *indent(explicit + evaluate + ["unconverged += 1"]),
+            "while not residual <= tol and iters < cap:  # a nan residual goes on",
+            *indent(newton + evaluate + residual),
+            "if not residual <= tol:  # keep the explicit step",
+            *indent(zero + explicit + evaluate + ["unconverged += 1"]),
             "total += iters",
             "if iters > max_iters:",
             "    max_iters = iters",
@@ -344,13 +366,20 @@ def _corrector(pattern):
         f"    {', '.join(f'w{lag}' for lag in range(1, SUB))}, = W[N - 1 : N - {SUB} : -1].tolist()",
         # The leaf's first sub-block has no earlier one.
         f"    {' = '.join(f'H{i}_{t}' for i in comps for t in range(SUB))} = 0.0",
-        "    if s:  # the two states and the g value that the leaf's first body reads",
-        f"        ({names('x{}_{}', SUB - 2)}), ({names('x{}_{}', SUB - 1)}) = "
-        "states[s - 2 : s].tolist()",
+        "    if s:  # the state and the g value that the leaf's first body reads",
+        f"        {names('x{}_{}', SUB - 1)} = states[s - 1].tolist()",
         f"        {names('q{}_{}', SUB - 1)} = fvals[s - 1].tolist()",
         "    else:  # node 0",
         f"        {names('x{}_{}', 0)} = states[0].tolist()",
         f"        {names('q{}_{}', 0)} = fvals[0].tolist()",
+        f"    pt = ({names('x{}_{}', SUB - 1)}) if s else ({names('x{}_{}', 0)})",
+        # J* at the state before the leaf's first step, or 0 where J fails there.
+        f"    {' = '.join(f'r{i}' for i in comps)} = 0.0",
+        "    jevals += 1",
+        "    try:",
+        *indent(renew or ["pass"], 2),
+        "    except (ArithmeticError, ValueError, TypeError):",
+        *indent(zero or ["pass"], 2),
         # The offsets, with zeros past the leaf's end for a last sub-block that is not full.
         f"    cs = xb[s:e].ravel().tolist() + [0.0] * {d * (SUB - 1)}",
         "    try:",

@@ -13,6 +13,8 @@ constructible gamma, and the long-time rate is t^(-alpha).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -274,9 +276,20 @@ def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
         warnings.warn(
             f"found an even number of zeros ({len(zeros)}); "
             "the scan interval may clip the zero set",
-            stacklevel=2,
+            stacklevel=_caller_outside_package(),
         )
     return ZeroSet(tuple(zeros), tuple(derivs))
+
+
+def _caller_outside_package():
+    """The stacklevel at which a warning raised by this function's caller
+    names the first frame outside the fracdyn package, however many of the
+    package's own calls lie between it and that frame."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def attractor_interval(zs: ZeroSet) -> AttractorInterval:

@@ -269,22 +269,23 @@ def _eliminate(A, r):
 
 
 def _newton(x, explicit, base, w, evaluate, jacobian):
-    """Newton's method on F(x) = x - base - w*g(x) from the start x; a step is
-    accepted at max|F| <= CORRECTOR_TOL only after at least one Newton update.
-    A step that is not accepted within CORRECTOR_MAX_ITER iterations, or meets
-    a zero pivot or a failing J, keeps the explicit step.  Returns
-    (x, g(x), iterations, residual at the last iterate, accepted)."""
+    """Newton's method on F(x) = x - base - w*g(x) from the start x, itself an
+    update of the step's last state; a step is accepted at max|F| <=
+    CORRECTOR_TOL.  A step that is not accepted within CORRECTOR_MAX_ITER
+    evaluations of g, or meets a zero pivot or a failing J, keeps the
+    explicit step.  Returns (x, g(x), iterations, residual at the last
+    iterate, accepted)."""
     for iters in range(1, CORRECTOR_MAX_ITER + 1):
         g = evaluate(x)
         F = x - base - w * g
         residual = float(np.max(np.abs(F)))
-        if residual <= CORRECTOR_TOL and iters > 1 or iters == CORRECTOR_MAX_ITER:
+        if residual <= CORRECTOR_TOL or iters == CORRECTOR_MAX_ITER:
             break
         try:
             x = x - _eliminate(np.eye(len(x)) - w * jacobian(x), F)
         except (ArithmeticError, ValueError, TypeError):
             break
-    accepted = residual <= CORRECTOR_TOL and iters > 1
+    accepted = residual <= CORRECTOR_TOL
     if not accepted:
         x = explicit
         g = evaluate(x)
@@ -343,9 +344,12 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     node, node 0 included, whose trapezoid weight the corrector's offset
     takes back out.  The sum, split by sub-blocks of SUB nodes aligned at
     node 0, is the earlier sub-blocks' sum plus that of the node's own
-    sub-block.  Newton starts from the explicit step base + w*g(x(n)) at the
-    first step and from 2*x(n) - x(n-1) after it; an unconverged step keeps
-    the explicit step.
+    sub-block.  Newton starts from the chord update of x(n) with the kept
+    Jacobian J*: x(n) - (I - w*J*)^-1 (x(n) - base - w*g(x(n))).  J* is
+    evaluated at the state before each leaf's first step and renewed by
+    every evaluation of J.  Where J fails there or I - w*J has a zero pivot,
+    and after an unconverged step, which keeps the explicit step, J* = 0, so
+    that the next start is the explicit step.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
     far, near = _weights(alpha, max(N, 1))
@@ -367,6 +371,7 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     eval_fns = fld.compiled()
     jac_fns = [fld.derivative(i).compiled() for i in range(d)]
     last = [None]  # the point of the latest evaluation of g
+    kept = [None]  # J*
 
     def evaluate(x):
         meta.field_evals += 1
@@ -377,8 +382,9 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
     def jacobian(x):
         meta.jacobian_evals += 1
         xs = x.tolist()
-        return np.asarray([[float(jac_fns[i][k](xs, params)) for i in range(d)]
-                           for k in range(d)])
+        kept[0] = np.asarray([[float(jac_fns[i][k](xs, params)) for i in range(d)]
+                              for k in range(d)])
+        return kept[0]
 
     eval_points(fld, states[:1], params)
     fvals[0] = evaluate(states[0])
@@ -390,7 +396,13 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
             base = ((forcing[n + 1] + node0[n + 1] * fvals[0])
                     + (earlier[t] + _own_sub_block(padded, fvals, n + 1)))
             explicit = base + w_self * fvals[n]
-            x = 2.0 * states[n] - states[n - 1] if n else explicit
+            if not (n and (n + 1) % LEAF):  # a leaf's first step: J* at x(n)
+                try:
+                    _eliminate(np.eye(d) - w_self * jacobian(states[n]), np.zeros(d))
+                except (ArithmeticError, ValueError, TypeError):
+                    kept[0] = np.zeros((d, d))
+            x = states[n] - _eliminate(np.eye(d) - w_self * kept[0],
+                                       states[n] - base - w_self * fvals[n])
             try:
                 x, fvals[n + 1], iters, residual, accepted = corrector(
                     x, explicit, base, w_self, evaluate, jacobian)
@@ -398,6 +410,8 @@ def _reference_pece_loop(alpha, fld, params, forcing, dt, corrector=_newton):
                 meta.newton_iterations += iters
                 meta.max_residual = max(meta.max_residual, residual)
                 meta.unconverged_steps += not accepted
+                if not accepted:
+                    kept[0] = np.zeros((d, d))
                 escaped = not np.max(np.abs(x)) <= ESCAPE_THRESHOLD
             except (ArithmeticError, ValueError, TypeError):
                 x, escaped = last[0], True
@@ -424,6 +438,8 @@ KERNEL_CASES = {  # alpha, field, params, x0, t_end, dt
     "stiff_capped": (0.3, CUBIC, (), (2.0,), 50.0, 0.05),
     "overflow_escape": (0.5, FieldDef.parse(["x*x*x*x*x*x*x*x"]), (), (2.0,), 5.0, 0.01),
     "complex_mid_solve": (0.5, FieldDef.parse(["-1 - x^0.5"]), (), (0.5,), 2.0, 0.1),
+    # g' raises ZeroDivisionError at x0 = 0: the kept J starts as 0.
+    "jacobian_fails_at_x0": (0.6, FieldDef.parse(["1 - x^0.5"]), (), (0.0,), 10.0, 0.01),
     "nan_in_one_component": (0.5, NAN_IN_Y, (), (1.0, 3.0), 1.0, 0.01),
     # J's diagonal is structurally zero: elimination fills in the (1, 1) pivot.
     "rotation_zero_diagonal": (0.7, FieldDef.parse(["y", "-x"]), (), (1.0, 0.0), 2.0, 0.01),
@@ -670,10 +686,10 @@ class TestSubBlockKernel:
         assert traj.meta.max_residual == pytest.approx(ref.meta.max_residual, rel=1e-9)
 
     def test_every_body_keeps_its_explicit_step(self, monkeypatch):
-        # With one iteration no step converges, so each body of the solve's
-        # sub-blocks, the last one short, falls back to its explicit step.
-        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
-        monkeypatch.setitem(_newton.__globals__, "CORRECTOR_MAX_ITER", 1)
+        # Below a negative tolerance no step converges, so each body of the
+        # solve's sub-blocks, the last one short, falls back to its explicit step.
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", -1.0)
+        monkeypatch.setitem(_newton.__globals__, "CORRECTOR_TOL", -1.0)
         alpha, fld, params, x0, t_end, dt = _leaf_case(3 * SUB + 5)
         traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
         assert traj.meta.unconverged_steps == traj.meta.steps == 3 * SUB + 4
@@ -699,29 +715,30 @@ class TestSolverStats:
         return fld, calls
 
     def test_converging_solve(self):
-        # g is linear, so one Newton step solves each step's equation: per step
-        # g at the start, J once, and g at the root.
+        # g is linear, so the chord start with J, kept from the leaf's start,
+        # solves each step's equation: per step one evaluation of g, at the root.
         fld, calls = self.counted(["-x"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (1.0,), 5.0, 0.01))
         assert traj.meta.steps == 500
         assert traj.meta.unconverged_steps == 0
         assert traj.meta.max_residual <= CORRECTOR_TOL
-        assert traj.meta.corrector_iterations == 2
-        assert traj.meta.field_evals == calls[0] == 1 + 2 * 500
-        assert traj.meta.jacobian_evals == calls[1] == 500
-        assert traj.meta.newton_iterations == 2 * 500
+        assert traj.meta.corrector_iterations == 1
+        assert traj.meta.field_evals == calls[0] == 1 + 500
+        assert traj.meta.jacobian_evals == calls[1] == 1
+        assert traj.meta.newton_iterations == 500
 
-    def test_extrapolated_start_takes_one_newton_step(self):
-        # From 2*x(m-1) - x(m-2), within O(dt^2) of the root, one Newton update
-        # meets CORRECTOR_TOL on almost every step of the cubic.
-        traj = solve_pece(CaputoProblem(0.6, CUBIC, (), (2.0,), 1000.0, 0.01))
-        meta = traj.meta
+    def test_kept_jacobian_takes_one_evaluation_per_step(self):
+        # J is evaluated once per leaf, at its start, and not carried over.
+        meta = solve_pece(CaputoProblem(0.5, LINEAR, (), (1.0,), 30.0, 0.01)).meta
+        assert meta.steps == 3000 and -(-3001 // LEAF) == 3
+        assert (meta.field_evals, meta.jacobian_evals, meta.newton_iterations) == (3001, 3, 3000)
+        # On the cubic the chord start meets CORRECTOR_TOL on most steps, and
+        # J is renewed only where it does not.
+        meta = solve_pece(CaputoProblem(0.6, CUBIC, (), (2.0,), 1000.0, 0.01)).meta
         assert meta.steps == 100_000 and meta.unconverged_steps == 0
         assert meta.max_residual <= CORRECTOR_TOL
-        assert meta.field_evals / meta.steps <= 2.1
-        assert meta.jacobian_evals / meta.steps <= 1.1
-        assert 2.0 <= meta.newton_iterations / meta.steps <= 2.1
-        assert meta.field_evals == 1 + meta.newton_iterations  # no step kept its explicit step
+        assert meta.field_evals / meta.steps <= 1.1
+        assert meta.jacobian_evals / meta.steps <= 0.1
 
     def test_small_states_scale_with_the_initial_value(self):
         # x' = -x is linear, so the solve from 1e-20 is 1e-20 times the solve
@@ -745,8 +762,9 @@ class TestSolverStats:
         assert traj.meta.corrector_iterations < CORRECTOR_MAX_ITER
         assert traj.meta.field_evals == calls[0]
         assert traj.meta.jacobian_evals == calls[1]
-        # every step evaluates g once more than J
-        assert traj.meta.field_evals == 1 + 1000 + traj.meta.jacobian_evals
+        # every step evaluates g after its chord start and after each
+        # evaluation of J but the one at the leaf's start
+        assert traj.meta.field_evals == 1 + 1000 + traj.meta.jacobian_evals - 1
         assert traj.meta.field_evals / traj.meta.steps <= 5.0
 
     # Saddle draws at dt = 0.05 where x = b + w*(gamma - x^2) loses its real
@@ -772,13 +790,13 @@ class TestSolverStats:
         assert calls[1] == 4 * traj.meta.jacobian_evals  # J has no zero entry
 
     def test_unconverged_steps_keep_the_explicit_step(self, monkeypatch):
-        # With one iteration no step converges, so every step keeps the
-        # explicit step x(m) = b + w*g(x(m-1)).  For g = lam x, with
+        # Below a negative tolerance no step converges, so every step keeps
+        # the explicit step x(m) = b + w*g(x(m-1)).  For g = lam x, with
         # c = dt^alpha / Gamma(alpha) and g_k = g(x_k):
         #   x1 = x0 + c (far[1] + near[1]) g0 = x0 (1 + lam dt^alpha / Gamma(alpha + 1)),
         #   x2 = x0 + c (far[2] g0 + (near[2] + far[1] + near[1]) g1).
         alpha, dt, lam, x0 = 0.5, 0.1, -1.0, 1.0
-        monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", -1.0)
         fld = FieldDef.parse(["lam*x"], ("lam",))
         traj = solve_pece(CaputoProblem(alpha, fld, (lam,), (x0,), 2 * dt, dt))
         assert traj.meta.unconverged_steps == 2
@@ -797,13 +815,15 @@ class TestSolverStats:
         solve_pece(stiff)  # the corrector for this pattern exists before the patch
         calls[:] = [0, 0]
         monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 1)
+        monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", -1.0)
         traj = solve_pece(stiff)
-        # One iteration takes no Newton step: every step keeps its explicit step
-        # and evaluates g there a second time.
+        # One iteration takes no Newton step and no step meets a negative
+        # tolerance: every step keeps its explicit step and evaluates g there a
+        # second time, and J is evaluated only at the leaf's start.
         assert traj.meta.corrector_iterations == 1
         assert traj.meta.unconverged_steps == 1000
         assert traj.meta.field_evals == calls[0] == 1 + 1000 * 2
-        assert traj.meta.jacobian_evals == calls[1] == 0
+        assert traj.meta.jacobian_evals == calls[1] == 1
         monkeypatch.setattr(caputo_solver, "CORRECTOR_MAX_ITER", 10)
         monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", 1e-3)
         traj = solve_pece(CaputoProblem(0.5, fld, (), (0.5,), 1.0, 0.01))
@@ -814,10 +834,40 @@ class TestSolverStats:
         fld, calls = self.counted(["-1 - x^0.5"])
         traj = solve_pece(CaputoProblem(0.5, fld, (), (0.5,), 2.0, 0.1))
         assert traj.meta.steps == traj.escape_index == 1
-        # the start, then the first corrector evaluation, which fails
+        # g and J at the start, then g at the chord start, which fails
         assert traj.meta.field_evals == calls[0] == 2
-        assert traj.meta.jacobian_evals == calls[1] == 0
+        assert traj.meta.jacobian_evals == calls[1] == 1
         assert traj.meta.unconverged_steps == 0
+
+    def test_a_nan_iterate_does_not_outlive_its_step(self):
+        # One evaluation of g returns nan, so that step's next Newton iterate
+        # and J there are nan: the step keeps its explicit step and drops J*,
+        # and the steps after it converge again.
+        fld = FieldDef.parse(["x - x^3"])
+        fns = fld.compiled()
+        g, calls = fns[0], [0]
+
+        def poisoned(s, p):
+            calls[0] += 1
+            return math.nan if calls[0] == 100 else g(s, p)
+
+        fns[0] = poisoned
+        traj = solve_pece(CaputoProblem(0.6, fld, (), (2.0,), 10.0, 0.01))
+        assert traj.escape_index is None
+        assert traj.meta.unconverged_steps == 1
+        assert traj.meta.corrector_iterations == CORRECTOR_MAX_ITER  # the nan step's
+        calls[0] = 0
+        TestFloatKernel.assert_identical(
+            traj, _reference_pece_loop(0.6, fld, (), np.full((1001, 1), 2.0), 0.01))
+
+    def test_jacobian_failing_at_the_start_keeps_the_explicit_start(self):
+        # g' = -0.5 x^-0.5 raises ZeroDivisionError at x0 = 0, so the leaf's
+        # kept J is 0 and its first step starts from the explicit step.
+        fld = FieldDef.parse(["1 - x^0.5"])
+        traj = solve_pece(CaputoProblem(0.6, fld, (), (0.0,), 10.0, 0.01))
+        assert traj.escape_index is None and traj.meta.unconverged_steps == 0
+        # the endpoint of the solve that started from 2*x(m-1) - x(m-2)
+        assert traj.endpoint()[0] == pytest.approx(0.7809184519844313, abs=1e-9)
 
     def test_fixed_point_record(self):
         # The fixed-point corrector that Newton's method replaced: where it

@@ -112,6 +112,14 @@ class TestValidation:
             validate_triangular(tf, BOX2)
 
 
+    def test_zero_count_warning_names_the_caller(self):
+        # find_zeros warns from inside validate_triangular; the warning names
+        # the first line outside the package, here this test.
+        with pytest.warns(UserWarning, match="even number of zeros") as record:
+            validate_triangular(get("sec3text").fld)
+        assert [w.filename for w in record] == [__file__]
+
+
 class TestProductAttractor:
     def test_fig2_unit_box(self):
         attractor = product_attractor(get("fig2").fld, BOX2)
