@@ -22,6 +22,8 @@ __all__ = [
 
 FOLD_FIT_POINTS = 10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+GAMMA = "gamma"  # the swept parameter's name in a family's params
+MIDDLE_BRANCH_TOL = 0.05  # largest shift of the pitchfork's middle zero at the fold
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class BifurcationDiagram:
 
 
 def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
-          resolution=2000, base_params=(), gamma_param="gamma") -> BifurcationDiagram:
-    """Per-parameter zero scan; empty and degenerate zero sets are tolerated.
+          base_params=()) -> BifurcationDiagram:
+    """Per-parameter zero scan over GAMMA (base_params, or zeros, hold the
+    family's other parameters); empty and degenerate zero sets are tolerated.
 
     Every parameter value is scanned in one sa.scan_zero_sets call, and the
     derivatives at all zeros of all values come from one evaluation.
@@ -63,9 +66,9 @@ def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
     base = list(base_params) if base_params else [0.0] * len(family.params)
     param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))
-    if gamma_param in family.params:
-        param_sets[:, family.params.index(gamma_param)] = gammas
-    zero_sets = sa.scan_zero_sets(family, scan_interval, resolution, param_sets)
+    if GAMMA in family.params:
+        param_sets[:, family.params.index(GAMMA)] = gammas
+    zero_sets = sa.scan_zero_sets(family, scan_interval, param_sets)
     rows = np.repeat(np.arange(n_gammas), [len(zs) for zs in zero_sets])
     zeros = np.concatenate(zero_sets)
     dg = sa._scalar_fn(family.derivative(0), tuple(param_sets[rows].T))
@@ -145,21 +148,20 @@ def classify(diag: BifurcationDiagram) -> str:
     return "none"
 
 
-def _middle_branch_persists(diag, i_lo, i_hi, tol=0.05):
+def _middle_branch_persists(diag, i_lo, i_hi):
     pre = [p.zero for p in diag.points[i_lo]]
     if len(pre) != 1:
         return False
     post = sorted(p.zero for p in diag.points[i_hi])
     middle = post[len(post) // 2]
-    return abs(middle - pre[0]) <= tol
+    return abs(middle - pre[0]) <= MIDDLE_BRANCH_TOL
 
 
-def divergence_check(family: FieldDef, gamma, alpha, x0, t_end, dt=0.01,
-                     base_params=(), gamma_param="gamma") -> bool:
-    """True iff the trajectory escapes to -infinity before t_end."""
-    gi = family.params.index(gamma_param)
-    params = list(base_params) if base_params else [0.0] * len(family.params)
-    params[gi] = float(gamma)
+def divergence_check(family: FieldDef, gamma, alpha, x0, t_end, dt=0.01) -> bool:
+    """True iff the trajectory escapes to -infinity before t_end; the family's
+    parameters other than GAMMA are 0."""
+    params = [0.0] * len(family.params)
+    params[family.params.index(GAMMA)] = float(gamma)
     p = CaputoProblem(alpha, family, tuple(params), (float(x0),), t_end, dt)
     traj = solve_pece(p)
     return traj.escape_index is not None and traj.escape_sign < 0

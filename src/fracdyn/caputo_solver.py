@@ -72,6 +72,8 @@ SUB = 8
 
 #: Sentinel returned by convergence_order when all errors are at rounding level.
 EXACT_ORDER = "exact"
+#: Step halvings of convergence_order: errors at dt / 2^i, i < ORDER_LEVELS.
+ORDER_LEVELS = 4
 
 
 def check_grid(t_end, dt, names=("dt", "t_end")):
@@ -86,11 +88,12 @@ def check_grid(t_end, dt, names=("dt", "t_end")):
         )
 
 
-def check_solve(alpha, t_end, dt):
-    """The rules of every solve on [0, t_end]: 0 < alpha < 1 and check_grid's."""
+def check_solve(alpha, t_end, dt, names=("dt", "t_end")):
+    """The rules of every solve on [0, t_end]: 0 < alpha < 1 and check_grid's,
+    whose error calls dt and t_end by names."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    check_grid(t_end, dt)
+    check_grid(t_end, dt, names)
 
 
 @dataclass(frozen=True)
@@ -496,7 +499,8 @@ def _pece_loop(alpha, fld, params, forcing, dt):
 def solve_pece(p: CaputoProblem) -> Trajectory:
     """Solve the Caputo FDE with constant term x0 (integral form AIE)."""
     n_steps = int(round(p.t_end / p.dt))
-    forcing = np.tile(np.asarray(p.x0, dtype=float), (n_steps + 1, 1))
+    # A read-only view with stride 0 along the grid: _pece_loop only adds to it.
+    forcing = np.broadcast_to(np.asarray(p.x0, dtype=float), (n_steps + 1, len(p.x0)))
     return _pece_loop(p.alpha, p.fld, p.params, forcing, p.dt)
 
 
@@ -515,16 +519,14 @@ def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
     return _pece_loop(alpha, fld, params, forcing.at(times), dt)
 
 
-def convergence_order(p: CaputoProblem, levels: int = 4):
+def convergence_order(p: CaputoProblem):
     """Empirical order: least-squares slope of log(endpoint error) vs log(dt).
 
-    The reference is the same solver at dt / 2^levels; returns EXACT_ORDER
-    when every error sits at rounding level.
+    The reference is the same solver at dt / 2^ORDER_LEVELS; returns
+    EXACT_ORDER when every error sits at rounding level.
     """
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
-    ref_end = solve_pece(replace(p, dt=p.dt / 2**levels)).endpoint()
-    dts = [p.dt / 2**i for i in range(levels)]
+    ref_end = solve_pece(replace(p, dt=p.dt / 2**ORDER_LEVELS)).endpoint()
+    dts = [p.dt / 2**i for i in range(ORDER_LEVELS)]
     errs = [float(np.max(np.abs(solve_pece(replace(p, dt=dt)).endpoint() - ref_end)))
             for dt in dts]
     if max(errs) < 1e-14:

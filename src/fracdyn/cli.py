@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -240,8 +241,8 @@ def cmd_triangular(args, parser):
 
 def cmd_bifurcate(args, parser):
     custom = args.family == "custom"
-    if custom and "gamma" not in _parse_params(args.param)[0]:
-        args.param.insert(0, "gamma=0")  # the swept parameter, always declared
+    if custom and bif.GAMMA not in _parse_params(args.param)[0]:
+        args.param.insert(0, f"{bif.GAMMA}=0")  # the swept parameter, always declared
     fld, params, _ = _resolve_field(args, parser, None if custom else args.family,
                                     "a named --family")
     lo, _, rest = args.gamma_range.partition(":")
@@ -395,16 +396,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args, parser)
-    except BrokenPipeError:
-        # The reader of stdout left early (`--out - | head`): stop quietly.
-        # stdout goes to devnull, so that the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError,
-            MLConvergenceError, OSError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+    with warnings.catch_warnings():  # each warning the filters let through, as its message
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args, parser)
+        except BrokenPipeError:
+            # The reader of stdout left early (`--out - | head`): stop quietly.
+            # stdout goes to devnull, so that the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+        except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError,
+                MLConvergenceError, OSError) as exc:
+            parser.exit(2, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

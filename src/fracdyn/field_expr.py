@@ -437,13 +437,12 @@ class FieldDef:
                                      f"as params[{leaf.index}], but params are {self.params}")
 
     @classmethod
-    def parse(cls, sources, params=(), dimension=None):
-        """Build a field from component source strings."""
-        if isinstance(sources, str):
-            sources = [sources]
-        d = dimension if dimension is not None else len(sources)
-        comps = tuple(parse_expr(src, d, params) for src in sources)
-        return cls(d, comps, tuple(params))
+    def parse(cls, sources, params=()):
+        """Build a field from a list of component source strings, one per coordinate."""
+        if isinstance(sources, str):  # else each character would be a component
+            raise TypeError(f"FieldDef.parse takes a list of components, got {sources!r}")
+        d = len(sources)
+        return cls(d, tuple(parse_expr(src, d, params) for src in sources), tuple(params))
 
     def _keep(self, key, build):
         """build(), on the first call for key only; the result is kept."""

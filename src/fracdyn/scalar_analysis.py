@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo_solver import CaputoProblem, Trajectory, check_solve, solve_pece
+from .caputo_solver import CaputoProblem, Trajectory, check_grid, check_solve, solve_pece
 from .field_expr import FieldDef, eval_points
 from .mittag_leffler import ml_decay
 
@@ -51,6 +51,9 @@ __all__ = [
 H2_DERIVATIVE_FLOOR = 1e-6
 ZERO_BISECTION_WIDTH = 1e-12
 ENVELOPE_SLACK = 1e-3
+SCAN_RESOLUTION = 2000  # cells of the zero scan's uniform grid
+SAMPLES = 2000  # points of a sampled bound: H1 on an interval or a box, g' on a hull
+GAMMA_GRID_POINTS = 1000  # points of each grid gamma_rate_constant samples its slope on
 
 
 class DissipativityError(ValueError):
@@ -184,25 +187,21 @@ def certify_h1(fld, a, b, points, region, params=()):
     return DissipativityCertificate(a, b, region, worst)
 
 
-def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), n_samples=2000, params=()):
-    """Sample the bound g(x)*x <= a - b*x^2 on the scan interval.
+def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), params=()):
+    """Sample the bound g(x)*x <= a - b*x^2 at SAMPLES points of the scan interval.
 
     A failure outside the interval is not detectable here; a passing
     certificate is 'inconclusive beyond scan' by construction.
     """
-    if n_samples < 1000:
-        raise ValueError(f"need n_samples >= 1000, got {n_samples}")
-    xs = np.linspace(scan_interval[0], scan_interval[1], n_samples)
+    xs = np.linspace(scan_interval[0], scan_interval[1], SAMPLES)
     return certify_h1(fld, a, b, xs[:, None], tuple(scan_interval), params)
 
 
-def _scan_grid(scan_interval, resolution):
-    if resolution < 1000:
-        raise ValueError(f"need resolution >= 1000, got {resolution}")
+def _scan_grid(scan_interval):
     start, stop = (float(v) for v in scan_interval)
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
         raise ValueError(f"scan interval needs finite lo < hi, got {start}:{stop}")
-    return np.linspace(start, stop, resolution + 1)
+    return np.linspace(start, stop, SCAN_RESOLUTION + 1)
 
 
 def _grid_brackets(g, xs):
@@ -231,18 +230,18 @@ def _bisect(g, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-def scan_zeros(fld, scan_interval, resolution=2000, params=()):
+def scan_zeros(fld, scan_interval, params=()):
     """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
-    return scan_zero_sets(fld, scan_interval, resolution, [params])[0]
+    return scan_zero_sets(fld, scan_interval, [params])[0]
 
 
-def scan_zero_sets(fld, scan_interval, resolution, param_sets):
+def scan_zero_sets(fld, scan_interval, param_sets):
     """scan_zeros for every row of param_sets (k, n_params): k sorted lists.
 
     Each set's grid is evaluated on its own, and the bracketing cells of all
     sets are bisected together, each cell carrying its set's parameters.
     """
-    xs = _scan_grid(scan_interval, resolution)
+    xs = _scan_grid(scan_interval)
     param_sets = np.asarray(param_sets, dtype=float)
     found = [_grid_brackets(_scalar_fn(fld, tuple(p)), xs) for p in param_sets]
     counts = [len(cells) for _, cells, _ in found]
@@ -256,14 +255,14 @@ def scan_zero_sets(fld, scan_interval, resolution, param_sets):
             for (e, _, _), m in zip(found, np.split(mids, np.cumsum(counts)[:-1]))]
 
 
-def find_zeros(fld, scan_interval, resolution=2000, params=()) -> ZeroSet:
+def find_zeros(fld, scan_interval, params=()) -> ZeroSet:
     """Locate the zero set and the derivative at each zero.
 
     Raises DegenerateZeroError when |g'| at a zero is below H2_DERIVATIVE_FLOOR
     (H2 violation); warns when the count comes out even, which usually means
     the scan interval is too small.
     """
-    zeros = scan_zeros(fld, scan_interval, resolution, params)
+    zeros = scan_zeros(fld, scan_interval, params)
     derivs = _scalar_fn(fld.derivative(0), params)(zeros).tolist()
     for z, d in zip(zeros, derivs):
         if abs(d) < H2_DERIVATIVE_FLOOR:
@@ -303,7 +302,7 @@ def attractor_interval(zs: ZeroSet) -> AttractorInterval:
 # Decay envelopes
 
 
-def gamma_rate_constant(fld, x_star, eta, params=(), grid_points=1000):
+def gamma_rate_constant(fld, x_star, eta, params=()):
     """Explicit positive decay constant for the envelope toward x_star.
 
     Shift coordinates so the stable zero sits at 0, find the largest radius
@@ -328,14 +327,14 @@ def gamma_rate_constant(fld, x_star, eta, params=(), grid_points=1000):
 
     eps = abs(zeta) / 2.0
     while eps > 1e-12:
-        ws = np.linspace(-eps, eps, grid_points)
+        ws = np.linspace(-eps, eps, GAMMA_GRID_POINTS)
         if np.all(np.abs(f(ws)) >= half_slope * np.abs(ws)):
             break
         eps *= 0.5
     if zshift >= -eps:
         return half_slope
 
-    ws = np.linspace(zshift, -eps, grid_points)
+    ws = np.linspace(zshift, -eps, GAMMA_GRID_POINTS)
     fw = f(ws)
     if np.any(fw <= 0.0):
         raise DegenerateBasinError(
@@ -355,12 +354,11 @@ def _envelope_report(lhs, allowed, upper) -> EnvelopeReport:
     return EnvelopeReport(first_bad is None, worst, first_bad, ENVELOPE_SLACK)
 
 
-def envelope_check(traj: Trajectory, x_star, gamma_rate, eta=None) -> EnvelopeReport:
-    """Verify |x(t) - x_star| <= E_alpha(-gamma t^alpha) |eta - x_star| (1+slack)."""
+def envelope_check(traj: Trajectory, x_star, gamma_rate) -> EnvelopeReport:
+    """Verify |x(t) - x_star| <= E_alpha(-gamma t^alpha) |eta - x_star| (1+slack),
+    eta = x(0)."""
     x = traj.scalar()
-    if eta is None:
-        eta = float(x[0])
-    d0 = abs(eta - x_star)
+    d0 = abs(float(x[0]) - x_star)
     allowed = ml_decay(traj.alpha, gamma_rate, traj.times) * d0 * (1.0 + ENVELOPE_SLACK)
     return _envelope_report(np.abs(x - x_star), allowed, upper=True)
 
@@ -375,7 +373,7 @@ def lower_bound_check(traj: Trajectory, zs: ZeroSet, L) -> EnvelopeReport:
     return _envelope_report(zs.distance(x), allowed, upper=False)
 
 
-def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=(), n_samples=2000):
+def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=()):
     """max |g'| over the convex hull of {eta} and the attractor, inflated 10%."""
     lo = min(eta, zs.zeros[0])
     hi = max(eta, zs.zeros[-1])
@@ -383,7 +381,7 @@ def default_lipschitz_bound(fld, eta, zs: ZeroSet, params=(), n_samples=2000):
     half = 0.55 * (hi - lo)  # 10% inflation
     if half == 0.0:
         half = 0.1
-    xs = np.linspace(mid - half, mid + half, n_samples)
+    xs = np.linspace(mid - half, mid + half, SAMPLES)
     return float(np.max(np.abs(_scalar_fn(fld.derivative(0), params)(xs))))
 
 
@@ -481,16 +479,17 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
     return float(0.5 * (lo + hi))
 
 
-def heteroclinic_orbit(
-    fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt, params=(), tol=1e-8
-) -> HeteroclinicOrbit:
+def heteroclinic_orbit(fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt,
+                       params=()) -> HeteroclinicOrbit:
     """Numerical heteroclinic orbit through eta.
 
     The orbit joins the adjacent zeros around eta, running from the unstable
     one (t -> -inf) to the stable one.  ValueError when eta lies on a zero or
-    outside the attractor.
+    outside the attractor, or when a horizon breaks the grid rules (the error
+    names t_back or t_fwd).
     """
-    check_solve(alpha, t_back, dt)
+    check_solve(alpha, t_back, dt, names=("dt", "t_back"))
+    check_grid(t_fwd, dt, names=("dt", "t_fwd"))
     j = zs.open_interval(eta)
     if j is None:
         raise ValueError(f"eta={eta} is not strictly between adjacent zeros of {zs.zeros}")
@@ -500,17 +499,9 @@ def heteroclinic_orbit(
     source, target = (left, right) if g_positive else (right, left)
 
     fwd = solve_pece(CaputoProblem(alpha, fld, tuple(params), (eta,), t_fwd, dt))
-    horizons = []
-    h = t_back
-    while h >= max(dt, t_back / 64.0):
-        horizons.append(h)
-        h /= 2.0
-    back_times = []
-    back_values = []
-    for h in sorted(horizons, reverse=True):
-        zeta = backward_extend(fld, alpha, eta, h, dt, tol=tol, params=params, zs=zs)
-        back_times.append(-h)
-        back_values.append(zeta)
-    times = np.concatenate([np.asarray(back_times), fwd.times])
-    values = np.concatenate([np.asarray(back_values), fwd.scalar()])
+    # The horizons t_back, t_back / 2, ... down to t_back / 64, those >= dt.
+    horizons = [t_back / 2**k for k in range(7) if t_back / 2**k >= dt]
+    back = [backward_extend(fld, alpha, eta, h, dt, params=params, zs=zs) for h in horizons]
+    times = np.concatenate([-np.asarray(horizons), fwd.times])
+    values = np.concatenate([back, fwd.scalar()])
     return HeteroclinicOrbit(source, target, eta, times, values)

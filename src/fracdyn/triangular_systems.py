@@ -104,10 +104,8 @@ class TriangularField:
 class ProductAttractor:
     intervals: tuple  # one AttractorInterval per coordinate
 
-    def contains(self, x, slack=0.0):
-        return all(
-            iv.lo - slack <= xi <= iv.hi + slack for iv, xi in zip(self.intervals, x)
-        )
+    def contains(self, x):
+        return all(iv.lo <= xi <= iv.hi for iv, xi in zip(self.intervals, x))
 
 
 @dataclass(frozen=True)
@@ -130,27 +128,29 @@ class TriangularReport:
         return tuple(sa.classify_limit(None, zs, eta) for zs, eta in zip(self.zero_sets, x0))
 
 
-def _box_points(box, n_samples, seed):
-    """Seeded uniform draws over the box, one point per row."""
+def _box_points(box, n, seed):
+    """n seeded uniform draws over the box, one point per row."""
     lo, hi = np.asarray(box, dtype=float).T
-    return np.random.default_rng(seed).uniform(lo, hi, size=(n_samples, len(box)))
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n, len(box)))
 
 
-def _sample_h(tf, i, box, n_samples):
+def _sample_h(tf, i, box):
     """Points of the box and h_i at them; h_1 is constant and takes one point."""
-    pts = _box_points(box, n_samples if i else 1, 20_240_801 + i)
+    pts = _box_points(box, sa.SAMPLES if i else 1, 20_240_801 + i)
     return pts, eval_points(tf.h_field(), pts)[:, i]
 
 
-def validate_triangular(tf: TriangularField, box=None, n_samples=2000, a=None, b=None):
-    """Check that every h_i is bounded away from zero with constant sign on
-    the box (by default [-10, 10]^d), that the assembled field is dissipative
-    there, and that every f_i is hyperbolic at its zeros."""
+def validate_triangular(tf: TriangularField, box=None, a=None, b=None):
+    """Check that every h_i, at sa.SAMPLES points of the box (by default
+    [-10, 10]^d), is bounded away from zero with constant sign, and that
+    every f_i is hyperbolic at its zeros.  Dissipativity of the assembled
+    field is certified only when a and b are given; otherwise the report's
+    certificate is None."""
     if box is None:
         box = [(-10.0, 10.0)] * tf.dimension
     signs, min_abs = [], []
     for i in range(tf.dimension):
-        pts, vals = _sample_h(tf, i, box, n_samples)
+        pts, vals = _sample_h(tf, i, box)
         k = int(np.argmin(np.abs(vals)))
         worst = float(abs(vals[k]))
         if worst <= H_VANISHING_FLOOR or np.min(vals) * np.max(vals) < 0:
@@ -165,7 +165,7 @@ def validate_triangular(tf: TriangularField, box=None, n_samples=2000, a=None, b
 
     cert = None
     if a is not None and b is not None:
-        cert = sa.certify_h1(tf.assembled(), a, b, _box_points(box, n_samples, 977),
+        cert = sa.certify_h1(tf.assembled(), a, b, _box_points(box, sa.SAMPLES, 977),
                              tuple(map(tuple, box)))
 
     # sign(h_i) * f_i has the zeros of f_i (the scan tests only signs) and

@@ -109,12 +109,15 @@ SOLVE_ENTRY_POINTS = {
     "heteroclinic_orbit": lambda a, t, dt: sa.heteroclinic_orbit(
         CUBIC, a, CUBIC_ZEROS, 0.5, t, 1.0, dt),
 }
+# The name each entry point's grid error gives the horizon t.
+HORIZON_NAMES = {"heteroclinic_orbit": "t_back"}
 
 
 @pytest.mark.parametrize("entry", SOLVE_ENTRY_POINTS)
 @pytest.mark.parametrize("alpha, t_end, dt", BAD_SOLVES)
 def test_bad_order_or_grid_is_rejected(entry, alpha, t_end, dt):
-    with pytest.raises(ValueError, match=r"alpha must be in|need 0 < dt <= t_end|budget"):
+    horizon = HORIZON_NAMES.get(entry, "t_end")
+    with pytest.raises(ValueError, match=rf"alpha must be in|need 0 < dt <= {horizon},|budget"):
         SOLVE_ENTRY_POINTS[entry](alpha, t_end, dt)
 
 
@@ -124,6 +127,20 @@ class TestForcedEquation:
         by_ivp = solve_pece(CaputoProblem(0.5, LINEAR, (), (1.0,), 1.0, 0.01))
         by_svie = solve_svie(f, LINEAR, (), 0.5, 1.0, 0.01)
         assert np.array_equal(by_ivp.states, by_svie.states)
+
+    def test_initial_value_forcing_is_a_view(self, monkeypatch):
+        # solve_pece hands x0 to the loop as a stride-0 view, not an (N + 1, d) copy;
+        # SampledFunction.constant keeps a writable array of its own.
+        seen, loop = [], caputo_solver._pece_loop
+        monkeypatch.setattr(caputo_solver, "_pece_loop",
+                            lambda *args: seen.append(args[3]) or loop(*args))
+        rot = FieldDef.parse(["y - x", "-x - y"])
+        traj = solve_pece(CaputoProblem(0.6, rot, (), (1.0, 0.5), 1.0, 0.01))
+        (forcing,) = seen
+        assert forcing.shape == (101, 2) and forcing.strides[0] == 0
+        assert not forcing.flags.writeable
+        assert forcing[-1].tolist() == [1.0, 0.5] and traj.states[0].tolist() == [1.0, 0.5]
+        assert SampledFunction.constant([1.0], 1.0, 0.01).values.flags.writeable
 
     def test_zero_field_returns_forcing(self):
         grid = 0.01 * np.arange(101)
@@ -151,13 +168,13 @@ class TestForcedEquation:
 class TestConvergenceOrder:
     def test_linear_order_exceeds_floor(self):
         p = CaputoProblem(0.5, LINEAR, (), (1.0,), 1.0, 0.02)
-        slope = convergence_order(p, levels=4)
+        slope = convergence_order(p)
         assert slope != EXACT_ORDER
         assert slope >= 1.2
 
     def test_exact_sentinel_for_trivial_field(self):
         p = CaputoProblem(0.5, FieldDef.parse(["0"]), (), (2.0,), 1.0, 0.1)
-        assert convergence_order(p, levels=3) == EXACT_ORDER
+        assert convergence_order(p) == EXACT_ORDER
 
 
 class TestEscape:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -117,6 +118,26 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"{name} must be" in proc.stderr and f"got {typed}" in proc.stderr
         assert "21.0" not in proc.stderr and "-0.5" not in proc.stderr
+
+    @pytest.mark.parametrize("flag, name", [("--t-back", "t_back"), ("--t-fwd", "t_fwd")])
+    def test_heteroclinic_horizon_errors_name_their_flag(self, flag, name):
+        proc = run("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",
+                   flag, "0.001")
+        assert proc.returncode == 2
+        assert f"need 0 < dt <= {name}, got dt=0.01, {name}=0.001" in proc.stderr
+        assert "t_end" not in proc.stderr
+
+    def test_warnings_are_reported_without_a_source_line(self):
+        # Under `python -m`, a warning's frame outside the package is runpy's.
+        args = ["attractor", "--component", "a - x^2", "--param", "a=4"]
+        proc = subprocess.run(CLI + args, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("warning: found an even number of zeros (2); "
+                               "the scan interval may clip the zero set\n")
+        with warnings.catch_warnings():  # the filters in force still apply
+            warnings.simplefilter("ignore")
+            proc = run(*args)
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_semigroup_dt0_past_the_horizon_names_the_sum(self):
         # The forcing's horizon is named as the sum of what was typed, not as a t_end.
@@ -314,9 +335,13 @@ class TestFieldFlags:
         fld = FieldDef.parse(["a*x - b*x^3"], ("a", "b"))
         traj = solve_pece(CaputoProblem(0.7, fld, (2.0, 0.5), (0.3,), 2.0, 0.1))
         assert proc.stdout == _csv_text(tmp_path / "ref.csv", ["t", "x1"], traj)
-        with pytest.warns(UserWarning, match="even number of zeros"):  # zeros -2 and 2
-            doc = json.loads(run("attractor", "--component", "a - x^2", "--param", "a=4").stdout)
-        assert doc["stable"] == pytest.approx([2.0], abs=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            proc = run("attractor", "--component", "a - x^2", "--param", "a=4")
+        # zeros -2 and 2: the CLI reports the warning itself
+        assert proc.stderr == ("warning: found an even number of zeros (2); "
+                               "the scan interval may clip the zero set\n")
+        assert json.loads(proc.stdout)["stable"] == pytest.approx([2.0], abs=1e-9)
 
     def test_simulate_triangular_catalog_is_the_assembled_field(self, tmp_path):
         proc = run("simulate", "--catalog", "fig2", "--alpha", "0.6", "--x0", "0.5,-0.3",

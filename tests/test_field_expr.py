@@ -247,6 +247,12 @@ class TestFieldDef:
         with pytest.raises(ParseError):
             FieldDef.parse(["delta*x"], ("gamma",))
 
+    def test_parse_refuses_a_bare_string(self):
+        # "xy" would otherwise be the two components x and y
+        for src in ("xy", "x - x^3"):
+            with pytest.raises(TypeError, match="list of components"):
+                FieldDef.parse(src)
+
 
 MP_FUNCTIONS = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos,
                 "tanh": mpmath.tanh, "abs": abs}
@@ -329,7 +335,7 @@ class TestDerivatives:
     def test_folding_keeps_overflow_out(self):
         # gamma*exp(x) differentiates to gamma*exp(x), not 0*exp(x) + gamma*exp(x),
         # so a parameter derivative at 0 is no nan where exp overflows
-        f = FieldDef.parse(["gamma*exp(x)", "x^3"], ("gamma",), dimension=2)
+        f = FieldDef.parse(["gamma*exp(x)", "x^3"], ("gamma",))
         assert f.derivative(1).components == (Num(0.0), Num(0.0))
         assert to_source(f.derivative(0).components[0]) == "(gamma * exp(x1))"
         assert to_source(f.derivative(0).components[1]) == "(3.0 * (x1 ^ 2.0))"

@@ -30,8 +30,6 @@ class TestDissipativity:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             sa.check_h1(CUBIC, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            sa.check_h1(CUBIC, 1.0, 1.0, n_samples=10)
 
 
 class TestZeroSets:

@@ -100,7 +100,7 @@ class TestValidation:
         witness = err.value.witness
         assert isinstance(witness, tuple) and len(witness) == 2
         assert all(lo <= c <= hi for c, (lo, hi) in zip(witness, BOX2))
-        _, vals = tri._sample_h(tf, 1, BOX2, 2000)
+        _, vals = tri._sample_h(tf, 1, BOX2)
         worst = np.min(np.abs(vals))
         assert abs(eval_points(tf.h_field(), np.array([witness]))[0, 1]) == worst
         assert str(err.value) == (f"h_2 vanishes or changes sign on the box "
