@@ -1,7 +1,7 @@
 """Command-line front end: simulation, analysis and verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
---out path included).
+--out path, an unresolvable preimage and a warning made an error included).
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def main(argv=None):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
         except (ParseError, ValueError, KeyError, FieldEvalError, MLOverflowError,
-                MLConvergenceError, OSError) as exc:
+                MLConvergenceError, sa.BracketFailureError, OSError, Warning) as exc:
             parser.exit(2, f"error: {exc}\n")
 
 

@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 H2_DERIVATIVE_FLOOR = 1e-6
-ZERO_BISECTION_WIDTH = 1e-12
 ENVELOPE_SLACK = 1e-3
 SCAN_RESOLUTION = 2000  # cells of the zero scan's uniform grid
 SAMPLES = 2000  # points of a sampled bound: H1 on an interval or a box, g' on a hull
@@ -77,7 +76,7 @@ class DegenerateBasinError(ValueError):
 
 
 class BracketFailureError(RuntimeError):
-    """Backward extension could not bracket a preimage at this horizon."""
+    """Backward extension found no preimage within tol at this horizon."""
 
 
 class InsufficientDataError(ValueError):
@@ -212,22 +211,23 @@ def _grid_brackets(g, xs):
 
 
 def _bisect(g, lo, hi, flo):
-    """Midpoints of the cells (lo, hi) of g after bisection to ZERO_BISECTION_WIDTH.
+    """Zeros of g in the sign-change cells (lo, hi), bisected to the double.
 
-    Every cell is bisected at once; a cell stops when it is narrow enough or
-    its midpoint is an exact zero.
+    Every cell is bisected at once until g vanishes at its midpoint or no
+    double lies between its ends; its zero is then that midpoint.
     """
-    active = hi - lo > ZERO_BISECTION_WIDTH
+    mid = 0.5 * (lo + hi)
+    active = (lo < mid) & (mid < hi)
     while active.any():
-        mid = 0.5 * (lo + hi)
         fmid = g(mid)
         left = (flo < 0.0) == (fmid < 0.0)
         hit = fmid == 0.0
         lo = np.where(active & (left | hit), mid, lo)
         hi = np.where(active & (~left | hit), mid, hi)
         flo = np.where(left, fmid, flo)
-        active = hi - lo > ZERO_BISECTION_WIDTH
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+    return mid
 
 
 def scan_zeros(fld, scan_interval, params=()):
@@ -305,9 +305,10 @@ def attractor_interval(zs: ZeroSet) -> AttractorInterval:
 def gamma_rate_constant(fld, x_star, eta, params=()):
     """Explicit positive decay constant for the envelope toward x_star.
 
-    Shift coordinates so the stable zero sits at 0, find the largest radius
-    eps where |f(x)| >= |f'(0)|/2 * |x| holds, then take the minimum of
-    |f'(0)|/2 and the sampled slope of f between the shifted seed and -eps.
+    Shift coordinates so the stable zero sits at 0 and the seed below it,
+    then take the minimum of |f'(0)|/2 and f(w)/|w| on a grid from the seed
+    up to 0, left out, where f(w)/|w| tends to |f'(0)|. DegenerateBasinError
+    when f <= 0 on the grid: the seed lies at or beyond an adjacent zero.
     """
     g = _scalar_fn(fld, params)
     fprime0 = float(_scalar_fn(fld.derivative(0), params)(x_star)[0])
@@ -323,18 +324,7 @@ def gamma_rate_constant(fld, x_star, eta, params=()):
     # f in shifted coordinates, mirrored so the seed is always below zero.
     sign = 1.0 if zeta < 0.0 else -1.0
     f = lambda w: sign * g(x_star + sign * w)
-    zshift = -abs(zeta)
-
-    eps = abs(zeta) / 2.0
-    while eps > 1e-12:
-        ws = np.linspace(-eps, eps, GAMMA_GRID_POINTS)
-        if np.all(np.abs(f(ws)) >= half_slope * np.abs(ws)):
-            break
-        eps *= 0.5
-    if zshift >= -eps:
-        return half_slope
-
-    ws = np.linspace(zshift, -eps, GAMMA_GRID_POINTS)
+    ws = np.linspace(-abs(zeta), 0.0, GAMMA_GRID_POINTS, endpoint=False)
     fw = f(ws)
     if np.any(fw <= 0.0):
         raise DegenerateBasinError(
@@ -435,7 +425,9 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
 
     Bisection over the open interval of adjacent zeros containing eta is
     valid because the forward solution is strictly increasing in its
-    initial value (non-intersection of trajectories).
+    initial value (non-intersection of trajectories). BracketFailureError
+    when the doubles next to the zeros do not bracket eta, or when the
+    bracket closes on adjacent doubles with no zeta within tol of it.
     """
     if zs is None:
         zs = find_zeros(fld, (-abs(eta) - 10.0, abs(eta) + 10.0), params=params)
@@ -465,10 +457,13 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
             f"double next to the zero {zero}, is already at {value}, past "
             f"eta={eta}; the preimage lies closer to that zero than doubles resolve"
         )
-    for _ in range(300):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            raise BracketFailureError(
+                f"no preimage within tol={tol} at horizon {t_back}: the bracket closed on "
+                f"the adjacent doubles {float(lo)} and {float(hi)}, whose solutions end "
+                f"{flo:.3g} and {fhi:.3g} off eta={eta}")
         fmid = _forward_endpoint(fld, params, alpha, mid, t_back, dt) - eta
         if abs(fmid) <= tol:
             return float(mid)
@@ -476,7 +471,6 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    return float(0.5 * (lo + hi))
 
 
 def heteroclinic_orbit(fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt,

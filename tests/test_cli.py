@@ -139,6 +139,26 @@ class TestExitCodes:
             proc = run(*args)
         assert proc.returncode == 0 and proc.stderr == ""
 
+    def test_a_warning_turned_into_an_error_is_two(self):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fracdyn.cli", "attractor",
+                               "--component", "a - x^2", "--param", "a=4"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: found an even number of zeros (2); "
+                               "the scan interval may clip the zero set\n")
+
+    @pytest.mark.parametrize("t_back, message", [
+        ("25", "no preimage within tol=1e-08 at horizon 25.0"),
+        ("40", "no sign change at horizon 40.0"),
+    ])
+    def test_unresolvable_horizon_is_two(self, t_back, message):
+        # The preimage of 2.5 lies closer to the zero 2.0 than doubles resolve.
+        proc = run("heteroclinic", "--component", "(x-2) - (x-2)^3", "--scan=-5:8",
+                   "--alpha", "0.6", "--eta", "2.5", "--t-back", t_back)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in proc.stderr
+
     def test_semigroup_dt0_past_the_horizon_names_the_sum(self):
         # The forcing's horizon is named as the sum of what was typed, not as a t_end.
         proc = run("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt0", "100")
@@ -294,6 +314,11 @@ class TestAnalysis:
         proc = run("limits", "--catalog", "cubic", "--eta=-2,0.3,0")
         doc = json.loads(proc.stdout)
         assert doc["limits"] == pytest.approx([-1.0, 1.0, 0.0], abs=1e-9)
+
+    def test_limits_of_seeds_on_exact_zeros(self):
+        proc = run("limits", "--component", "(x-2) - (x-2)^3", "--eta=2,1.5", "--scan=-5:8")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["limits"] == [2.0, 1.0]
 
     def test_bifurcate_classification(self):
         proc = run("bifurcate", "--family", "saddle", "--gamma-range=-1:1:201")

@@ -8,10 +8,12 @@ import pytest
 
 from fracdyn import CaputoProblem, FieldDef, solve_pece
 from fracdyn import scalar_analysis as sa
+from fracdyn.field_expr import eval_points
 from fracdyn.mittag_leffler import MLDomainError, ml_decay
 
 LINEAR = FieldDef.parse(["-x"])
 CUBIC = FieldDef.parse(["x - x^3"])
+SHIFTED_CUBIC = FieldDef.parse(["(x-2) - (x-2)^3"])  # zeros 1, 2, 3, none on the (-5, 8) grid
 SADDLE = FieldDef.parse(["gamma - x^2"], ("gamma",))
 
 
@@ -58,6 +60,20 @@ class TestZeroSets:
     def test_bad_scan_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="scan interval"):
             sa.scan_zeros(CUBIC, interval)
+
+    def test_zeros_are_located_to_the_double(self):
+        # Each zero is exact, or g changes sign between it and a neighbouring double.
+        fld = FieldDef.parse(["(x-c) - (x-c)^3"], ("c",))
+        rng = np.random.default_rng(20)
+        for c in rng.uniform(-3.5, 6.5, 25):
+            g = lambda x: eval_points(fld, np.reshape(x, (-1, 1)), (c,))[:, 0]
+            zeros = np.array(sa.find_zeros(fld, (-5.0, 8.0), (c,)).zeros)
+            assert len(zeros) == 3
+            gz = g(zeros)
+            down, up = g(np.nextafter(zeros, -np.inf)), g(np.nextafter(zeros, np.inf))
+            exact = gz == 0.0
+            changes = ((gz < 0.0) != (down < 0.0)) | ((gz < 0.0) != (up < 0.0))
+            assert np.all(exact | changes), (c, zeros)
 
     def test_degenerate_zero_rejected(self):
         flat = FieldDef.parse(["x^3"])  # g'(0) = 0
@@ -224,6 +240,18 @@ class TestLimits:
         assert sa.classify_limit(logistic, zs, 0.5) == pytest.approx(1.0, abs=1e-9)
         assert sa.classify_limit(logistic, zs, 1.4) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("fld, scan, zeros", [
+        (CUBIC, (-5.0, 5.0), (-1.0, 0.0, 1.0)),
+        (SHIFTED_CUBIC, (-5.0, 8.0), (1.0, 2.0, 3.0)),
+    ], ids=["cubic", "shifted_cubic"])
+    def test_a_seed_on_a_zero_stays_there(self, fld, scan, zeros):
+        # g is exactly 0 at each zero, and a bisection to the double finds it.
+        zs = sa.find_zeros(fld, scan)
+        assert zs.zeros == zeros
+        for z in zs.zeros:
+            assert eval_points(fld, np.array([[z]]))[0, 0] == 0.0
+            assert sa.classify_limit(None, zs, z) == z
+
     def test_open_interval_lookup(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
         for eta in (-3.0, *zs.zeros, -0.5, 0.25, 0.999, 7.0, *np.nextafter(zs.zeros, 9.0)):
@@ -277,6 +305,19 @@ class TestBackwardExtension:
             sa.backward_extend(fld, 0.6, 2.5, 50.0, 0.01, zs=zs)
         zeta = sa.backward_extend(fld, 0.6, 2.5, 12.5, 0.01, zs=zs)
         assert zeta == pytest.approx(2.0000015750, abs=1e-10)
+
+    def test_bracket_closing_on_adjacent_doubles_raises(self):
+        # At horizon 25 the preimage of 2.5 lies between two adjacent doubles,
+        # neither of whose solutions ends within tol of 2.5; at 40 the double
+        # next to the source zero 2.0 is already past it.
+        zs = sa.find_zeros(SHIFTED_CUBIC, (-5.0, 8.0))
+        with pytest.raises(sa.BracketFailureError,
+                           match=r"horizon 25\.0: the bracket closed on the adjacent "
+                                 r"doubles 2\.0000000000058\d* and 2\.0000000000058\d*,"):
+            sa.backward_extend(SHIFTED_CUBIC, 0.6, 2.5, 25.0, 0.01, zs=zs)
+        with pytest.raises(sa.BracketFailureError,
+                           match=r"no sign change at horizon 40\.0: .* the zero 2\.0,"):
+            sa.backward_extend(SHIFTED_CUBIC, 0.6, 2.5, 40.0, 0.01, zs=zs)
 
 
 class TestHeteroclinic:
