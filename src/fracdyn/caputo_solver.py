@@ -147,9 +147,7 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def endpoint(self):
-        if self.escape_index is not None:
-            return self.states[self.escape_index].copy()
-        return self.states[-1].copy()
+        return self.states[-1].copy()  # an escaped solve holds its clamped state to the end
 
     def scalar(self):
         """Component-0 view for scalar problems."""

@@ -110,18 +110,21 @@ class ZeroSet:
         """Euclidean distance from x (a scalar or an array) to the zero set."""
         return np.min(np.abs(np.subtract.outer(x, self.zeros)), axis=-1)
 
-    def open_interval(self, eta):
-        """Index j with zeros[j] < eta < zeros[j+1], or None.
+    def flow(self, eta):
+        """(source, target), the zeros the solution from eta runs from and to;
+        None on a zero or outside the attractor, ValueError if eta is not finite.
 
-        None means eta lies on a zero or outside [zeros[0], zeros[-1]]; a
-        non-finite eta raises ValueError.
+        No two solutions of a scalar Caputo FDE intersect (Cong & Tuan) and the
+        zeros are constant solutions, so a solution keeps its order and runs from
+        one adjacent zero toward the other: up when g' > 0 at the lower one.
         """
         if not math.isfinite(eta):
             raise ValueError(f"eta must be finite, got {eta}")
         j = int(np.searchsorted(self.zeros, eta)) - 1  # zeros[j] < eta <= zeros[j+1]
-        if 0 <= j < len(self.zeros) - 1 and eta != self.zeros[j + 1]:
-            return j
-        return None
+        if not (0 <= j < len(self.zeros) - 1 and eta != self.zeros[j + 1]):
+            return None
+        lo, hi = self.zeros[j], self.zeros[j + 1]
+        return (lo, hi) if self.derivs[j] > 0 else (hi, lo)
 
 
 @dataclass(frozen=True)
@@ -389,12 +392,8 @@ def classify_limit(fld, zs: ZeroSet, eta, params=()):
     zeros = zs.zeros
     if not zeros:
         raise ValueError("empty zero set")
-    j = zs.open_interval(eta)
-    if j is None:  # on a zero, or outside the attractor: the nearest zero
-        return min(zeros, key=lambda z: abs(z - eta))
-    # g' > 0 at the left zero means g > 0 on the interval, so the flow runs
-    # toward the right zero; otherwise leftward.
-    return zeros[j + 1] if zs.derivs[j] > 0 else zeros[j]
+    ends = zs.flow(eta)  # None on a zero or outside the attractor: the nearest zero
+    return ends[1] if ends else min(zeros, key=lambda z: abs(z - eta))
 
 
 def rate_fit(traj: Trajectory, x_star):
@@ -415,46 +414,24 @@ def rate_fit(traj: Trajectory, x_star):
 # Backward extension and heteroclinics
 
 
-def _forward_endpoint(fld, params, alpha, zeta, t_fwd, dt):
-    p = CaputoProblem(alpha, fld, tuple(params), (zeta,), t_fwd, dt)
-    return float(solve_pece(p).scalar()[-1])
+def _preimage(fld, params, alpha, eta, t_back, dt, tol, source, far):
+    """zeta in (source, far) whose solution ends within tol of eta at t_back.
 
-
-def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
-    """Value zeta with x(t_back, zeta) = eta, i.e. x(-t_back, eta).
-
-    Bisection over the open interval of adjacent zeros containing eta is
-    valid because the forward solution is strictly increasing in its
-    initial value (non-intersection of trajectories). BracketFailureError
-    when the doubles next to the zeros do not bracket eta, or when the
-    bracket closes on adjacent doubles with no zeta within tol of it.
+    The forward end grows with the initial value, and far's solution ends past
+    eta, so far is never solved: only the double next to the source is, and
+    the bisection runs from it toward far.
     """
-    if zs is None:
-        zs = find_zeros(fld, (-abs(eta) - 10.0, abs(eta) + 10.0), params=params)
-    if eta in zs.zeros:
-        return eta
-    j = zs.open_interval(eta)
-    if j is None:
-        raise BracketFailureError(
-            f"eta={eta} is not strictly between adjacent zeros; backward "
-            "solutions leave every compact set there"
-        )
-    lo = np.nextafter(zs.zeros[j], zs.zeros[j + 1])
-    hi = np.nextafter(zs.zeros[j + 1], zs.zeros[j])
-    xlo = _forward_endpoint(fld, params, alpha, lo, t_back, dt)
-    xhi = _forward_endpoint(fld, params, alpha, hi, t_back, dt)
-    flo, fhi = xlo - eta, xhi - eta
-    if flo == 0.0:
+    x_end = lambda z: float(
+        solve_pece(CaputoProblem(alpha, fld, tuple(params), (z,), t_back, dt)).scalar()[-1])
+    lo, hi = np.nextafter(source, far), far
+    xlo = x_end(lo)
+    flo, fhi = xlo - eta, math.nan
+    if abs(flo) <= tol:
         return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if (flo < 0.0) == (fhi < 0.0):
-        # The end next to the source zero has already passed eta: its
-        # solution runs away from that zero towards eta and beyond.
-        end, value, zero = (lo, xlo, zs.zeros[j]) if flo > 0.0 else (hi, xhi, zs.zeros[j + 1])
+    if (flo > 0.0) == (far > source):
         raise BracketFailureError(
-            f"no sign change at horizon {t_back}: the solution from {end}, the "
-            f"double next to the zero {zero}, is already at {value}, past "
+            f"no sign change at horizon {t_back}: the solution from {lo}, the "
+            f"double next to the zero {source}, is already at {xlo}, past "
             f"eta={eta}; the preimage lies closer to that zero than doubles resolve"
         )
     while True:
@@ -464,7 +441,7 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
                 f"no preimage within tol={tol} at horizon {t_back}: the bracket closed on "
                 f"the adjacent doubles {float(lo)} and {float(hi)}, whose solutions end "
                 f"{flo:.3g} and {fhi:.3g} off eta={eta}")
-        fmid = _forward_endpoint(fld, params, alpha, mid, t_back, dt) - eta
+        fmid = x_end(mid) - eta
         if abs(fmid) <= tol:
             return float(mid)
         if (flo < 0.0) == (fmid < 0.0):
@@ -473,29 +450,51 @@ def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), zs=None):
             hi, fhi = mid, fmid
 
 
+def backward_extend(fld, alpha, eta, t_back, dt, tol=1e-8, params=(), *, zs):
+    """Value zeta with x(t_back, zeta) = eta, i.e. x(-t_back, eta).
+
+    eta's own solution runs on toward the target (ZeroSet.flow), so the
+    preimage lies between the source and eta.  BracketFailureError when eta
+    is not strictly between adjacent zeros, when the double next to the
+    source has already passed eta, or when the bracket closes on adjacent
+    doubles with no zeta within tol of it.
+    """
+    if eta in zs.zeros:
+        return eta
+    ends = zs.flow(eta)
+    if ends is None:
+        raise BracketFailureError(
+            f"eta={eta} is not strictly between adjacent zeros; backward "
+            "solutions leave every compact set there"
+        )
+    return _preimage(fld, params, alpha, eta, t_back, dt, tol, ends[0], eta)
+
+
 def heteroclinic_orbit(fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt,
                        params=()) -> HeteroclinicOrbit:
     """Numerical heteroclinic orbit through eta.
 
-    The orbit joins the adjacent zeros around eta, running from the unstable
-    one (t -> -inf) to the stable one.  ValueError when eta lies on a zero or
-    outside the attractor, or when a horizon breaks the grid rules (the error
-    names t_back or t_fwd).
+    The orbit runs from the source zero (t -> -inf) to the target (see
+    ZeroSet.flow).  Horizons go shortest first: the solution from the
+    preimage at h/2 is past eta at h, so it brackets the preimage at h.
+    ValueError when eta lies on a zero or outside the attractor, or when a
+    horizon breaks the grid rules (the error names t_back or t_fwd).
+    BracketFailureError names the longest horizon resolved before the failing one.
     """
     check_solve(alpha, t_back, dt, names=("dt", "t_back"))
     check_grid(t_fwd, dt, names=("dt", "t_fwd"))
-    j = zs.open_interval(eta)
-    if j is None:
+    ends = zs.flow(eta)
+    if ends is None:
         raise ValueError(f"eta={eta} is not strictly between adjacent zeros of {zs.zeros}")
-    left, right = zs.zeros[j], zs.zeros[j + 1]
-    # Sign convention: in g>0 intervals flow runs left->right, else right->left.
-    g_positive = zs.derivs[j] > 0
-    source, target = (left, right) if g_positive else (right, left)
-
+    # The horizons t_back / 64, ..., t_back / 2, t_back, those >= dt.
+    horizons = [t_back / 2**k for k in range(6, -1, -1) if t_back / 2**k >= dt]
+    back = [eta]  # horizon 0 maps eta to itself
+    for resolved, h in zip([0.0, *horizons], horizons):
+        try:
+            back.append(_preimage(fld, params, alpha, eta, h, dt, 1e-8, ends[0], back[-1]))
+        except BracketFailureError as e:
+            raise BracketFailureError(f"{e}; the longest horizon resolved is {resolved}") from None
     fwd = solve_pece(CaputoProblem(alpha, fld, tuple(params), (eta,), t_fwd, dt))
-    # The horizons t_back, t_back / 2, ... down to t_back / 64, those >= dt.
-    horizons = [t_back / 2**k for k in range(7) if t_back / 2**k >= dt]
-    back = [backward_extend(fld, alpha, eta, h, dt, params=params, zs=zs) for h in horizons]
-    times = np.concatenate([-np.asarray(horizons), fwd.times])
-    values = np.concatenate([back, fwd.scalar()])
-    return HeteroclinicOrbit(source, target, eta, times, values)
+    times = np.concatenate([-np.asarray(horizons[::-1]), fwd.times])
+    values = np.concatenate([back[:0:-1], fwd.scalar()])
+    return HeteroclinicOrbit(*ends, eta, times, values)

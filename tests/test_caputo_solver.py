@@ -186,7 +186,8 @@ class TestEscape:
         assert traj.escape_sign == -1
         assert np.all(np.isfinite(traj.states))
         assert traj.states.shape[0] == len(traj.times)
-        # endpoint() reports the state at escape, not the padded tail
+        # the clamped state at escape is held to the grid's end, so endpoint() reports it
+        assert traj.states[-1][0] == traj.states[traj.escape_index][0]
         assert traj.endpoint()[0] == traj.states[traj.escape_index][0]
 
     def test_overflow_escape_is_finite_and_silent(self):

@@ -149,10 +149,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("t_back, message", [
         ("25", "no preimage within tol=1e-08 at horizon 25.0"),
-        ("40", "no sign change at horizon 40.0"),
+        ("40", "no preimage within tol=1e-08 at horizon 20.0"),
     ])
     def test_unresolvable_horizon_is_two(self, t_back, message):
-        # The preimage of 2.5 lies closer to the zero 2.0 than doubles resolve.
+        # The preimage of 2.5 lies closer to the zero 2.0 than doubles resolve;
+        # walking its horizons shortest first, the t_back = 40 orbit fails at 20.
         proc = run("heteroclinic", "--component", "(x-2) - (x-2)^3", "--scan=-5:8",
                    "--alpha", "0.6", "--eta", "2.5", "--t-back", t_back)
         assert proc.returncode == 2

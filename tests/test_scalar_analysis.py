@@ -252,11 +252,16 @@ class TestLimits:
             assert eval_points(fld, np.array([[z]]))[0, 0] == 0.0
             assert sa.classify_limit(None, zs, z) == z
 
-    def test_open_interval_lookup(self):
+    def test_flow_lookup(self):
+        # The cubic's source is 0 on both open intervals; the targets are -1 and 1.
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-        for eta in (-3.0, *zs.zeros, -0.5, 0.25, 0.999, 7.0, *np.nextafter(zs.zeros, 9.0)):
-            loop = [j for j in range(len(zs) - 1) if zs.zeros[j] < eta < zs.zeros[j + 1]]
-            assert zs.open_interval(eta) == (loop[0] if loop else None), eta
+        for eta in (-3.0, *zs.zeros, -0.5, 0.25, 0.999, 7.0, *np.nextafter(zs.zeros, 9.0),
+                    *np.nextafter(zs.zeros, -9.0)):
+            expected = None if eta in zs.zeros or abs(eta) > 1.0 else (0.0, math.copysign(1.0, eta))
+            assert zs.flow(eta) == expected, eta
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                zs.flow(eta)
         for eta in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 sa.classify_limit(CUBIC, zs, eta)
@@ -306,6 +311,41 @@ class TestBackwardExtension:
         zeta = sa.backward_extend(fld, 0.6, 2.5, 12.5, 0.01, zs=zs)
         assert zeta == pytest.approx(2.0000015750, abs=1e-10)
 
+    def test_preimage_lies_between_source_and_eta(self):
+        # Solutions never cross, so the preimage lies strictly between the
+        # source 0 and eta on both open intervals, and its forward end meets tol.
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        rng = np.random.default_rng(23)
+        for sign in (1.0, -1.0):
+            for _ in range(3):
+                alpha, t_back = rng.uniform(0.3, 0.9), rng.uniform(1.0, 8.0)
+                eta = sign * rng.uniform(0.1, 0.9)
+                zeta = sa.backward_extend(CUBIC, alpha, eta, t_back, 0.05, zs=zs)
+                assert 0.0 < zeta / eta < 1.0, (alpha, t_back, eta, zeta)
+                traj = solve_pece(CaputoProblem(alpha, CUBIC, (), (zeta,), t_back, 0.05))
+                assert abs(traj.scalar()[-1] - eta) <= 1e-8
+
+    def test_solve_counts(self, monkeypatch):
+        # Each preimage solves only the double next to the source, and each
+        # orbit horizon is bracketed by the shorter one before it. Solving both
+        # ends of the zero interval took 95 solves here, and bisecting every
+        # horizon across the whole interval 316 backward solves.
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        horizons = []
+        solve = sa.solve_pece
+
+        def counted(p):
+            horizons.append(p.t_end)
+            return solve(p)
+
+        monkeypatch.setattr(sa, "solve_pece", counted)
+        sa.backward_extend(CUBIC, 0.6, 0.5, 50.0, 0.01, zs=zs)
+        assert len(horizons) <= 93
+        horizons.clear()
+        sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0.5, 50.0, 100.0, 0.01)
+        assert horizons.count(100.0) == 1  # the forward solve
+        assert len(horizons) - 1 <= 239
+
     def test_bracket_closing_on_adjacent_doubles_raises(self):
         # At horizon 25 the preimage of 2.5 lies between two adjacent doubles,
         # neither of whose solutions ends within tol of 2.5; at 40 the double
@@ -329,6 +369,7 @@ class TestHeteroclinic:
         assert orbit.values[0] == pytest.approx(0.0, abs=1e-2)
         assert orbit.values[-1] == pytest.approx(1.0, abs=1e-2)
         assert np.all(np.diff(orbit.times) > 0.0)
+        assert np.all(np.diff(orbit.values) > 0.0)
         # monotone connection inside the interval
         assert np.all(orbit.values > -1e-12)
         assert np.all(orbit.values < 1.0 + 1e-12)
@@ -338,6 +379,15 @@ class TestHeteroclinic:
         orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, -0.5, 20.0, 60.0, 0.01)
         assert orbit.source == 0.0
         assert orbit.target == -1.0
+
+    def test_failure_names_the_longest_resolved_horizon(self):
+        # Shortest first: 0.625 .. 10 resolve, and the bracket closes at 20.
+        zs = sa.find_zeros(SHIFTED_CUBIC, (-5.0, 8.0))
+        with pytest.raises(sa.BracketFailureError,
+                           match=r"^no preimage within tol=1e-08 at horizon 20\.0: the bracket "
+                                 r"closed on the adjacent doubles 2\.0000000008710415 and "
+                                 r"2\.000000000871042, .*; the longest horizon resolved is 10\.0$"):
+            sa.heteroclinic_orbit(SHIFTED_CUBIC, 0.6, zs, 2.5, 40.0, 10.0, 0.01)
 
     def test_eta_outside_interval_rejected(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
