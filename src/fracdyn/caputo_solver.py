@@ -28,12 +28,19 @@ solve of N steps costs O(N log^2 N).  Inside its own leaf, a step takes
 its history by sub-blocks of SUB nodes: one np.correlate per component,
 made where a sub-block starts, gives the earlier sub-blocks' sum to all of
 its steps, and each step adds the nodes of its own sub-block on floats.
+The g history is kept component-major, one contiguous row per component,
+which both the correlations and the FFT blocks read without a copy.
 The corrector is Python source generated once per nonzero pattern of J
 that runs a whole leaf on float locals, where numpy's per-call overhead
 would dominate the step.  It writes the SUB steps of a sub-block out one
 after the other, each reading the g values of the sub-block's earlier
 nodes from the locals of the steps before it, so that no step shifts a
-register or tests its place in the sub-block.  A triangular field's J is
+register or tests its place in the sub-block.  A step stores g and x
+through flat memoryviews of the solve's arrays, which take a float in
+about half the time of numpy's item assignment, so that a converged step
+makes no numpy operation; a step whose chord start converges also leaves
+every count alone, since they follow from the number of steps at the
+kernel's exits.  A triangular field's J is
 lower triangular, and its Newton step a forward substitution.  The solver
 and the memory integral of the function-space semigroup take their weights
 from one per-offset rule, `_weights`.  The same recurrence with x0
@@ -43,6 +50,7 @@ integral equation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -242,18 +250,21 @@ def _corrector(pattern):
     """The corrector of one leaf, generated once per nonzero pattern of J
     (see _jacobian), for d = len(pattern) components.
 
-    correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts) solves the
+    correct(fns, jac, p, W, fvals, xb, views, s, e, w, counts) solves the
     steps to the nodes m = max(s, 1) .. e - 1 in turn, on float locals.
     W is the weight row by lag, W[N - k] at lag k, after SUB leading zeros.
-    Node m's equation is F(x) = x - b - w*g(x) = 0 with
-    b = xb[m] + W[N + s - m : N] @ fvals[s:m], its offset and its in-leaf
+    fvals is the g history by component, shape (d, N + 1), and views holds
+    flat memoryviews (format 'd') of the states, shape (N + 1, d), and of
+    each row of fvals: the kernel reads and writes single values only
+    through them.  Node m's equation is F(x) = x - b - w*g(x) = 0 with
+    b = xb[m] + fvals[:, s:m] @ W[N + s - m : N], its offset and its in-leaf
     history.  The leaf is walked by sub-blocks of SUB nodes aligned at its
     start, and the SUB steps of a sub-block are written out one after the
     other as bodies t = 0 .. SUB - 1, each for the node m0 + t of the
     sub-block that starts at node m0.  Body t keeps its state in x{t}_i and
     g there in q{t}_i, so that the steps after it read them without a copy.
     When a sub-block other than the leaf's first starts, one np.correlate
-    per component of the weight row with fvals[s:m0] gives the history of
+    per component of the weight row with fvals[i, s:m0] gives the history of
     the earlier sub-blocks for all its nodes, unpacked into H{i}_0 ..
     H{i}_(SUB-1), and one slice of the leaf's offsets into c{t}_i.  Body t
     adds its own sub-block's earlier nodes on floats, exactly t lag terms
@@ -279,7 +290,7 @@ def _corrector(pattern):
     After CORRECTOR_MAX_ITER evaluations of g, a zero pivot or a failing
     entry of J, the step keeps the explicit step, evaluates g there and
     counts as unconverged.  The limits and ESCAPE_THRESHOLD are read once
-    per call.  g(x) then goes to fvals[m] and x to states[m] unless it
+    per call.  g(x) then goes to fvals[:, m] and x to states[m] unless it
     leaves +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
 
     counts holds SolverMeta's fields but steps, in order: max iterations,
@@ -288,7 +299,12 @@ def _corrector(pattern):
     them updated by its steps, with the escape: None once every node is
     written, else (m, the state to clamp).  A failed evaluation of g
     (overflow, complex value) ends the leaf at the iterate it was evaluated
-    at; that step counts only by its evaluations.
+    at; that step counts only by its evaluations.  A step whose chord start
+    converges updates only the max residual: its one evaluation and one
+    iteration are added for all the call's finished steps at once, at the
+    exit (leaf end, escape or failed evaluation), and only the Newton loop
+    and the explicit step count their further evaluations and iterations
+    as they go.
     """
     d = len(pattern)
     comps = range(d)
@@ -305,6 +321,13 @@ def _corrector(pattern):
     def indent(lines, n=1):
         return ["    " * n + line for line in lines]
 
+    def leave(done, evaluated, escape):
+        """The lines that add the chord starts of the call's `done` finished
+        steps and of `evaluated` evaluations of g, and return."""
+        return [f"n = {done}", f"evals += {evaluated}", "total += n",
+                "if n > 0 and max_iters < 1:", "    max_iters = 1",
+                f"return {counts}, {escape}"]
+
     def body(t):
         """The lines that solve node m0 + t and write it out."""
         before = (t - 1) % SUB
@@ -316,7 +339,7 @@ def _corrector(pattern):
                  *solve, *(f"x{t}_{i} = x{before}_{i} - r{i}" for i in comps)]
         explicit = [f"x{t}_{i} = b{i} + w * q{before}_{i}" for i in comps]
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-        evaluate = ["evals += 1", f"pt = {names('x{}_{}', t)}",
+        evaluate = [f"pt = {names('x{}_{}', t)}",
                     *(f"q{t}_{i} = float(f{i}(pt, p))" for i in comps)]
         residual = [*(f"r{i} = x{t}_{i} - b{i} - w * q{t}_{i}" for i in comps),
                     "residual = r0 if r0 >= 0.0 else -r0"]
@@ -326,54 +349,51 @@ def _corrector(pattern):
         newton = ["jevals += 1", "try:", *indent(renew or ["pass"]),
                   "except (ArithmeticError, ValueError, TypeError):", "    break",
                   *(f"x{t}_{i} -= r{i}" for i in comps), "iters += 1"]
-        if d == 1:
-            stores, index = [], "m"
-        else:
-            stores, index = [f"j = {d} * m"], "j + {}"
+        index = "m" if d == 1 else "j + {}"
         in_range = " and ".join(f"-big <= x{t}_{i} <= big" for i in comps)
         lines += [
             *chord,
             *evaluate,
             *residual,
-            "iters = 1",
-            "while not residual <= tol and iters < cap:  # a nan residual goes on",
-            *indent(newton + evaluate + residual),
-            "if not residual <= tol:  # keep the explicit step",
-            *indent(zero + explicit + evaluate + ["unconverged += 1"]),
-            "total += iters",
-            "if iters > max_iters:",
-            "    max_iters = iters",
+            # The chord start's evaluation and iteration are counted at the exit.
+            "if not residual <= tol:  # true for nan",
+            "    iters = 1",
+            "    while not residual <= tol and iters < cap:",
+            *indent(newton + ["evals += 1"] + evaluate + residual, 2),
+            "    if not residual <= tol:  # keep the explicit step",
+            *indent(zero + explicit + ["evals += 1"] + evaluate + ["unconverged += 1"], 2),
+            "    total += iters - 1",
+            "    if iters > max_iters:",
+            "        max_iters = iters",
             "if residual > max_residual:  # a nan residual leaves it",
             "    max_residual = residual",
-            *stores,
-            *(f"fv[{index.format(i)}] = q{t}_{i}" for i in comps),
+            *(f"fv{i}[m] = q{t}_{i}" for i in comps),
             f"if not ({in_range}):  # true for nan",
-            f"    return {counts}, (m, pt)",
+            *indent(leave("m + 1 - start", "n", "(m, pt)")),
+            *([f"j = {d} * m"] if d > 1 else []),
             *(f"sv[{index.format(i)}] = x{t}_{i}" for i in comps),
         ]
         return lines
 
     history = [f"{', '.join(f'H{i}_{t}' for t in reversed(range(SUB)))} = np.correlate("
-               f"W[N + s - m0 - {SUB - 1} : N], fvals[s:m0, {i}], 'valid').tolist()"
+               f"W[N + s - m0 - {SUB - 1} : N], fvals[{i}, s:m0], 'valid').tolist()"
                for i in comps]
     lines = [
-        "def correct(fns, jac, p, W, states, fvals, xb, s, e, w, counts):",
+        "def correct(fns, jac, p, W, fvals, xb, views, s, e, w, counts):",
         f"    {names('f{}')} = fns",
         *([f"    {', '.join(f'j{n}' for n in range(n_jac))}, = jac"] if n_jac else []),
+        f"    sv, {names('fv{}')} = views",
         "    N = W.shape[0] - 1",
-        "    sv, fv = states.reshape(-1), fvals.reshape(-1)",
         f"    {counts} = counts",
         "    tol, cap, big = CORRECTOR_TOL, CORRECTOR_MAX_ITER, ESCAPE_THRESHOLD",
         f"    {', '.join(f'w{lag}' for lag in range(1, SUB))}, = W[N - 1 : N - {SUB} : -1].tolist()",
         # The leaf's first sub-block has no earlier one.
         f"    {' = '.join(f'H{i}_{t}' for i in comps for t in range(SUB))} = 0.0",
-        "    if s:  # the state and the g value that the leaf's first body reads",
-        f"        {names('x{}_{}', SUB - 1)} = states[s - 1].tolist()",
-        f"        {names('q{}_{}', SUB - 1)} = fvals[s - 1].tolist()",
-        "    else:  # node 0",
-        f"        {names('x{}_{}', 0)} = states[0].tolist()",
-        f"        {names('q{}_{}', 0)} = fvals[0].tolist()",
-        f"    pt = ({names('x{}_{}', SUB - 1)}) if s else ({names('x{}_{}', 0)})",
+        "    start = s or 1  # node 0 holds the initial state",
+        # The state and the g value that the leaf's first body reads.
+        *(f"    x{SUB - 1}_{i} = x0_{i} = sv[{d} * (start - 1) + {i}]" for i in comps),
+        *(f"    q{SUB - 1}_{i} = q0_{i} = fv{i}[start - 1]" for i in comps),
+        f"    pt = {names('x{}_{}', 0)}",
         # J* at the state before the leaf's first step, or 0 where J fails there.
         f"    {' = '.join(f'r{i}' for i in comps)} = 0.0",
         "    jevals += 1",
@@ -396,8 +416,9 @@ def _corrector(pattern):
         *indent(body(0), 4),
         *(line for t in range(1, SUB) for line in indent(body(t), 3)),
         "    except (ArithmeticError, ValueError, TypeError):",
-        f"        return {counts}, (m, pt)",
-        f"    return {counts}, None",
+        # The failing step's evaluations up to its chord start.
+        *indent(leave("m - start", "n + 1", "(m, pt)"), 2),
+        *indent(leave("e - start", "n", "None")),
     ]
     namespace = {}
     # The module's globals, so that the limits are looked up on every call.
@@ -420,7 +441,9 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     O(N log^2 N) rather than O(N^2).  A solve with N + 1 <= LEAF is one leaf
     and takes no FFT.  Each leaf's steps run in one call of `_corrector`'s
     generated Newton kernel for the nonzero pattern of the field's Jacobian,
-    which returns the solve's counts and the escape, if any.
+    which returns the solve's counts and the escape, if any.  The kernel
+    writes through memoryviews of the states and of g's rows that are made
+    here once per solve and released at its end.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
@@ -440,7 +463,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     w_self = float(scale * near[1])
 
     states = np.empty((N + 1, d))
-    fvals = np.empty((N + 1, d))
+    fvals = np.empty((d, N + 1))  # g by component, so that each history is contiguous
     states[0] = forcing[0]
     escape_index, escape_sign = None, 0
     params = tuple(params)
@@ -448,18 +471,20 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     pattern, jac = _jacobian(fld)
     correct = _corrector(pattern)
     eval_points(fld, states[:1], params)  # FieldEvalError unless real and finite
-    fvals[0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
+    fvals[:, 0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
     counts = (0, 0.0, 1, 0, 0, 0)  # SolverMeta's fields but steps; see _corrector
     spectra = {}  # L -> _block_spectrum, kept while a later block has size L
 
     # Overflow on the way to an escape is expected; the escape check catches it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as stack:
+        # The kernel's flat views of the states and of g's rows, released on leaving.
+        views = tuple(stack.enter_context(memoryview(a)) for a in (states.reshape(-1), *fvals))
         # Node 0 enters by its far weight alone.  The sums below give it the
         # trapezoid weight W[N - m] at step m, so its offset holds far less
         # that weight.
         node0 = scale * far[: N + 1]
         node0 -= W[::-1]
-        xb = forcing + node0[:, None] * fvals[0]
+        xb = forcing + node0[:, None] * fvals[:, 0]
         del far, near, node0  # only W and w_self are read from here on
         for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
             if s:  # the leaf before ends here: add its block to the nodes ahead
@@ -469,14 +494,14 @@ def _pece_loop(alpha, fld, params, forcing, dt):
                     w = _block_spectrum(W, L)
                     if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
                         spectra[L] = w
-                src = np.fft.rfft(fvals[s - L : s], 2 * L, axis=0)
-                src *= w[:, None]
+                src = np.fft.rfft(fvals[:, s - L : s], 2 * L)
+                src *= w
                 hi = min(s + L, N + 1)
                 # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.
-                xb[s:hi] += np.fft.irfft(src, 2 * L, axis=0)[L - 1 : L - 1 + hi - s]
+                xb[s:hi] += np.fft.irfft(src, 2 * L)[:, L - 1 : L - 1 + hi - s].T
             # The leaf's offsets are complete.  Its own earlier nodes are added
             # last, so that a one-leaf solve sums exactly as a solve without leaves.
-            counts, escaped = correct(eval_fns, jac, params, padded, states, fvals, xb, s,
+            counts, escaped = correct(eval_fns, jac, params, padded, fvals, xb, views, s,
                                       min(s + LEAF, N + 1), w_self, counts)
             if escaped is None:
                 continue

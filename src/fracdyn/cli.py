@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -128,13 +130,20 @@ def cmd_simulate(args, parser):
     x0 = tuple(float(v) for v in args.x0.split(","))
     fld, params, _ = _resolve_field(args, parser, args.catalog)
     p = CaputoProblem(args.alpha, fld, params, x0, args.t_end, args.dt)
+    start = time.perf_counter()
     traj = solve_pece(p)
+    solved = time.perf_counter()
     header = ["t"] + [f"x{i + 1}" for i in range(fld.dimension)]
     _write_csv(args.out, header, np.column_stack((traj.times, traj.states)))
+    written = time.perf_counter()
     if traj.escape_index is not None:
         t = traj.times[traj.escape_index]
         print(f"escape at t={t:.6g} (sign {traj.escape_sign:+d})" if traj.escape_sign
               else f"field failed at t={t:.6g}; state held from there", file=sys.stderr)
+    if args.stats:
+        stats = {**dataclasses.asdict(traj.meta), "escape_index": traj.escape_index,
+                 "solve_s": solved - start, "csv_s": written - solved}
+        print(json.dumps(stats), file=sys.stderr)
     return 0
 
 
@@ -325,6 +334,9 @@ def build_parser():
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--out", help="CSV output path ('-' for stdout)")
+    p.add_argument("--stats", action="store_true",
+                   help="print the solver's counts and the seconds spent solving and "
+                        "writing the CSV as one JSON object on stderr")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("attractor", help="zero set and attractor interval")

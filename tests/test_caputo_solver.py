@@ -535,6 +535,11 @@ SPLIT_CASES = {
     "n_2e4": _leaf_case(20_001),
     "fig2_assembled": _leaf_case(4 * LEAF + 3, (0.5, -0.3),
                                  catalog.get("fig2").fld.assembled()),
+    # Dissipative in 3-D, with J entries above the diagonal whose elimination
+    # fills in: the FFT blocks carry each component's row of the g history.
+    "dissipative_3d_two_leaves_and_a_node": _leaf_case(
+        2 * LEAF + 1, (1.0, -0.5, 0.5),
+        FieldDef.parse(["1 - x + 0.5*y", "-2*y + z - y^3", "x - z - z^3"])),
     # x' = x^2 from 0.1 at alpha = 0.9 blows up in the second leaf, at step 1051.
     "escape_in_second_leaf": _leaf_case(3001, (0.1,), FieldDef.parse(["x*x"]), 0.9),
 }
@@ -682,6 +687,72 @@ class TestSubBlockKernel:
         # The solver evaluates g at node 0 before the kernel runs.
         budget = 3 * (meta.field_evals - 1) + nnz * meta.jacobian_evals
         assert builtin_calls == collections.Counter(float=budget)
+
+    def test_stores_go_through_memoryviews(self, monkeypatch):
+        # Every state and g value that the kernel writes goes as a float
+        # into a flat memoryview of doubles, built once per solve and
+        # released when it ends.
+        alpha, fld, params, x0, _, dt = KERNEL_CASES["lorenz_3d_params"]
+        problem = CaputoProblem(alpha, fld, params, x0, 2 * LEAF * dt, dt)
+        kernel = caputo_solver._corrector(caputo_solver._jacobian(fld)[0])
+
+        class Recorder:
+            def __init__(self, view):
+                self.view, self.stores = view, 0
+
+            def __getitem__(self, k):
+                return self.view[k]
+
+            def __setitem__(self, k, v):
+                assert type(v) is float
+                self.view[k] = v
+                self.stores += 1
+
+        calls = []
+
+        def recorded(fns, jac, p, W, fvals, xb, views, *rest):
+            assert [(type(v), v.format, v.ndim, v.contiguous, v.readonly) for v in views] == [
+                (memoryview, "d", 1, True, False)] * 4
+            recorders = [Recorder(v) for v in views]
+            calls.append((views, recorders))
+            return kernel(fns, jac, p, W, fvals, xb, tuple(recorders), *rest)
+
+        monkeypatch.setattr(caputo_solver, "_corrector", lambda pattern: recorded)
+        traj = solve_pece(problem)
+        assert len(calls) == 3 and all(views is calls[0][0] for views, _ in calls)
+        steps = traj.meta.steps
+        assert steps == 2 * LEAF and traj.escape_index is None
+        assert [sum(r[k].stores for _, r in calls) for k in range(4)] == [3 * steps] + [steps] * 3
+        with pytest.raises(ValueError, match="released"):
+            calls[0][0][0].format
+        monkeypatch.undo()
+        TestFloatKernel.assert_identical(traj, solve_pece(problem))
+
+    def test_field_failure_inside_a_newton_iterate(self):
+        # A step that ends the solve where g fails at a Newton iterate, not at
+        # its chord start, in the middle of a later sub-block: the kernel
+        # counts the steps before it at that exit, and the failing step by
+        # its evaluations alone.  exp overflows on the way to a blow-up.
+        fld, alpha, dt = FieldDef.parse(["exp(x)"]), 0.6, 0.01
+
+        def failing_step_evals(meta):
+            return meta.field_evals - 1 - meta.newton_iterations - meta.unconverged_steps
+
+        def fails_inside_newton(x0):
+            traj = solve_pece(CaputoProblem(alpha, fld, (), (x0,), 400 * dt, dt))
+            m = traj.escape_index
+            return (m is not None and traj.escape_sign == 0 and m >= SUB
+                    and 0 < m % SUB < SUB - 1
+                    and 2 <= failing_step_evals(traj.meta) <= CORRECTOR_MAX_ITER)
+
+        x0 = next((x0 for x0 in np.geomspace(2.3, 0.5, 600).tolist() if fails_inside_newton(x0)),
+                  None)
+        assert x0 is not None, "no seed of the scan fails inside a Newton iterate"
+        traj = solve_pece(CaputoProblem(alpha, fld, (), (x0,), 400 * dt, dt))
+        ref = _reference_pece_loop(alpha, fld, (), np.full((401, 1), x0), dt)
+        assert failing_step_evals(ref.meta) >= 2
+        assert traj.meta == ref.meta
+        TestFloatKernel.assert_identical(traj, ref)
 
     @pytest.mark.parametrize("case", ESCAPE_NODES)
     def test_escape_at_every_sub_block_position(self, case):

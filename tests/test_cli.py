@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -252,6 +253,24 @@ class TestSimulate:
         assert lines[0] == "t,x1"
         assert len(lines) == 12
         assert lines[1].startswith("0,0.5")
+
+    @pytest.mark.parametrize("component, x0, t_end", [("x - x^3", "2", "50"),
+                                                     ("x*x", "0.1", "30")])
+    def test_stats_are_the_solve_meta(self, tmp_path, component, x0, t_end):
+        args = ("simulate", "--component", component, "--alpha", "0.9", "--x0", x0,
+                "--t-end", t_end, "--dt", "0.01", "--out", str(tmp_path / "out.csv"))
+        plain, counted = run(*args), run(*args, "--stats")
+        assert plain.returncode == counted.returncode == 0
+        assert plain.stdout == counted.stdout == ""
+        traj = solve_pece(CaputoProblem(0.9, FieldDef.parse([component]), (), (float(x0),),
+                                        float(t_end), 0.01))
+        # Without --stats, stderr holds only an escaping solve's escape line.
+        *before, last = counted.stderr.splitlines(keepends=True)
+        assert "".join(before) == plain.stderr
+        assert len(before) == (traj.escape_index is not None)
+        stats = json.loads(last)
+        assert stats.pop("solve_s") > 0.0 and stats.pop("csv_s") > 0.0
+        assert stats == {**dataclasses.asdict(traj.meta), "escape_index": traj.escape_index}
 
 
 def _reference_write_csv(path, header, rows):
