@@ -13,7 +13,6 @@ from .caputo_solver import CaputoProblem, solve_pece
 from .field_expr import FieldDef
 
 __all__ = [
-    "BranchPoint",
     "BifurcationDiagram",
     "sweep",
     "classify",
@@ -24,39 +23,23 @@ FOLD_FIT_POINTS = 10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GAMMA = "gamma"  # the swept parameter's name in a family's params
 MIDDLE_BRANCH_TOL = 0.05  # largest shift of the pitchfork's middle zero at the fold
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    gamma: float
-    zero: float
-    deriv: float
-
-    @property
-    def stable(self):
-        return self.deriv < 0
-
-    @property
-    def degenerate(self):
-        return abs(self.deriv) < sa.H2_DERIVATIVE_FLOOR
+SCAN_INTERVAL = (-5.0, 5.0)  # where each parameter value's zeros are scanned
 
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
     gammas: np.ndarray
-    points: tuple  # tuple of tuples of BranchPoint, one inner tuple per gamma
+    zero_sets: tuple  # one sa.ZeroSet per gamma
 
     def counts(self):
-        return [len(p) for p in self.points]
+        return [len(zs) for zs in self.zero_sets]
 
 
-def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
-          base_params=()) -> BifurcationDiagram:
+def sweep(family: FieldDef, gamma_range, n_gammas, base_params=()) -> BifurcationDiagram:
     """Per-parameter zero scan over GAMMA (base_params, or zeros, hold the
     family's other parameters); empty and degenerate zero sets are tolerated.
 
-    Every parameter value is scanned in one sa.scan_zero_sets call, and the
-    derivatives at all zeros of all values come from one evaluation.
+    Every parameter value is scanned in one sa.scan_zero_sets call.
     """
     if n_gammas < 3:
         raise ValueError(f"need at least 3 parameter values, got {n_gammas}")
@@ -68,14 +51,7 @@ def sweep(family: FieldDef, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
     param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))
     if GAMMA in family.params:
         param_sets[:, family.params.index(GAMMA)] = gammas
-    zero_sets = sa.scan_zero_sets(family, scan_interval, param_sets)
-    rows = np.repeat(np.arange(n_gammas), [len(zs) for zs in zero_sets])
-    zeros = np.concatenate(zero_sets)
-    dg = sa._scalar_fn(family.derivative(0), tuple(param_sets[rows].T))
-    derivs = iter(dg(zeros).tolist())
-    points = tuple(tuple(BranchPoint(float(gam), z, next(derivs)) for z in zs)
-                   for gam, zs in zip(gammas, zero_sets))
-    return BifurcationDiagram(gammas, points)
+    return BifurcationDiagram(gammas, sa.scan_zero_sets(family, SCAN_INTERVAL, param_sets))
 
 
 def _power_fit(gs, amps, gamma_star):
@@ -108,11 +84,10 @@ def _fold_exponent(diag, i_trans, high_count, cell):
     golden-section search over the cell to 1e-12.
     """
     gs, amps = [], []
-    for g, pts in zip(diag.gammas[i_trans:], diag.points[i_trans:]):
-        if len(pts) != high_count or g <= cell[0]:
+    for g, zs in zip(diag.gammas[i_trans:], diag.zero_sets[i_trans:]):
+        if len(zs) != high_count or g <= cell[0]:
             continue
-        zeros = [p.zero for p in pts]
-        amps.append((max(zeros) - min(zeros)) / 2.0)
+        amps.append((zs.zeros[-1] - zs.zeros[0]) / 2.0)
         gs.append(g)
         if len(gs) >= FOLD_FIT_POINTS:
             break
@@ -128,14 +103,13 @@ def _fold_exponent(diag, i_trans, high_count, cell):
 def classify(diag: BifurcationDiagram) -> str:
     """Label the diagram 'saddle-node', 'pitchfork' or 'none'."""
     # Collapse degenerate folds (a single |g'|~0 zero) onto the transition.
-    kept = [(i, len(pts)) for i, pts in enumerate(diag.points)
-            if not (len(pts) == 1 and pts[0].degenerate)]
+    kept = [(i, len(zs)) for i, zs in enumerate(diag.zero_sets) if zs.degenerate() != (True,)]
     transitions = [(i, j, a, b) for (i, a), (j, b) in zip(kept, kept[1:]) if a != b]
     if len(transitions) != 1:
         return "none"
     i_lo, i_hi, low, high = transitions[0]
     # Fold location: a flagged degenerate point if present, else fitted in the cell.
-    folds = [i for i in range(i_lo, i_hi + 1) if any(p.degenerate for p in diag.points[i])]
+    folds = [i for i in range(i_lo, i_hi + 1) if any(diag.zero_sets[i].degenerate())]
     g = diag.gammas
     cell = (g[folds[0]], g[folds[0]]) if folds else (g[i_lo], g[i_hi])
     expo = _fold_exponent(diag, i_hi, high, cell)
@@ -149,10 +123,10 @@ def classify(diag: BifurcationDiagram) -> str:
 
 
 def _middle_branch_persists(diag, i_lo, i_hi):
-    pre = [p.zero for p in diag.points[i_lo]]
+    pre = diag.zero_sets[i_lo].zeros
     if len(pre) != 1:
         return False
-    post = sorted(p.zero for p in diag.points[i_hi])
+    post = diag.zero_sets[i_hi].zeros
     middle = post[len(post) // 2]
     return abs(middle - pre[0]) <= MIDDLE_BRANCH_TOL
 

@@ -62,7 +62,10 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise ValueError(f"--param expects name=value, got '{pair}'")
         name, _, value = pair.partition("=")
-        names.append(name.strip())
+        name = name.strip()
+        if name in names:
+            raise ValueError(f"--param '{name}' is given more than once")
+        names.append(name)
         values.append(float(value))
     return names, values
 
@@ -258,12 +261,9 @@ def cmd_bifurcate(args, parser):
     hi, _, m = rest.partition(":")
     diag = bif.sweep(fld, (float(lo), float(hi)), int(m), base_params=params)
     label = bif.classify(diag)
-    rows = []
-    for pts in diag.points:
-        for p in pts:
-            stability = ("degenerate" if p.degenerate
-                         else "stable" if p.stable else "unstable")
-            rows.append((p.gamma, p.zero, stability))
+    rows = [(gam, z, "degenerate" if flat else "stable" if d < 0 else "unstable")
+            for gam, zs in zip(diag.gammas.tolist(), diag.zero_sets)
+            for z, d, flat in zip(zs.zeros, zs.derivs, zs.degenerate())]
     if args.out:
         _write_csv(args.out, ["gamma", "zero", "stability"],
                    np.array(rows, dtype=object).reshape(-1, 3), f"{FMT},{FMT},%s")

@@ -17,6 +17,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -105,6 +106,10 @@ class ZeroSet:
 
     def stable(self):
         return tuple(z for z, d in zip(self.zeros, self.derivs) if d < 0)
+
+    def degenerate(self):
+        """Per zero, whether |g'| < H2_DERIVATIVE_FLOOR: hyperbolicity (H2) fails there."""
+        return tuple(abs(d) < H2_DERIVATIVE_FLOOR for d in self.derivs)
 
     def distance(self, x):
         """Euclidean distance from x (a scalar or an array) to the zero set."""
@@ -201,9 +206,14 @@ def check_h1(fld, a, b, scan_interval=(-10.0, 10.0), params=()):
 
 def _scan_grid(scan_interval):
     start, stop = (float(v) for v in scan_interval)
-    if not (math.isfinite(start) and math.isfinite(stop) and start < stop):
-        raise ValueError(f"scan interval needs finite lo < hi, got {start}:{stop}")
-    return np.linspace(start, stop, SCAN_RESOLUTION + 1)
+    if not (math.isfinite(stop - start) and start < stop):
+        raise ValueError(f"scan interval needs lo < hi and a finite hi - lo, got {start}:{stop}")
+    xs = np.linspace(start, stop, SCAN_RESOLUTION + 1)
+    # 0.0 on the grid: bisecting toward it would run through the doubles crowding there.
+    i = int(np.searchsorted(xs, 0.0))
+    if 0 < i < len(xs) and xs[i] != 0.0:
+        xs = np.insert(xs, i, 0.0)
+    return xs
 
 
 def _grid_brackets(g, xs):
@@ -233,29 +243,32 @@ def _bisect(g, lo, hi, flo):
     return mid
 
 
-def scan_zeros(fld, scan_interval, params=()):
-    """Bracketing scan + bisection; returns sorted zeros without H2 checks."""
+def scan_zeros(fld, scan_interval, params=()) -> ZeroSet:
+    """Bracketing scan + bisection: the ZeroSet of g, without H2 checks."""
     return scan_zero_sets(fld, scan_interval, [params])[0]
 
 
 def scan_zero_sets(fld, scan_interval, param_sets):
-    """scan_zeros for every row of param_sets (k, n_params): k sorted lists.
+    """scan_zeros for every row of param_sets (k, n_params): a tuple of k ZeroSets.
 
-    Each set's grid is evaluated on its own, and the bracketing cells of all
-    sets are bisected together, each cell carrying its set's parameters.
+    Each row's grid is evaluated on its own. The bracketing cells of all rows
+    are then bisected together, and g' at the zeros of all rows comes from one
+    evaluation; each point carries its row's parameters as per-point arrays
+    (see eval_points).
     """
     xs = _scan_grid(scan_interval)
     param_sets = np.asarray(param_sets, dtype=float)
     found = [_grid_brackets(_scalar_fn(fld, tuple(p)), xs) for p in param_sets]
-    counts = [len(cells) for _, cells, _ in found]
+    cell_params = np.repeat(param_sets, [len(c) for _, c, _ in found], axis=0)
     cells = np.concatenate([c for _, c, _ in found])
     flo = np.concatenate([f for _, _, f in found])
-    rows = np.repeat(np.arange(len(found)), counts)
-    # Each cell's parameters ride along as per-point arrays (see eval_points).
-    g = _scalar_fn(fld, tuple(param_sets[rows].T))
-    mids = _bisect(g, xs[cells], xs[cells + 1], flo)
-    return [sorted(np.concatenate([e, m]).tolist())
-            for (e, _, _), m in zip(found, np.split(mids, np.cumsum(counts)[:-1]))]
+    mids = iter(_bisect(_scalar_fn(fld, tuple(cell_params.T)), xs[cells], xs[cells + 1],
+                        flo).tolist())
+    zeros = [sorted(exact.tolist() + list(islice(mids, len(c)))) for exact, c, _ in found]
+    zero_params = np.repeat(param_sets, [len(z) for z in zeros], axis=0)
+    derivs = iter(_scalar_fn(fld.derivative(0), tuple(zero_params.T))(
+        [z for row in zeros for z in row]).tolist())
+    return tuple(ZeroSet(tuple(z), tuple(islice(derivs, len(z)))) for z in zeros)
 
 
 def find_zeros(fld, scan_interval, params=()) -> ZeroSet:
@@ -265,22 +278,21 @@ def find_zeros(fld, scan_interval, params=()) -> ZeroSet:
     (H2 violation); warns when the count comes out even, which usually means
     the scan interval is too small.
     """
-    zeros = scan_zeros(fld, scan_interval, params)
-    derivs = _scalar_fn(fld.derivative(0), params)(zeros).tolist()
-    for z, d in zip(zeros, derivs):
-        if abs(d) < H2_DERIVATIVE_FLOOR:
+    zs = scan_zeros(fld, scan_interval, params)
+    for z, d, flat in zip(zs.zeros, zs.derivs, zs.degenerate()):
+        if flat:
             raise DegenerateZeroError(
                 f"zero at x={z:.9g} has |g'|={abs(d):.3g} < {H2_DERIVATIVE_FLOOR} "
                 "(non-degeneracy fails)",
                 zero=z,
             )
-    if zeros and len(zeros) % 2 == 0:
+    if zs.zeros and len(zs) % 2 == 0:
         warnings.warn(
-            f"found an even number of zeros ({len(zeros)}); "
+            f"found an even number of zeros ({len(zs)}); "
             "the scan interval may clip the zero set",
             stacklevel=_caller_outside_package(),
         )
-    return ZeroSet(tuple(zeros), tuple(derivs))
+    return zs
 
 
 def _caller_outside_package():

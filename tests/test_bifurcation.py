@@ -53,9 +53,7 @@ def _reference_sweep(family, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
         params = tuple(params)
         zeros = _reference_scan(family, scan_interval, resolution, params)
         derivs = eval_points(family.derivative(0), np.reshape(zeros, (-1, 1)), params)[:, 0]
-        per_gamma.append(tuple(
-            bif.BranchPoint(float(gam), z, d) for z, d in zip(zeros, derivs.tolist())
-        ))
+        per_gamma.append(sa.ZeroSet(tuple(zeros), tuple(derivs.tolist())))
     return bif.BifurcationDiagram(gammas, tuple(per_gamma))
 
 
@@ -68,17 +66,16 @@ class TestSweep:
         # gamma = 0 sits on the grid and is flagged degenerate
         i0 = int(np.argmin(np.abs(diag.gammas)))
         assert diag.gammas[i0] == 0.0
-        assert len(diag.points[i0]) == 1 and diag.points[i0][0].degenerate
+        assert diag.zero_sets[i0].degenerate() == (True,)
 
     def test_saddle_branches_are_sqrt(self):
         diag = bif.sweep(SADDLE, (-1.0, 1.0), 201)
-        for gam, pts in zip(diag.gammas, diag.points):
-            if gam <= 0 or len(pts) != 2:
+        for gam, zs in zip(diag.gammas, diag.zero_sets):
+            if gam <= 0 or len(zs) != 2:
                 continue
-            zeros = sorted(p.zero for p in pts)
-            assert zeros[0] == pytest.approx(-math.sqrt(gam), abs=1e-9)
-            assert zeros[1] == pytest.approx(math.sqrt(gam), abs=1e-9)
-            assert pts[0].stable != pts[1].stable
+            assert zs.zeros[0] == pytest.approx(-math.sqrt(gam), abs=1e-9)
+            assert zs.zeros[1] == pytest.approx(math.sqrt(gam), abs=1e-9)
+            assert (zs.derivs[0] < 0) != (zs.derivs[1] < 0)
 
     def test_pitchfork_zero_counts(self):
         diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
@@ -116,7 +113,7 @@ class TestSweep:
         ref = _reference_sweep(family, gamma_range, 201, base_params=base_params)
         assert repr(diag) == repr(ref)  # zeros, derivatives and their signs
         if family is SADDLE:
-            assert () in diag.points  # gamma < 0: an empty zero set comes out
+            assert sa.ZeroSet((), ()) in diag.zero_sets  # gamma < 0: no zeros
 
     def test_complex_family_raises(self):
         # x^0.5 is complex on the negative half of the scan interval
@@ -142,6 +139,23 @@ class TestSweep:
         diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
         assert diag.counts()[-1] == 3
         assert 201 < calls[0] <= 201 + 50
+
+    def test_derivative_at_the_zeros_is_one_evaluation(self, monkeypatch):
+        # g' at every zero of every parameter value comes from one call, in
+        # find_zeros as in a sweep.
+        fields = []
+
+        def recorded(f, *args, **kwargs):
+            fields.append(f)
+            return eval_points(f, *args, **kwargs)
+
+        monkeypatch.setattr(sa, "eval_points", recorded)
+        sa.find_zeros(get("cubic").fld, (-5.0, 5.0))
+        assert sum(f is get("cubic").fld.derivative(0) for f in fields) == 1
+        fields.clear()
+        diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
+        assert sum(diag.counts()) > 201
+        assert sum(f is PITCHFORK.derivative(0) for f in fields) == 1
 
 
 class TestClassification:

@@ -148,6 +148,16 @@ class TestExitCodes:
         assert proc.stderr == ("error: found an even number of zeros (2); "
                                "the scan interval may clip the zero set\n")
 
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_overflowing_scan_width_is_two(self, action):
+        # Under "error" too: not numpy's overflow warning, but the scan's own error.
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            proc = run("attractor", "--catalog", "cubic", "--scan=-1e308:1e308")
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: scan interval needs lo < hi and a finite hi - lo, "
+                               "got -1e+308:1e+308\n")
+
     @pytest.mark.parametrize("t_back, message", [
         ("25", "no preimage within tol=1e-08 at horizon 25.0"),
         ("40", "no preimage within tol=1e-08 at horizon 20.0"),
@@ -282,6 +292,12 @@ def _reference_write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+def _bifurcate_rows(diag):
+    return [(float(gam), z, "degenerate" if flat else "stable" if d < 0 else "unstable")
+            for gam, zs in zip(diag.gammas, diag.zero_sets)
+            for z, d, flat in zip(zs.zeros, zs.derivs, zs.degenerate())]
+
+
 def _trajectory_rows(traj):
     return [(float(t), *map(float, s)) for t, s in zip(traj.times, traj.states)]
 
@@ -307,10 +323,8 @@ class TestCsvBytes:
 
     def test_bifurcate_text_column(self, tmp_path, capsys):
         diag = bifurcation.sweep(catalog.get("saddle").fld, (-1.0, 1.0), 21)
-        rows = [(p.gamma, p.zero, "degenerate" if p.degenerate
-                 else "stable" if p.stable else "unstable")
-                for pts in diag.points for p in pts]
-        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"], rows)
+        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"],
+                             _bifurcate_rows(diag))
         assert cli.main(["bifurcate", "--family", "saddle", "--gamma-range=-1:1:21",
                          "--out", str(tmp_path / "new.csv")]) == 0
         capsys.readouterr()
@@ -424,11 +438,24 @@ class TestFieldFlags:
         doc = json.loads(proc.stdout)
         assert doc["classification"] == bifurcation.classify(diag)
         assert doc["zero_counts"] == diag.counts()
-        rows = [(p.gamma, p.zero, "degenerate" if p.degenerate
-                 else "stable" if p.stable else "unstable")
-                for pts in diag.points for p in pts]
-        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"], rows)
+        _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"],
+                             _bifurcate_rows(diag))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, name", [
+        (("simulate", "--component", "a*x", "--param", "a=1", "--param", "a=-2",
+          "--alpha", "0.5", "--x0", "1", "--t-end", "1", "--dt", "0.1"), "a"),
+        (("simulate", "--catalog", "saddle", "--param", "gamma=1", "--param", "gamma= -2",
+          "--alpha", "0.5", "--x0", "1", "--t-end", "1", "--dt", "0.1"), "gamma"),
+        (("bifurcate", "--family", "custom", "--component", "gamma - x^2",
+          "--param", "gamma=0.1", "--param", "gamma=0.2", "--gamma-range=-1:1:21"), "gamma"),
+    ], ids=["component", "catalog", "custom_family"])
+    def test_a_parameter_given_twice_is_two(self, args, name):
+        # Neither the first nor the last value silently wins.
+        proc = run(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --param '{name}' is given more than once\n"
+        assert proc.stdout == ""
 
     def test_triangular_factors_match_the_catalog_field(self):
         given = run("triangular", "--f", "x*(1 - x^2)", "--f", "y*(1 - y^2)",

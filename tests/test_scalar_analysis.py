@@ -56,10 +56,30 @@ class TestZeroSets:
         (1.0, 1.0),         # zero width: 2001 copies of the zero 1.0
         (math.nan, 5.0),
         (-math.inf, 5.0),
+        (-1e308, 1e308),    # finite ends, but hi - lo overflows (not numpy's warning)
     ])
     def test_bad_scan_interval_rejected(self, interval):
         with pytest.raises(ValueError, match="scan interval"):
             sa.scan_zeros(CUBIC, interval)
+
+    def test_zero_at_zero_off_the_grid_is_cheap(self, monkeypatch):
+        # The (-5, 5.1) grid misses 0, so 0 becomes a grid point: bisecting a
+        # cell toward 0 through the doubles took 1067 evaluations.
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eval_points(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "eval_points", counted)
+        zs = sa.scan_zeros(CUBIC, (-5.0, 5.1))
+        assert zs.zeros[1] == 0.0 and len(zs) == 3
+        assert zs.zeros == pytest.approx((-1.0, 0.0, 1.0), abs=1e-15)
+        assert calls[0] <= 64
+
+    def test_degenerate_flags_each_zero_below_the_floor(self):
+        zs = sa.ZeroSet((-1.0, 0.0, 1.0), (-2.0, sa.H2_DERIVATIVE_FLOOR / 2, sa.H2_DERIVATIVE_FLOOR))
+        assert zs.degenerate() == (False, True, False)
 
     def test_zeros_are_located_to_the_double(self):
         # Each zero is exact, or g changes sign between it and a neighbouring double.
