@@ -253,8 +253,11 @@ def cmd_triangular(args, parser):
 
 def cmd_bifurcate(args, parser):
     custom = args.family == "custom"
-    if custom and bif.GAMMA not in _parse_params(args.param)[0]:
-        args.param.insert(0, f"{bif.GAMMA}=0")  # the swept parameter, always declared
+    if bif.GAMMA in _parse_params(args.param)[0]:
+        parser.error(f"--param {bif.GAMMA} is the swept parameter; "
+                     "give its values with --gamma-range")
+    if custom:
+        args.param.insert(0, f"{bif.GAMMA}=0")  # declared; sweep sets its values
     fld, params, _ = _resolve_field(args, parser, None if custom else args.family,
                                     "a named --family")
     lo, _, rest = args.gamma_range.partition(":")

@@ -347,6 +347,33 @@ def check_heteroclinic_round_trip():
             f"{float(fwd.scalar()[-1]):.6f}, round trip {float(rt.scalar()[-1]):.9f}")
 
 
+def check_lower_envelope():
+    """d(x(t), N(g)) >= E_0.6(-L t^0.6) d(eta, N(g)) (1 - slack), L from
+    default_lipschitz_bound: no solution reaches a zero in finite time, as its
+    non-intersection with the constant solutions implies (Cong & Tuan)."""
+    worst, solves = math.inf, 0
+    for name in ("linear", "cubic", "pitchfork", "saddle"):
+        entry = catalog.get(name)
+        # the saddle's two zeros are its whole zero set, which find_zeros's
+        # parity warning would doubt
+        zs = sa.scan_zeros(entry.fld, entry.scan_interval, entry.default_params)
+        for eta in (-2.5, -0.5, 0.3, 0.9, 1.5, 2.5):
+            if (name, eta) == ("saddle", -2.5):
+                continue
+            traj = solve_pece(_scalar_problem(name, 0.6, eta, 30.0, 0.01))
+            L = sa.default_lipschitz_bound(entry.fld, eta, zs, entry.default_params)
+            rep = sa.lower_bound_check(traj, zs, L)
+            if not rep.holds:
+                return (False, rep.worst_ratio - 1.0,
+                        f"{name} from {eta} (L={L:.4f}) comes closer to a zero than "
+                        f"its lower envelope allows at index {rep.first_violation_index}")
+            worst, solves = min(worst, rep.worst_ratio), solves + 1
+    return (True, worst - 1.0,
+            f"{solves} solves to t = 30 keep distance ratio >= {worst:.6f} to the "
+            "lower envelope; saddle from -2.5 skipped: below its unstable zero it "
+            "escapes by design")
+
+
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -392,6 +419,7 @@ SUITES = {
         "componentwise_limits_25_seeds": partial(
             check_componentwise_limits, _fig2_seeds(25, 271828), 1.0e3),
         "heteroclinic_round_trip": check_heteroclinic_round_trip,
+        "lower_envelope_23_seeds": check_lower_envelope,
     },
 }
 

@@ -12,7 +12,8 @@ import functools
 import pytest
 
 from fracdyn import caputo_solver
-from fracdyn.verification import SUITES, run_check, run_checks
+from fracdyn import scalar_analysis as sa
+from fracdyn.verification import SUITES, check_lower_envelope, run_check, run_checks
 
 CHECKS = [(suite, name) for suite, checks in SUITES.items() for name in checks]
 SUITE_OF = {name: suite for suite, name in CHECKS}
@@ -100,3 +101,13 @@ def test_every_quick_solve_meets_the_corrector_tolerance(monkeypatch):
     assert len(bounded) > 50
     assert sum(m.unconverged_steps for m in bounded) == 0
     assert max(m.max_residual for m in bounded) <= caputo_solver.CORRECTOR_TOL
+
+
+def test_lower_envelope_fails_below_the_lipschitz_bound(monkeypatch):
+    # The linear field's solution is its lower envelope at L = 1, so the
+    # envelope at L = 0.5 lies above it from the first step on.
+    bound = sa.default_lipschitz_bound
+    monkeypatch.setattr(sa, "default_lipschitz_bound", lambda *args: 0.5 * bound(*args))
+    ok, margin, details = check_lower_envelope()
+    assert not ok and margin < 0.0
+    assert details.startswith("linear from -2.5 (L=0.5000)")

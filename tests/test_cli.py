@@ -422,9 +422,9 @@ class TestFieldFlags:
 
     @pytest.mark.parametrize("component, params, names, base", [
         ("gamma - x^2", (), ("gamma",), (0.0,)),
-        ("gamma - x^2", ("gamma=0.3",), ("gamma",), (0.3,)),
+        ("gamma - x^2", ("c=0.3",), ("gamma", "c"), (0.0, 0.3)),  # c declared, unused
         ("gamma*x - c*x^3", ("c=2",), ("gamma", "c"), (0.0, 2.0)),
-        ("gamma*x - c*x^3", ("c=2", "gamma=5"), ("c", "gamma"), (2.0, 5.0)),
+        ("gamma*x - c*x^3", ("c=-1",), ("gamma", "c"), (0.0, -1.0)),  # subcritical
     ])
     def test_bifurcate_custom_family(self, tmp_path, component, params, names, base):
         argv = ["bifurcate", "--family", "custom", "--component", component,
@@ -447,14 +447,33 @@ class TestFieldFlags:
           "--alpha", "0.5", "--x0", "1", "--t-end", "1", "--dt", "0.1"), "a"),
         (("simulate", "--catalog", "saddle", "--param", "gamma=1", "--param", "gamma= -2",
           "--alpha", "0.5", "--x0", "1", "--t-end", "1", "--dt", "0.1"), "gamma"),
-        (("bifurcate", "--family", "custom", "--component", "gamma - x^2",
-          "--param", "gamma=0.1", "--param", "gamma=0.2", "--gamma-range=-1:1:21"), "gamma"),
+        (("bifurcate", "--family", "custom", "--component", "gamma*x - c*x^3",
+          "--param", "c=1", "--param", "c=2", "--gamma-range=-1:1:21"), "c"),
     ], ids=["component", "catalog", "custom_family"])
     def test_a_parameter_given_twice_is_two(self, args, name):
         # Neither the first nor the last value silently wins.
         proc = run(*args)
         assert proc.returncode == 2
         assert proc.stderr == f"error: --param '{name}' is given more than once\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("family, params", [
+        ("saddle", ("gamma=0.7",)),
+        ("pitchfork", ("gamma=0",)),
+        ("custom", ("gamma=0.3",)),
+        ("custom", ("c=2", "gamma=5")),
+    ])
+    def test_bifurcate_refuses_a_gamma_param(self, family, params):
+        # sweep sets every value of gamma, so a given one would be dropped unread.
+        argv = ["bifurcate", "--family", family, "--gamma-range=-1:1:21"]
+        if family == "custom":
+            argv += ["--component", "gamma*x - c*x^3"]
+        for pair in params:
+            argv += ["--param", pair]
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert "--param gamma is the swept parameter" in proc.stderr
+        assert "--gamma-range" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
     def test_triangular_factors_match_the_catalog_field(self):

@@ -1,13 +1,16 @@
 """Mittag-Leffler evaluation against closed identities and frozen oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from fracdyn import mittag_leffler
 from fracdyn.mittag_leffler import (
     Z_BLOCK,
+    Z_FAR,
     MLConvergenceError,
     MLDomainError,
     MLOverflowError,
@@ -68,6 +71,17 @@ def ml_series_mp(alpha, beta, z):
             if abs(term) < mpmath.mpf(10) ** -digits and k > 3:
                 return float(total)
             k += 1
+
+
+def full_trapezoid(alpha, beta, z, n, mu, h):
+    """The contour rule on all 2n + 1 nodes, by complex division, for every z at once."""
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    log_s = np.log(s)
+    weight = np.exp(s + (alpha - beta) * log_s) * (2.0 * mu * (1j - u))
+    s_alpha = np.exp(alpha * log_s)
+    terms = weight / (s_alpha - z[:, None])
+    return (h / (2j * np.pi) * terms.sum(axis=1)).real
 
 
 # Frozen high-precision sums of the defining series (adaptive-precision
@@ -158,13 +172,34 @@ class TestContourAccuracy:
 
     @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (0.97, 1.0), (0.6, 2.5)])
     def test_blocks_of_z_match_single_points(self, alpha, beta):
-        # 65 values: one full block of Z_BLOCK and one of a single value.
-        assert Z_BLOCK == 64
-        z = -np.geomspace(1e-3, 1e3, 65)
+        # One full block of Z_BLOCK values and one of a single value.
+        z = -np.geomspace(1e-3, 1e3, Z_BLOCK + 1)
         one_by_one = [ml_eval(MLQuery(alpha, beta, float(zi))) for zi in z]
         assert np.array_equal(_contour(alpha, beta, z), one_by_one)
-        t = np.linspace(0.0, 50.0, 65)
+        t = np.linspace(0.0, 50.0, Z_BLOCK + 1)
         assert np.array_equal(ml_decay(alpha, 1.0, t), [ml_decay(alpha, 1.0, ti) for ti in t])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.97, 1.0, 1.1, 1.5, 1.9])
+    def test_half_nodes_match_the_full_complex_rule(self, alpha, monkeypatch):
+        # beta = 1, alpha and 2.5; the cases alpha > 1 add pole residues to both.
+        z = -np.geomspace(1e-3, 1e3, 129)
+        for beta in (1.0, alpha, 2.5):
+            half = _contour(alpha, beta, z)
+            with monkeypatch.context() as m:
+                m.setattr(mittag_leffler, "_trapezoid", full_trapezoid)
+                full = _contour(alpha, beta, z)
+            assert np.max(np.abs(half - full)) <= 2e-15, beta
+
+    @pytest.mark.parametrize("alpha, beta",
+                             [(0.3, 1.0), (0.6, 1.0), (0.97, 1.0), (0.6, 2.5), (1.5, 1.0)])
+    def test_far_arguments_keep_their_relative_accuracy(self, alpha, beta):
+        # The sum is scaled from -Z_FAR, where squaring z would overflow.
+        z = -np.array([1e100, Z_FAR, 1e160, 1e200, 1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _contour(alpha, beta, z)
+        # E_(alpha,beta)(z) ~ -1 / (z Gamma(beta - alpha)) as z -> -inf
+        assert np.allclose(got * -z * math.gamma(beta - alpha), 1.0, rtol=1e-13, atol=0)
 
     def test_beta_against_series(self):
         for alpha in (0.5, 0.8, 1.0):
