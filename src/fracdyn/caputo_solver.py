@@ -6,23 +6,26 @@ Solves the integral form
 
 on a uniform grid by product integration (Diethelm, Ford & Freed 2002)
 with g linear on each step (the trapezoid rule), which makes each step an
-implicit equation x = b + w*g(x).  The corrector solves it by Newton's
-method with the field's exact Jacobian (Garrappa 2018, Mathematics 6:16),
-which needs no predictor.  Each step starts with one chord update of the
-last state x(m-1) by a kept Jacobian J*, the simplified Newton step of
-stiff ODE codes (Hairer & Wanner 1996, Solving ODEs II, IV.8), which
-reuses the stored g(x(m-1)) and evaluates nothing.  J* is evaluated at the
-state before each leaf's first step and renewed by every later evaluation
-of J.  Where J fails or I - w*J has a zero pivot there, and after a step
-that keeps the explicit step, J* = 0 and the next start is the explicit
-step b + w*g(x(m-1)).  The step evaluates g there, and while the residual
-exceeds CORRECTOR_TOL, J and g at each Newton iterate.  J* changes little
-along a smooth path, so the cubic takes about 1.07 evaluations of g and
-0.07 of g' per step.  A step that does not converge
-within CORRECTOR_MAX_ITER evaluations of g (where the equation has no
-real root, as on the way to a blow-up) keeps the explicit step and is
-counted in `SolverMeta.unconverged_steps`.  The history sums are split by
-the lag (Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532;
+implicit equation x = b + w*g(x).  `_trapezoid_weights` alone assembles
+the rule's weights, from the per-offset rule `_weights` that the memory
+integral of the function-space semigroup takes too.  The corrector solves
+the equation by Newton's method with the field's exact Jacobian (Garrappa
+2018, Mathematics 6:16), which needs no predictor.  Each step starts with
+one chord update of the last state x(m-1) by a kept Jacobian J*, the
+simplified Newton step of stiff ODE codes (Hairer & Wanner 1996, Solving
+ODEs II, IV.8), which reuses the stored g(x(m-1)) and evaluates nothing.
+J* is evaluated at the state before each leaf's first step and renewed by
+every later evaluation of J.  Where J fails or I - w*J has a zero pivot
+there, and after a step that keeps the explicit step, J* = 0 and the next
+start is the explicit step b + w*g(x(m-1)).  The step evaluates g there,
+and while the residual exceeds CORRECTOR_TOL, J and g at each Newton
+iterate.  J* changes little along a smooth path, so the cubic takes about
+1.07 evaluations of g and 0.07 of g' per step.  A step that does not
+converge within CORRECTOR_MAX_ITER evaluations of g (where the equation
+has no real root, as on the way to a blow-up) keeps the explicit step,
+which `_explicit_step` alone computes, with g there, and is counted in
+`SolverMeta.unconverged_steps`.  The history sums are split by the lag
+(Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532;
 Garrappa 2018): older leaves of LEAF nodes enter in FFT blocks, so that a
 solve of N steps costs O(N log^2 N).  Inside its own leaf, a step takes
 its history by sub-blocks of SUB nodes: one np.correlate per component,
@@ -40,12 +43,10 @@ through flat memoryviews of the solve's arrays, which take a float in
 about half the time of numpy's item assignment, so that a converged step
 makes no numpy operation; a step whose chord start converges also leaves
 every count alone, since they follow from the number of steps at the
-kernel's exits.  A triangular field's J is
-lower triangular, and its Newton step a forward substitution.  The solver
-and the memory integral of the function-space semigroup take their weights
-from one per-offset rule, `_weights`.  The same recurrence with x0
-replaced by a forcing function f(t_n) solves the forced singular Volterra
-integral equation.
+kernel's exits.  A triangular field's J is lower triangular, and its
+Newton step a forward substitution.  The same recurrence with x0 replaced
+by a forcing function f(t_n) solves the forced singular Volterra integral
+equation.
 """
 
 from __future__ import annotations
@@ -186,6 +187,27 @@ def _weights(alpha, n):
     return np.concatenate((zero, rect - near)), np.concatenate((zero, near))
 
 
+def _trapezoid_weights(alpha, N, dt):
+    """The product trapezoid rule's triple on N steps of dt, the one home of
+    the solver's weights: (padded lag row, self-weight, node 0's offset)."""
+    far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
+    scale = dt**alpha / math.gamma(alpha)
+    # The weights by lag, reversed so that step n reads one contiguous slice:
+    # W[N - k] = far[k] + near[k + 1] weights the node k steps back, the
+    # trapezoid weight far of the step before the node plus near of the step
+    # after it.  Node 0 has no step before it: W[0] = 0.  W is a view past SUB
+    # zeros, on which _corrector's correlations may reach beyond lag N.
+    padded = np.zeros(SUB + N + 1)
+    W = padded[SUB:]
+    W[1:] = (far[:-1] + near[1:])[::-1]
+    W *= scale
+    # Node 0 enters by its far weight alone.  The sums give it the trapezoid
+    # weight W[N - m] at step m, so its offset holds far less that weight.
+    node0 = scale * far[: N + 1]
+    node0 -= W[::-1]
+    return padded, float(scale * near[1]), node0
+
+
 def _block_spectrum(W, L):
     """rfft of the weights at lags 1..2L: lag p + 1 at entry p.  Lags past N
     reach no node of the grid and are left zero."""
@@ -245,6 +267,17 @@ def _elimination(pattern):
     return factor, solve
 
 
+def _explicit_step(fns, p, b, w, g):
+    """The explicit step x = b + w*g(x(m-1)) that a step keeps where Newton
+    gives up, and g(x); an error of g carries x as its `point`."""
+    x = tuple(bi + w * gi for bi, gi in zip(b, g))
+    try:
+        return x, [float(f(x, p)) for f in fns]
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        exc.point = x  # where the solve escapes
+        raise
+
+
 @lru_cache(maxsize=None)
 def _corrector(pattern):
     """The corrector of one leaf, generated once per nonzero pattern of J
@@ -286,12 +319,12 @@ def _corrector(pattern):
     does not stop it) each pass of Newton's loop evaluates J, steps by
     (I - w*J) delta = F and evaluates g and F at the result, so that a step
     is accepted only after at least one update.  max|F| is taken by
-    comparisons, without a call of abs().
-    After CORRECTOR_MAX_ITER evaluations of g, a zero pivot or a failing
-    entry of J, the step keeps the explicit step, evaluates g there and
-    counts as unconverged.  The limits and ESCAPE_THRESHOLD are read once
-    per call.  g(x) then goes to fvals[:, m] and x to states[m] unless it
-    leaves +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
+    comparisons, without a call of abs().  After CORRECTOR_MAX_ITER
+    evaluations of g, a zero pivot or a failing entry of J, the step keeps
+    what _explicit_step returns, the explicit step and g there, and counts
+    as unconverged.  The limits and ESCAPE_THRESHOLD are read once per
+    call.  g(x) then goes to fvals[:, m] and x to states[m] unless it leaves
+    +-ESCAPE_THRESHOLD.  fns are the field's compiled() components.
 
     counts holds SolverMeta's fields but steps, in order: max iterations,
     max residual (max|F| at a step's last iterate), evaluations of g,
@@ -337,9 +370,11 @@ def _corrector(pattern):
             lines.append(f"b{i} = c{t}_{i} + " + (f"(H{i}_{t} + ({own}))" if t else f"H{i}_0"))
         chord = [*(f"r{i} = x{before}_{i} - b{i} - w * q{before}_{i}" for i in comps),
                  *solve, *(f"x{t}_{i} = x{before}_{i} - r{i}" for i in comps)]
-        explicit = [f"x{t}_{i} = b{i} + w * q{before}_{i}" for i in comps]
+        state = f"({names('x{}_{}', t)})"
+        keep = (f"{state}, ({names('q{}_{}', t)}) = _explicit_step(fns, p, ({names('b{}')}), "
+                f"w, ({names('q{}_{}', before)}))")
         # float() of a complex value (x^0.5 at x < 0) raises TypeError.
-        evaluate = [f"pt = {names('x{}_{}', t)}",
+        evaluate = [f"pt = {state}",
                     *(f"q{t}_{i} = float(f{i}(pt, p))" for i in comps)]
         residual = [*(f"r{i} = x{t}_{i} - b{i} - w * q{t}_{i}" for i in comps),
                     "residual = r0 if r0 >= 0.0 else -r0"]
@@ -361,7 +396,7 @@ def _corrector(pattern):
             "    while not residual <= tol and iters < cap:",
             *indent(newton + ["evals += 1"] + evaluate + residual, 2),
             "    if not residual <= tol:  # keep the explicit step",
-            *indent(zero + explicit + ["evals += 1"] + evaluate + ["unconverged += 1"], 2),
+            *indent([*zero, "evals += 1", keep, "unconverged += 1"], 2),
             "    total += iters - 1",
             "    if iters > max_iters:",
             "        max_iters = iters",
@@ -369,7 +404,7 @@ def _corrector(pattern):
             "    max_residual = residual",
             *(f"fv{i}[m] = q{t}_{i}" for i in comps),
             f"if not ({in_range}):  # true for nan",
-            *indent(leave("m + 1 - start", "n", "(m, pt)")),
+            *indent(leave("m + 1 - start", "n", f"(m, {state})")),
             *([f"j = {d} * m"] if d > 1 else []),
             *(f"sv[{index.format(i)}] = x{t}_{i}" for i in comps),
         ]
@@ -415,13 +450,13 @@ def _corrector(pattern):
         "            if m0:  # node 0 holds the initial state",
         *indent(body(0), 4),
         *(line for t in range(1, SUB) for line in indent(body(t), 3)),
-        "    except (ArithmeticError, ValueError, TypeError):",
-        # The failing step's evaluations up to its chord start.
-        *indent(leave("m - start", "n + 1", "(m, pt)"), 2),
+        "    except (ArithmeticError, ValueError, TypeError) as exc:",
+        # The failing step's evaluations up to its chord start; see _explicit_step.
+        *indent(leave("m - start", "n + 1", '(m, getattr(exc, "point", pt))'), 2),
         *indent(leave("e - start", "n", "None")),
     ]
     namespace = {}
-    # The module's globals, so that the limits are looked up on every call.
+    # The module's globals: the limits and _explicit_step are looked up per call.
     exec(compile("\n".join(lines), f"<corrector {pattern}>", "exec"), globals(), namespace)
     return namespace["correct"]
 
@@ -429,8 +464,9 @@ def _corrector(pattern):
 def _pece_loop(alpha, fld, params, forcing, dt):
     """Shared corrector recurrence; forcing has shape (N+1, d).
 
-    The grid is walked in leaves of LEAF nodes.  A node takes its history
-    from the earlier nodes of its own leaf in `_corrector`'s kernel, by
+    The weights are `_trapezoid_weights`' triple; this loop only walks the
+    grid in leaves of LEAF nodes.  A node takes its history from the
+    earlier nodes of its own leaf in `_corrector`'s kernel, by
     sub-blocks of SUB nodes; the rest has already been added to its offset
     xb by FFT blocks, the convolution splitting of Hairer, Lubich & Schlichte
     1985 (SIAM J. Sci. Stat. Comput. 6:532) that Garrappa 2018 (Mathematics
@@ -449,18 +485,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
     """
     N, d = forcing.shape[0] - 1, forcing.shape[1]
-    far, near = _weights(alpha, max(N, 1))  # offset 1 holds the self-weight
-    scale = dt**alpha / math.gamma(alpha)
-    # The weights by lag, reversed so that step n reads one contiguous slice:
-    # W[N - k] = far[k] + near[k + 1] weights the node k steps back, the
-    # trapezoid weight far of the step before the node plus near of the step
-    # after it.  Node 0 has no step before it: W[0] = 0.  W is a view past SUB
-    # zeros, on which _corrector's correlations may reach beyond lag N.
-    padded = np.zeros(SUB + N + 1)
-    W = padded[SUB:]
-    W[1:] = (far[:-1] + near[1:])[::-1]
-    W *= scale
-    w_self = float(scale * near[1])
+    padded, w_self, node0 = _trapezoid_weights(alpha, N, dt)
 
     states = np.empty((N + 1, d))
     fvals = np.empty((d, N + 1))  # g by component, so that each history is contiguous
@@ -479,19 +504,14 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as stack:
         # The kernel's flat views of the states and of g's rows, released on leaving.
         views = tuple(stack.enter_context(memoryview(a)) for a in (states.reshape(-1), *fvals))
-        # Node 0 enters by its far weight alone.  The sums below give it the
-        # trapezoid weight W[N - m] at step m, so its offset holds far less
-        # that weight.
-        node0 = scale * far[: N + 1]
-        node0 -= W[::-1]
         xb = forcing + node0[:, None] * fvals[:, 0]
-        del far, near, node0  # only W and w_self are read from here on
+        del node0
         for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
             if s:  # the leaf before ends here: add its block to the nodes ahead
                 L = s & -s
                 w = spectra.get(L)
                 if w is None:
-                    w = _block_spectrum(W, L)
+                    w = _block_spectrum(padded[SUB:], L)
                     if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
                         spectra[L] = w
                 src = np.fft.rfft(fvals[:, s - L : s], 2 * L)

@@ -232,8 +232,10 @@ def _contour(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     else:
         out = np.empty(z.shape)
         for i, zi in enumerate(z):
-            # Conjugate poles |z|^(1/alpha) e^(+-i pi/alpha), residues e^s s^(1-beta) / alpha
-            pole = abs(zi) ** (1.0 / alpha) * np.exp(1j * math.pi / alpha)
+            # Conjugate poles |z|^(1/alpha) e^(+-i pi/alpha), residues e^s s^(1-beta) / alpha.
+            # The real part as r sin(pi/2 - pi/alpha) is exactly 0 at alpha = 2.
+            r, theta = abs(zi) ** (1.0 / alpha), math.pi / alpha
+            pole = complex(r * math.sin(0.5 * math.pi - theta), r * math.sin(theta))
             phi = 0.5 * (pole.real + abs(pole))
             n, mu, h, poles_right = _cheapest_rule(p0, phi if phi > 1e-15 else 0.0)
             out[i] = _trapezoid(alpha, beta, z[i : i + 1], n, mu, h)[0]

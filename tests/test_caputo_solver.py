@@ -776,15 +776,47 @@ class TestSubBlockKernel:
 
     def test_every_body_keeps_its_explicit_step(self, monkeypatch):
         # Below a negative tolerance no step converges, so each body of the
-        # solve's sub-blocks, the last one short, falls back to its explicit step.
+        # solve's sub-blocks, the last one short, falls back to its explicit
+        # step through one call of _explicit_step.  Each step evaluates g
+        # CORRECTOR_MAX_ITER + 1 times, the last at its explicit step, after
+        # node 0's evaluation.  Where that evaluation fails, at steps 1 .. SUB + 1
+        # across the first sub-block boundary, the solve escapes there.
         monkeypatch.setattr(caputo_solver, "CORRECTOR_TOL", -1.0)
         monkeypatch.setitem(_newton.__globals__, "CORRECTOR_TOL", -1.0)
-        alpha, fld, params, x0, t_end, dt = _leaf_case(3 * SUB + 5)
-        traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
-        assert traj.meta.unconverged_steps == traj.meta.steps == 3 * SUB + 4
-        forcing = np.tile(np.asarray(x0, dtype=float), (len(traj.times), 1))
-        TestFloatKernel.assert_identical(
-            traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
+        alpha, _, params, x0, t_end, dt = _leaf_case(3 * SUB + 5)
+        fld = FieldDef.parse(["x - x^3"])  # its own lambdas, poisoned below
+        fns = fld.compiled()
+        g, g_calls, failing = fns[0], [0], [None]
+
+        def poisoned(s, p):
+            g_calls[0] += 1
+            if g_calls[0] == failing[0]:
+                raise OverflowError("poisoned")
+            return g(s, p)
+
+        fns[0] = poisoned
+        explicit_step, seen = caputo_solver._explicit_step, []
+
+        def counted(*args):
+            seen.append(g_calls[0])  # g's calls before the explicit step's
+            return explicit_step(*args)
+
+        monkeypatch.setattr(caputo_solver, "_explicit_step", counted)
+        per_step = CORRECTOR_MAX_ITER + 1
+        forcing = np.full((3 * SUB + 5, 1), x0[0])
+        for step in (None, *range(1, SUB + 2)):
+            failing[0] = step and 1 + per_step * step
+            g_calls[0] = 0
+            seen.clear()
+            traj = solve_pece(CaputoProblem(alpha, fld, params, x0, t_end, dt))
+            steps = step or 3 * SUB + 4
+            assert seen == [per_step * s for s in range(1, steps + 1)]
+            assert traj.meta.steps == steps
+            assert traj.meta.unconverged_steps == (step - 1 if step else steps)
+            assert traj.escape_index == step and traj.escape_sign == 0
+            g_calls[0] = 0
+            TestFloatKernel.assert_identical(
+                traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
 
 
 class TestSolverStats:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -241,6 +242,11 @@ class TestMittagLeffler:
         assert float(proc.stdout.strip()) == pytest.approx(
             0.427583576155807, rel=1e-12
         )
+
+    def test_alpha_two_far_out(self):
+        proc = run("ml", "--alpha", "2", "--z=-1e40")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(math.cos(1e20), abs=1e-12)
 
     def test_batch_mode(self):
         proc = run("ml", "--batch", stdin="0.5 1 -1\n1 1 0\n")

@@ -111,6 +111,13 @@ class TestClosedForms:
             expect = math.cosh(math.sqrt(z))
             assert ml(2.0, 1.0, float(z)) == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [-1e6, -1e20, -1e30, -1e40])
+    def test_cos_identity_far_out(self, z):
+        # E_2(z) = cos(sqrt(-z)): the residue's pole lies on the imaginary axis,
+        # so e^pole stays on the unit circle however large |z| is.
+        assert abs(ml(2.0, 1.0, z) - math.cos(math.sqrt(-z))) <= 1e-12
+
     def test_beta_two_identity(self):
         # E_{1,2}(z) = (e^z - 1)/z
         for z in (-6.0, -2.0, -0.5, 0.5, 3.0, 8.0):
