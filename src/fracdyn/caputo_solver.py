@@ -42,8 +42,8 @@ register or tests its place in the sub-block.  A step stores g and x
 through flat memoryviews of the solve's arrays, which take a float in
 about half the time of numpy's item assignment, so that a converged step
 makes no numpy operation; a step whose chord start converges also leaves
-every count alone, since they follow from the number of steps at the
-kernel's exits.  A triangular field's J is lower triangular, and its
+every count alone, since `_pece_loop` adds each step's chord start from
+the number of steps.  A triangular field's J is lower triangular, and its
 Newton step a forward substitution.  The same recurrence with x0 replaced
 by a forcing function f(t_n) solves the forced singular Volterra integral
 equation.
@@ -231,9 +231,11 @@ def _jacobian(fld):
 
 def _elimination(pattern):
     """Source lines that solve (I - w*J) delta = r, given J's nonzero entries
-    in e0, e1, ...: (factor, solve).  factor writes the factors of I - w*J
-    into a{k}_{i}; solve overwrites r0..r(d-1) with delta from them, so that
-    the factors of one J serve any number of right-hand sides.
+    in e0, e1, ...: (factor, solve, reset).  factor writes the factors of
+    I - w*J into a{k}_{i}; solve overwrites r0..r(d-1) with delta from them, so
+    that the factors of one J serve any number of right-hand sides.  reset,
+    one line or none, assigns the factors of J = 0, constants: 1.0 on the
+    diagonal and -0.0 elsewhere, fill-ins included, as factor computes them.
 
     Elimination without pivoting that touches only entries that are not
     structurally zero: row k is divided by its pivot, then subtracted from the
@@ -264,7 +266,10 @@ def _elimination(pattern):
                     factor.append(f"a{i}_{j} = {'1.0 - ' if i == j else '-'}a{i}_{k} * a{k}_{j}")
     for k in reversed(range(d)):
         solve += [f"r{k} -= a{k}_{j} * r{j}" for j in range(k + 1, d) if (k, j) in a]
-    return factor, solve
+    a = sorted(a)
+    reset = [f"{', '.join(f'a{k}_{i}' for k, i in a)} = "
+             f"{', '.join('1.0' if k == i else '-0.0' for k, i in a)}"] if a else []
+    return factor, solve, reset
 
 
 def _explicit_step(fns, p, b, w, g):
@@ -328,38 +333,28 @@ def _corrector(pattern):
 
     counts holds SolverMeta's fields but steps, in order: max iterations,
     max residual (max|F| at a step's last iterate), evaluations of g,
-    unconverged steps, evaluations of J and iterations.  The call returns
-    them updated by its steps, with the escape: None once every node is
-    written, else (m, the state to clamp).  A failed evaluation of g
-    (overflow, complex value) ends the leaf at the iterate it was evaluated
-    at; that step counts only by its evaluations.  A step whose chord start
-    converges updates only the max residual: its one evaluation and one
-    iteration are added for all the call's finished steps at once, at the
-    exit (leaf end, escape or failed evaluation), and only the Newton loop
-    and the explicit step count their further evaluations and iterations
-    as they go.
+    unconverged steps, evaluations of J and iterations.  The call's one
+    return gives them updated by its Newton loops and explicit steps, and
+    the escape: None once every node is written, else (m, the state to
+    clamp, whether g failed).  A state past +-ESCAPE_THRESHOLD breaks out of
+    the leaf, and a failed evaluation of g (overflow, complex value) ends it
+    at the iterate it was evaluated at.  Each step's chord start, one
+    evaluation of g and one iteration unless g failed there (so that max
+    iterations >= 1 once a step has finished), is counted by _pece_loop from
+    the number of steps.
     """
     d = len(pattern)
     comps = range(d)
     n_jac = sum(map(sum, pattern))
     counts = "(max_iters, max_residual, evals, unconverged, jevals, total)"
-    factor, solve = _elimination(pattern)
+    factor, solve, zero = _elimination(pattern)  # zero: J* = 0, whose chord start is explicit
     renew = [f"e{n} = float(j{n}(pt, p))" for n in range(n_jac)] + factor + solve
-    # J* = 0, whose factors make the chord start the explicit step.
-    zero = [f"{' = '.join(f'e{n}' for n in range(n_jac))} = 0.0", *factor] if n_jac else []
 
     def names(fmt, *args):
         return ", ".join(fmt.format(*args, i) for i in comps) + ","  # a tuple also for d = 1
 
     def indent(lines, n=1):
         return ["    " * n + line for line in lines]
-
-    def leave(done, evaluated, escape):
-        """The lines that add the chord starts of the call's `done` finished
-        steps and of `evaluated` evaluations of g, and return."""
-        return [f"n = {done}", f"evals += {evaluated}", "total += n",
-                "if n > 0 and max_iters < 1:", "    max_iters = 1",
-                f"return {counts}, {escape}"]
 
     def body(t):
         """The lines that solve node m0 + t and write it out."""
@@ -390,7 +385,7 @@ def _corrector(pattern):
             *chord,
             *evaluate,
             *residual,
-            # The chord start's evaluation and iteration are counted at the exit.
+            # The chord start's evaluation and iteration are counted by _pece_loop.
             "if not residual <= tol:  # true for nan",
             "    iters = 1",
             "    while not residual <= tol and iters < cap:",
@@ -404,7 +399,8 @@ def _corrector(pattern):
             "    max_residual = residual",
             *(f"fv{i}[m] = q{t}_{i}" for i in comps),
             f"if not ({in_range}):  # true for nan",
-            *indent(leave("m + 1 - start", "n", f"(m, {state})")),
+            f"    escape = (m, {state}, False)",
+            "    break",
             *([f"j = {d} * m"] if d > 1 else []),
             *(f"sv[{index.format(i)}] = x{t}_{i}" for i in comps),
         ]
@@ -424,7 +420,7 @@ def _corrector(pattern):
         f"    {', '.join(f'w{lag}' for lag in range(1, SUB))}, = W[N - 1 : N - {SUB} : -1].tolist()",
         # The leaf's first sub-block has no earlier one.
         f"    {' = '.join(f'H{i}_{t}' for i in comps for t in range(SUB))} = 0.0",
-        "    start = s or 1  # node 0 holds the initial state",
+        "    escape, start = None, s or 1  # node 0 holds the initial state",
         # The state and the g value that the leaf's first body reads.
         *(f"    x{SUB - 1}_{i} = x0_{i} = sv[{d} * (start - 1) + {i}]" for i in comps),
         *(f"    q{SUB - 1}_{i} = q0_{i} = fv{i}[start - 1]" for i in comps),
@@ -451,9 +447,8 @@ def _corrector(pattern):
         *indent(body(0), 4),
         *(line for t in range(1, SUB) for line in indent(body(t), 3)),
         "    except (ArithmeticError, ValueError, TypeError) as exc:",
-        # The failing step's evaluations up to its chord start; see _explicit_step.
-        *indent(leave("m - start", "n + 1", '(m, getattr(exc, "point", pt))'), 2),
-        *indent(leave("e - start", "n", "None")),
+        '        escape = (m, getattr(exc, "point", pt), True)  # see _explicit_step',
+        f"    return {counts}, escape",
     ]
     namespace = {}
     # The module's globals: the limits and _explicit_step are looked up per call.
@@ -477,9 +472,9 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     O(N log^2 N) rather than O(N^2).  A solve with N + 1 <= LEAF is one leaf
     and takes no FFT.  Each leaf's steps run in one call of `_corrector`'s
     generated Newton kernel for the nonzero pattern of the field's Jacobian,
-    which returns the solve's counts and the escape, if any.  The kernel
-    writes through memoryviews of the states and of g's rows that are made
-    here once per solve and released at its end.
+    which returns the solve's counts but the chord starts, added here, and
+    the escape, if any.  The kernel writes through memoryviews of the states
+    and of g's rows that are made here once per solve and released at its end.
 
     A step whose field fails (overflow, complex value) or whose state leaves
     +-ESCAPE_THRESHOLD escapes: the clamped state is held to the grid's end.
@@ -490,7 +485,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     states = np.empty((N + 1, d))
     fvals = np.empty((d, N + 1))  # g by component, so that each history is contiguous
     states[0] = forcing[0]
-    escape_index, escape_sign = None, 0
+    escape_index, escape_sign, failed = None, 0, False
     params = tuple(params)
     eval_fns = fld.compiled()
     pattern, jac = _jacobian(fld)
@@ -526,7 +521,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
             if escaped is None:
                 continue
             # nan takes the sign of the last state; +-inf clamps like any overflow.
-            m, x = escaped
+            m, x, failed = escaped
             x = np.where(np.isnan(x), np.sign(states[m - 1]) * ESCAPE_THRESHOLD, x)
             x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
             states[m:] = x
@@ -535,7 +530,12 @@ def _pece_loop(alpha, fld, params, forcing, dt):
             escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
             break
 
-    meta = SolverMeta(*counts[:2], escape_index or N, *counts[2:])
+    # Each step's chord start: one evaluation of g, and one iteration unless g failed there.
+    steps = escape_index or N
+    finished = steps - failed
+    iters, residual, evals, unconverged, jevals, total = counts
+    meta = SolverMeta(max(iters, min(finished, 1)), residual, steps, evals + steps,
+                      unconverged, jevals, total + finished)
     return Trajectory(alpha, dt * np.arange(N + 1), states, meta, escape_index, escape_sign)
 
 

@@ -70,6 +70,17 @@ def _parse_params(pairs):
     return names, values
 
 
+def _flag_values(flag, text, form, kinds=None):
+    """The values of a flag's text: floats separated by commas, or one field
+    per converter of kinds, separated by colons.  An error names the flag and
+    the form it expects."""
+    fields = text.split(":" if kinds else ",")
+    try:
+        return [kind(v) for kind, v in zip(kinds or [float] * len(fields), fields, strict=True)]
+    except ValueError:
+        raise ValueError(f"{flag} expects {form}, got '{text}'") from None
+
+
 def _add_field_args(p, catalog_flag=True):
     if catalog_flag:
         p.add_argument("--catalog", help="named catalog field (a triangular one assembled)")
@@ -130,7 +141,7 @@ def cmd_ml(args, parser):
 
 
 def cmd_simulate(args, parser):
-    x0 = tuple(float(v) for v in args.x0.split(","))
+    x0 = tuple(_flag_values("--x0", args.x0, "comma-separated numbers"))
     fld, params, _ = _resolve_field(args, parser, args.catalog)
     p = CaputoProblem(args.alpha, fld, params, x0, args.t_end, args.dt)
     start = time.perf_counter()
@@ -152,8 +163,7 @@ def cmd_simulate(args, parser):
 
 def _scan_from_args(args, entry):
     if args.scan:
-        lo, _, hi = args.scan.partition(":")
-        return (float(lo), float(hi))
+        return tuple(_flag_values("--scan", args.scan, "lo:hi", (float, float)))
     if entry is not None:
         return entry.scan_interval
     return (-10.0, 10.0)
@@ -179,7 +189,7 @@ def cmd_limits(args, parser):
     fld, params, entry = _resolve_field(args, parser, args.catalog)
     scan = _scan_from_args(args, entry)
     zs = sa.find_zeros(fld, scan, params=params)
-    etas = [float(v) for v in args.eta.split(",")]
+    etas = _flag_values("--eta", args.eta, "comma-separated numbers")
     _emit_json({
         "version": __version__,
         "config": {"scan": list(scan), "eta": etas},
@@ -239,7 +249,7 @@ def cmd_triangular(args, parser):
         "attractor_box": [[iv.lo, iv.hi] for iv in report.attractor().intervals],
     }
     if args.x0:
-        x0 = tuple(float(v) for v in args.x0.split(","))
+        x0 = tuple(_flag_values("--x0", args.x0, "comma-separated numbers"))
         out["predicted_limits"] = list(report.limits(x0))
     if args.alpha is not None:
         traj = solve_pece(CaputoProblem(args.alpha, tf.assembled(), (), x0, t_end, dt))
@@ -260,9 +270,9 @@ def cmd_bifurcate(args, parser):
         args.param.insert(0, f"{bif.GAMMA}=0")  # declared; sweep sets its values
     fld, params, _ = _resolve_field(args, parser, None if custom else args.family,
                                     "a named --family")
-    lo, _, rest = args.gamma_range.partition(":")
-    hi, _, m = rest.partition(":")
-    diag = bif.sweep(fld, (float(lo), float(hi)), int(m), base_params=params)
+    lo, hi, m = _flag_values("--gamma-range", args.gamma_range, "LO:HI:M with an integer M",
+                             (float, float, int))
+    diag = bif.sweep(fld, (lo, hi), m, base_params=params)
     label = bif.classify(diag)
     rows = [(gam, z, "degenerate" if flat else "stable" if d < 0 else "unstable")
             for gam, zs in zip(diag.gammas.tolist(), diag.zero_sets)

@@ -730,8 +730,8 @@ class TestSubBlockKernel:
 
     def test_field_failure_inside_a_newton_iterate(self):
         # A step that ends the solve where g fails at a Newton iterate, not at
-        # its chord start, in the middle of a later sub-block: the kernel
-        # counts the steps before it at that exit, and the failing step by
+        # its chord start, in the middle of a later sub-block: the steps
+        # before it count their chord starts, and the failing step counts by
         # its evaluations alone.  exp overflows on the way to a blow-up.
         fld, alpha, dt = FieldDef.parse(["exp(x)"]), 0.6, 0.01
 
@@ -817,6 +817,34 @@ class TestSubBlockKernel:
             g_calls[0] = 0
             TestFloatKernel.assert_identical(
                 traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
+
+    @pytest.mark.parametrize("case", ["fig2_assembled", "rotation_zero_diagonal",
+                                      "lorenz_3d_params"])
+    def test_every_body_resets_its_kept_jacobian(self, case):
+        # Where every entry of J fails, the leaf starts with J* = 0 and each
+        # step's Newton loop stops at its first evaluation of J, so that every
+        # step keeps its explicit step and sets J* = 0 again: the factors of
+        # I - w*0, also where the elimination fills in or substitutes back.
+        # The next chord start is then the explicit step, which the oracle
+        # takes as its start, and whose residual is the step's max_residual.
+        alpha, shared, params, x0, _, dt = KERNEL_CASES[case]
+        fld = FieldDef(shared.dimension, shared.components, shared.params)  # own lambdas
+
+        def failing(s, p):
+            raise ZeroDivisionError("poisoned")
+
+        for i in range(fld.dimension):
+            fns = fld.derivative(i).compiled()
+            fns[:] = [failing] * len(fns)
+        n_nodes = 3 * SUB + 5
+        traj = solve_pece(CaputoProblem(alpha, fld, params, x0, (n_nodes - 1) * dt, dt))
+        steps = n_nodes - 1
+        assert traj.escape_index is None and traj.meta.unconverged_steps == steps
+        assert traj.meta.field_evals == 1 + 2 * steps
+        assert traj.meta.jacobian_evals == 1 + steps
+        forcing = np.tile(np.asarray(x0, dtype=float), (n_nodes, 1))
+        TestFloatKernel.assert_identical(
+            traj, _reference_pece_loop(alpha, fld, params, forcing, dt))
 
 
 class TestSolverStats:

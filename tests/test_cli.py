@@ -103,12 +103,32 @@ class TestExitCodes:
         ("triangular", "--catalog", "fig2", "--t-end", "5", "--dt", "0.5"),  # no --alpha
         ("attractor", "--catalog", "fig2"),     # the library's d=1 rule
         ("limits", "--catalog", "fig2", "--eta", "0.5"),
+        ("attractor", "--catalog", "cubic", "--scan", "5"),                # no hi
+        ("bifurcate", "--family", "saddle", "--gamma-range=-1:1"),         # no M
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (("attractor", "--catalog", "cubic", "--scan", "5"), "--scan expects lo:hi, got '5'"),
+        (("bifurcate", "--family", "saddle", "--gamma-range=-1:1"),
+         "--gamma-range expects LO:HI:M with an integer M, got '-1:1'"),
+        (("bifurcate", "--family", "saddle", "--gamma-range=-1:1:2.5"),
+         "--gamma-range expects LO:HI:M with an integer M, got '-1:1:2.5'"),
+        (("simulate", "--catalog", "cubic", "--alpha", "0.5", "--x0", "0.5;1",
+          "--t-end", "1", "--dt", "0.1"), "--x0 expects comma-separated numbers, got '0.5;1'"),
+        (("triangular", "--catalog", "fig2", "--x0", "0.5,"),
+         "--x0 expects comma-separated numbers, got '0.5,'"),
+        (("limits", "--catalog", "cubic", "--eta", "0.5,,1"),
+         "--eta expects comma-separated numbers, got '0.5,,1'"),
+    ])
+    def test_range_and_list_errors_name_their_flag(self, args, message):
+        proc = run(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("args, name, typed", [
         (("--tau1=-1", "--tau2", "0.5"), "tau1", "-1"),
