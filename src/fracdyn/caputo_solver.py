@@ -8,7 +8,7 @@ on a uniform grid by product integration (Diethelm, Ford & Freed 2002)
 with g linear on each step (the trapezoid rule), which makes each step an
 implicit equation x = b + w*g(x).  `_trapezoid_weights` alone assembles
 the rule's weights, from the per-offset rule `_weights` that the memory
-integral of the function-space semigroup takes too.  The corrector solves
+integral `prefix_memory` takes too.  The corrector solves
 the equation by Newton's method with the field's exact Jacobian (Garrappa
 2018, Mathematics 6:16), which needs no predictor.  Each step starts with
 one chord update of the last state x(m-1) by a kept Jacobian J*, the
@@ -87,7 +87,7 @@ ORDER_LEVELS = 4
 
 def check_grid(t_end, dt, names=("dt", "t_end")):
     """The grid rules: 0 < dt <= t_end, and at most MAX_GRID_POINTS steps;
-    an error calls dt and t_end by names."""
+    an error calls dt and t_end by names.  Returns the step count round(t_end / dt)."""
     if not 0.0 < dt <= t_end:
         raise ValueError(f"need 0 < {names[0]} <= {names[1]}, got {names[0]}={dt}, "
                          f"{names[1]}={t_end}")
@@ -95,14 +95,15 @@ def check_grid(t_end, dt, names=("dt", "t_end")):
         raise ValueError(
             f"grid of {t_end / dt:.3g} points exceeds the {MAX_GRID_POINTS} budget"
         )
+    return int(round(t_end / dt))
 
 
 def check_solve(alpha, t_end, dt, names=("dt", "t_end")):
     """The rules of every solve on [0, t_end]: 0 < alpha < 1 and check_grid's,
-    whose error calls dt and t_end by names."""
+    whose error calls dt and t_end by names.  Returns the step count."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    check_grid(t_end, dt, names)
+    return check_grid(t_end, dt, names)
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,20 @@ def _weights(alpha, n):
     near = k_alpha * (-(k + alpha) * em - alpha) / (alpha * (alpha + 1.0))
     zero = np.zeros(1)
     return np.concatenate((zero, rect - near)), np.concatenate((zero, near))
+
+
+def prefix_memory(alpha, dt, g, n):
+    """The memory of a solved prefix at the nodes after it: I^alpha over
+    [0, m*dt] of g, shape (m + 1, d), at the nodes m .. m + n by the trapezoid
+    rule, sum_j far[m+i-j] g_j + near[m+i-j] g_(j+1) at node m + i, one pair
+    of convolutions per component.  Row 0 is the solver's own memory at m."""
+    m = g.shape[0] - 1
+    far, near = _weights(alpha, m + n)
+    memory = np.column_stack([
+        np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
+        for c in range(g.shape[1])
+    ])
+    return dt**alpha / math.gamma(alpha) * memory
 
 
 def _trapezoid_weights(alpha, N, dt):
@@ -541,7 +556,7 @@ def _pece_loop(alpha, fld, params, forcing, dt):
 
 def solve_pece(p: CaputoProblem) -> Trajectory:
     """Solve the Caputo FDE with constant term x0 (integral form AIE)."""
-    n_steps = int(round(p.t_end / p.dt))
+    n_steps = check_grid(p.t_end, p.dt)
     # A read-only view with stride 0 along the grid: _pece_loop only adds to it.
     forcing = np.broadcast_to(np.asarray(p.x0, dtype=float), (n_steps + 1, len(p.x0)))
     return _pece_loop(p.alpha, p.fld, p.params, forcing, p.dt)
@@ -553,12 +568,8 @@ def solve_svie(forcing, fld: FieldDef, params, alpha, t_end, dt) -> Trajectory:
     `forcing` is a SampledFunction; `forcing.at` resamples it onto the
     solver grid by linear interpolation.
     """
-    check_solve(alpha, t_end, dt)
-    times = dt * np.arange(int(round(t_end / dt)) + 1)
-    if forcing.horizon < times[-1] - 1e-12:
-        raise ValueError(
-            f"forcing covers [0, {forcing.horizon}] but the solve needs [0, {times[-1]}]"
-        )
+    times = dt * np.arange(check_solve(alpha, t_end, dt) + 1)
+    forcing.check_covers(times[-1])
     return _pece_loop(alpha, fld, params, forcing.at(times), dt)
 
 

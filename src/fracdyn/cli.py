@@ -24,7 +24,7 @@ from . import scalar_analysis as sa
 from .caputo_solver import CaputoProblem, solve_pece
 from .field_expr import FieldDef, FieldEvalError, ParseError, parse_expr
 from .function_space_semigroup import RhoParams, semigroup_defects, state_space_defect
-from .mittag_leffler import MLConvergenceError, MLOverflowError, MLQuery, ml_eval
+from .mittag_leffler import MLConvergenceError, MLOverflowError, ml
 from .triangular_systems import TriangularField, validate_triangular
 from .verification import run_checks
 
@@ -130,13 +130,13 @@ def cmd_ml(args, parser):
             except ValueError:
                 raise ValueError(f"stdin line {n}: expected 'alpha beta z', "
                                  f"got '{line.strip()}'") from None
-            rows.append((a, b, z, ml_eval(MLQuery(a, b, z))))
+            rows.append((a, b, z, ml(a, b, z)))
         _write_csv(None, ["alpha", "beta", "z", "value"], np.array(rows))
         return 0
     if args.alpha is None or args.z is None:
         parser.error("--alpha and --z are required unless --batch is given")
     beta = 1.0 if args.beta is None else args.beta
-    print(_fmt(ml_eval(MLQuery(args.alpha, beta, args.z))))
+    print(_fmt(ml(args.alpha, beta, args.z)))
     return 0
 
 

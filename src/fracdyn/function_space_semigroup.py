@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo_solver import _weights, check_grid, check_solve, solve_svie
+from .caputo_solver import check_grid, check_solve, prefix_memory, solve_svie
 from .field_expr import eval_points
 from .mittag_leffler import ml
 
@@ -46,8 +46,9 @@ class SampledFunction:
         if grid.ndim != 1 or vals.shape[0] != grid.shape[0]:
             raise ValueError("grid and values shapes do not match")
         steps = np.diff(grid)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("grid must be uniform")
+        uniform = np.all(steps > 0.0) and np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-12)
+        if grid[:1].tolist() != [0.0] or not (uniform and math.isfinite(grid[-1])):
+            raise ValueError(f"grid must run from 0 by one positive step, got {grid[:3]}...")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "theta_grid", grid)
@@ -61,10 +62,14 @@ class SampledFunction:
     def horizon(self):
         return float(self.theta_grid[-1])
 
+    def check_covers(self, t):
+        """ValueError unless the samples cover [0, t] (to 1e-12): solve_svie, rho, apply_T."""
+        if self.horizon < t - 1e-12:
+            raise ValueError(f"samples cover [0, {self.horizon}] but [0, {t}] is needed")
+
     @classmethod
     def constant(cls, x0, theta_max, dt):
-        check_grid(theta_max, dt)
-        n = int(round(theta_max / dt))
+        n = check_grid(theta_max, dt)
         grid = dt * np.arange(n + 1)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         return cls(grid, np.tile(x0, (n + 1, 1)))
@@ -96,10 +101,7 @@ def rho(f: SampledFunction, h: SampledFunction, p: RhoParams = RhoParams()) -> f
     grid = f.theta_grid
     if grid.shape != h.theta_grid.shape or not np.allclose(grid, h.theta_grid, atol=1e-12):
         raise ValueError("rho needs both functions sampled on one grid")
-    if f.horizon < p.n_max - 1e-12:
-        raise ValueError(
-            f"samples cover [0, {f.horizon}] but the metric needs [0, {p.n_max}]"
-        )
+    f.check_covers(p.n_max)
     diff = np.linalg.norm(f.values - h.values, axis=1)
     total = 0.0
     for n in range(1, p.n_max + 1):
@@ -118,9 +120,9 @@ def _check_shifts(**shifts):
 def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> SampledFunction:
     """The operator (T_tau f)(theta) = f(tau+theta) + memory integral.
 
-    tau is snapped to the solver grid; f must cover [0, tau + theta_max]
-    (it is extended by its last value with a warning otherwise).  At
-    theta = 0 the Volterra solution's own endpoint is used.
+    tau is snapped to the solver grid, with a warning where that moves it;
+    f must cover [0, tau + theta_max] (ValueError otherwise).  At theta = 0
+    the Volterra solution's own endpoint is used.
     """
     _check_shifts(tau=tau)
     if theta_max is None:
@@ -132,14 +134,9 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
         warnings.warn(
             f"tau={tau} snapped to the grid multiple {tau_snap}", stacklevel=2
         )
+    f.check_covers(tau_snap + theta_max)
     n_out = int(round(theta_max / dt))
     out_grid = dt * np.arange(n_out + 1)
-    if f.horizon < tau_snap + theta_max - 1e-9:
-        warnings.warn(
-            f"forcing covers [0, {f.horizon}] but [0, {tau_snap + theta_max}] is "
-            "needed; extending by the final value",
-            stacklevel=2,
-        )
     shifted = f.at(tau_snap + out_grid)
 
     if m == 0:
@@ -148,16 +145,8 @@ def apply_T(tau, f: SampledFunction, fld, params, alpha, dt, theta_max=None) -> 
     traj = solve_svie(f, fld, params, alpha, tau_snap, dt)
     g = eval_points(fld, traj.states, tuple(params))
 
-    # Memory integral over [0, tau] at tau + theta_i by the solver's trapezoid
-    # rule: sum_j far[m+i-j] g_j + near[m+i-j] g_{j+1}, one pair of
-    # convolutions per component.  Row i = 0 is the solver's own last step;
-    # the endpoint replaces it.
-    far, near = _weights(alpha, m + n_out)
-    memory = np.column_stack([
-        np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
-        for c in range(g.shape[1])
-    ])
-    out = shifted + dt**alpha / math.gamma(alpha) * memory
+    # Row 0 is the solver's own equation at tau; its solution, the endpoint, replaces it.
+    out = shifted + prefix_memory(alpha, dt, g, n_out)
     out[0] = traj.states[-1]
     return SampledFunction(out_grid, out)
 

@@ -493,13 +493,13 @@ def heteroclinic_orbit(fld, alpha, zs: ZeroSet, eta, t_back, t_fwd, dt,
     horizon breaks the grid rules (the error names t_back or t_fwd).
     BracketFailureError names the longest horizon resolved before the failing one.
     """
-    check_solve(alpha, t_back, dt, names=("dt", "t_back"))
+    steps = check_solve(alpha, t_back, dt, names=("dt", "t_back"))
     check_grid(t_fwd, dt, names=("dt", "t_fwd"))
     ends = zs.flow(eta)
     if ends is None:
         raise ValueError(f"eta={eta} is not strictly between adjacent zeros of {zs.zeros}")
-    # The horizons t_back / 64, ..., t_back / 2, t_back, those >= dt.
-    horizons = [t_back / 2**k for k in range(6, -1, -1) if t_back / 2**k >= dt]
+    # round(steps / 2^k) steps, k = 6 .. 0, those >= 1: each time label is a horizon solved.
+    horizons = [round(steps / 2**k) * dt for k in range(6, -1, -1) if steps >= 2**k]
     back = [eta]  # horizon 0 maps eta to itself
     for resolved, h in zip([0.0, *horizons], horizons):
         try:

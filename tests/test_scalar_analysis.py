@@ -366,6 +366,26 @@ class TestBackwardExtension:
         assert horizons.count(100.0) == 1  # the forward solve
         assert len(horizons) - 1 <= 239
 
+    def test_orbit_times_are_the_horizons_solved(self, monkeypatch):
+        # At t_back = 5, dt = 0.01 the horizons t_back / 2^k for k >= 3 are not
+        # whole steps: the labels must be the grids' ends, round(500 / 2^k) * dt.
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        solved = []
+        solve = sa.solve_pece
+
+        def counted(p):
+            traj = solve(p)
+            solved.append((p.t_end, float(traj.times[-1])))
+            return traj
+
+        monkeypatch.setattr(sa, "solve_pece", counted)
+        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0.5, 5.0, 1.0, 0.01)
+        backward = solved[:-1]  # the last solve is the forward one
+        assert all(t_end == end for t_end, end in backward)
+        labels = sorted(-orbit.times[orbit.times < 0.0])
+        assert labels == sorted({end for _, end in backward})
+        assert labels == [0.08, 0.16, 0.31, 0.62, 1.25, 2.5, 5.0]
+
     def test_bracket_closing_on_adjacent_doubles_raises(self):
         # At horizon 25 the preimage of 2.5 lies between two adjacent doubles,
         # neither of whose solutions ends within tol of 2.5; at 40 the double

@@ -52,6 +52,30 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             SampledFunction(np.array([0.0, 0.1]), np.zeros(3))
 
+    @pytest.mark.parametrize("grid", [
+        0.5 * np.arange(51) + 0.1,  # shifted
+        np.array([1.0, 2.0, 3.0]),  # starts at a step
+        np.array([-1.0, 0.0, 1.0]),
+        np.array([]),
+        np.array([0.0, -1.0, -2.0]),  # decreasing
+        np.array([0.0, 0.0, 0.0]),
+        np.array([0.0, math.inf]),
+        np.array([0.0, math.nan]),
+    ])
+    def test_grid_must_run_from_zero_by_a_positive_step(self, grid):
+        with pytest.raises(ValueError, match="run from 0"):
+            SampledFunction(grid, np.zeros(len(grid)))
+
+    def test_single_point_grid(self):
+        assert SampledFunction(np.array([0.0]), np.array([5.0])).horizon == 0.0
+
+    def test_coverage(self):
+        f = SampledFunction.constant([1.0], 1.0, 0.1)
+        f.check_covers(1.0)
+        f.check_covers(1.0 + 1e-13)
+        with pytest.raises(ValueError, match=r"samples cover \[0, 1\.0\] but \[0, 1\.01\]"):
+            f.check_covers(1.01)
+
     @pytest.mark.parametrize("theta_max, dt", [
         (20.0, 0.0), (20.0, -0.05), (20.0, math.nan), (20.0, math.inf), (math.inf, math.inf),
         (20.0, 1e-9),  # 2e10 steps: rejected before any array is built
@@ -93,8 +117,7 @@ class TestRho:
     def test_different_grids_rejected(self):
         f = SampledFunction.constant([0.0], 25.0, 0.5)
         for h in (SampledFunction.constant([0.0], 25.0, 0.25),   # finer
-                  SampledFunction.constant([0.0], 30.0, 0.5),    # longer
-                  SampledFunction(0.5 * np.arange(51) + 0.1, np.zeros(51))):  # shifted
+                  SampledFunction.constant([0.0], 30.0, 0.5)):   # longer
             with pytest.raises(ValueError, match="one grid"):
                 rho(f, h)
 
@@ -148,10 +171,18 @@ class TestApplyT:
         with pytest.warns(UserWarning, match="snapped"):
             apply_T(0.52, f, LINEAR, (), 0.5, 0.05, theta_max=1.0)
 
-    def test_short_forcing_warns(self):
+    def test_short_tail_is_refused(self):
+        # f covers [0, tau] but not [0, tau + theta_max].
         f = SampledFunction.constant([1.0], 1.0, 0.05)
-        with pytest.warns(UserWarning, match="extending"):
+        with pytest.raises(ValueError, match=r"but \[0, 1\.5\] is needed"):
             apply_T(0.5, f, LINEAR, (), 0.5, 0.05, theta_max=1.0)
+
+    def test_forcing_short_of_tau_is_refused_without_warning(self):
+        f = SampledFunction.constant([1.0], 3.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape pytest.raises
+            with pytest.raises(ValueError, match=r"samples cover \[0, 3\.0\] but \[0, 7\.0"):
+                apply_T(5.0, f, CUBIC, (), 0.5, 0.1, theta_max=2.0)
 
     def test_negative_tau_rejected(self):
         f = SampledFunction.constant([1.0], 25.0, 0.05)
