@@ -165,7 +165,12 @@ def semigroup_defect(tau1, tau2, f, fld, params, alpha, dt,
 def semigroup_defects(tau1, tau2, x0, fld, params, alpha, dt0, dt_levels,
                       p: RhoParams = RhoParams()) -> list:
     """semigroup_defect from the constant function x0 at dt0 and at each of
-    dt_levels - 1 halvings of it."""
+    dt_levels - 1 halvings of it.
+
+    ValueError before any solve unless tau1, tau2 and n_max are whole numbers
+    of steps dt0: apply_T would snap a shift off the grid and then find the
+    forcing short of the snapped horizon.
+    """
     _check_shifts(tau1=tau1, tau2=tau2)
     if not dt0 > 0:
         raise ValueError(f"dt0 must be > 0, got {dt0}")
@@ -173,6 +178,9 @@ def semigroup_defects(tau1, tau2, x0, fld, params, alpha, dt0, dt_levels,
         raise ValueError(f"dt_levels must be >= 1, got {dt_levels}")
     horizon = float(p.n_max) + tau1 + tau2
     check_grid(horizon, dt0, names=("dt0", "tau1 + tau2 + n_max"))
+    for name, t in (("tau1", tau1), ("tau2", tau2), ("n_max", p.n_max)):
+        if abs(round(t / dt0) * dt0 - t) > 1e-12:  # apply_T's snapping limit
+            raise ValueError(f"{name}={t} is not a whole number of steps dt0={dt0}")
     defects = []
     for level in range(dt_levels):
         dt = dt0 / 2**level

@@ -192,6 +192,12 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: {message}")
         assert "Traceback" not in proc.stderr
 
+    def test_semigroup_dt0_off_the_shifts_grid_is_two(self):
+        # At dt0 = 0.03 the shift 0.5 would snap to 0.51 and outrun the forcing.
+        proc = run("semigroup", "--component", "x - x^3", "--alpha", "0.5", "--dt0", "0.03")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: tau1=0.5 is not a whole number of steps dt0=0.03\n"
+
     def test_semigroup_dt0_past_the_horizon_names_the_sum(self):
         # The forcing's horizon is named as the sum of what was typed, not as a t_end.
         proc = run("semigroup", "--catalog", "linear", "--alpha", "0.5", "--dt0", "100")
@@ -537,15 +543,20 @@ class TestFieldFlags:
         call()
         assert calls[0] == 2
 
-    def test_heteroclinic_orbit(self, tmp_path):
+    def test_heteroclinic_orbit(self, tmp_path, monkeypatch):
         out = tmp_path / "orbit.csv"
+        solves = []
+        solve = sa.solve_pece
+        monkeypatch.setattr(sa, "solve_pece", lambda p: solves.append(p) or solve(p))
         proc = run("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "0.5",
                    "--t-back", "3", "--t-fwd", "5", "--dt", "0.05", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        cli_solves = len(solves)
         fld = catalog.get("cubic").fld
         orbit = sa.heteroclinic_orbit(fld, 0.6, sa.find_zeros(fld, (-5.0, 5.0)), 0.5,
                                       3.0, 5.0, 0.05)
         doc = json.loads(proc.stdout)
+        assert doc["backward_solves"] == cli_solves - 1 == sum(orbit.solves)  # 1 forward
         assert (doc["source"], doc["target"]) == (orbit.source, orbit.target)
         assert doc["backward_endpoint"] == float(orbit.values[0])
         assert doc["forward_endpoint"] == float(orbit.values[-1])

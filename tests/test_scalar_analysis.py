@@ -292,6 +292,19 @@ class TestLimits:
             sa.rate_fit(traj, 0.0)  # identically at the steady state
 
 
+def count_solves(monkeypatch):
+    """The t_end of every solve that scalar_analysis makes from here on."""
+    horizons = []
+    solve = sa.solve_pece
+
+    def counted(p):
+        horizons.append(p.t_end)
+        return solve(p)
+
+    monkeypatch.setattr(sa, "solve_pece", counted)
+    return horizons
+
+
 class TestBackwardExtension:
     def test_round_trip_identity(self):
         # zeta = x(-T, eta) must satisfy x(T, zeta) = eta
@@ -346,25 +359,52 @@ class TestBackwardExtension:
                 assert abs(traj.scalar()[-1] - eta) <= 1e-8
 
     def test_solve_counts(self, monkeypatch):
-        # Each preimage solves only the double next to the source, and each
-        # orbit horizon is bracketed by the shorter one before it. Solving both
-        # ends of the zero interval took 95 solves here, and bisecting every
-        # horizon across the whole interval 316 backward solves.
+        # The search in log distance from the source, seeded by the Mittag-Leffler
+        # linearisation, takes a handful of solves per preimage. Bisecting in
+        # zeta took 93 here, and 239 backward solves for the orbit.
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
-        horizons = []
-        solve = sa.solve_pece
-
-        def counted(p):
-            horizons.append(p.t_end)
-            return solve(p)
-
-        monkeypatch.setattr(sa, "solve_pece", counted)
+        horizons = count_solves(monkeypatch)
         sa.backward_extend(CUBIC, 0.6, 0.5, 50.0, 0.01, zs=zs)
-        assert len(horizons) <= 93
+        assert len(horizons) <= 10
         horizons.clear()
-        sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0.5, 50.0, 100.0, 0.01)
+        orbit = sa.heteroclinic_orbit(CUBIC, 0.6, zs, 0.5, 50.0, 100.0, 0.01)
         assert horizons.count(100.0) == 1  # the forward solve
-        assert len(horizons) - 1 <= 239
+        assert len(horizons) - 1 <= 60
+        assert sum(orbit.solves) == len(horizons) - 1
+        assert len(orbit.solves) == len(set(horizons)) - 1  # one count per horizon
+
+    @pytest.mark.parametrize("eta", [0.5, -0.5])
+    @pytest.mark.parametrize("t_back", [2.0, 4.0, 12.5, 25.0, 50.0])
+    def test_few_solves_at_every_horizon(self, monkeypatch, eta, t_back):
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        horizons = count_solves(monkeypatch)
+        zeta = sa.backward_extend(CUBIC, 0.6, eta, t_back, 0.01, zs=zs)
+        assert 0.0 < zeta / eta < 1.0
+        assert len(horizons) <= 10
+
+    @pytest.mark.parametrize("t_back", [20.0, 25.0, 40.0, 50.0])
+    def test_unresolvable_horizon_fails_fast_and_names_its_estimate(self, monkeypatch, t_back):
+        # ulp(2) E_0.6(T^0.6) reaches tol = 1e-8 at T* = 16.4 on the shifted
+        # cubic; 12.5 resolves, and every horizon past T* raises within 10 solves.
+        zs = sa.find_zeros(SHIFTED_CUBIC, (-5.0, 8.0))
+        horizons = count_solves(monkeypatch)
+        assert sa.backward_extend(SHIFTED_CUBIC, 0.6, 2.5, 12.5, 0.01, zs=zs) == pytest.approx(
+            2.0000015750, abs=1e-10)
+        assert len(horizons) <= 10
+        horizons.clear()
+        with pytest.raises(sa.BracketFailureError,
+                           match=r"; the linearisation at 2\.0 puts the resolvable horizon "
+                                 r"at T\*=16\.4$"):
+            sa.backward_extend(SHIFTED_CUBIC, 0.6, 2.5, t_back, 0.01, zs=zs)
+        assert len(horizons) <= 10
+
+    def test_seed_where_the_series_runs_out(self):
+        # At alpha = 0.01, E_alpha(700^alpha) fits a double but its series needs
+        # more terms than it may take: the seed falls back to the asymptotic.
+        zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        zeta = sa.backward_extend(CUBIC, 0.01, 0.5, 700.0, 1.0, zs=zs)
+        traj = solve_pece(CaputoProblem(0.01, CUBIC, (), (zeta,), 700.0, 1.0))
+        assert abs(traj.scalar()[-1] - 0.5) <= 1e-8
 
     def test_orbit_times_are_the_horizons_solved(self, monkeypatch):
         # At t_back = 5, dt = 0.01 the horizons t_back / 2^k for k >= 3 are not

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracdyn import FieldDef, solve_svie
+from fracdyn import function_space_semigroup as fss
 from fracdyn.caputo_solver import CORRECTOR_TOL
 from fracdyn.field_expr import eval_points
 from fracdyn.function_space_semigroup import (
@@ -16,6 +17,7 @@ from fracdyn.function_space_semigroup import (
     apply_T,
     rho,
     semigroup_defect,
+    semigroup_defects,
     state_space_defect,
 )
 from fracdyn.mittag_leffler import ml
@@ -204,6 +206,23 @@ class TestSemigroupDefect:
         # f = 1 is a steady state of x - x^3: both orders reproduce f exactly
         f = SampledFunction.constant([1.0], 25.0, 0.05)
         assert semigroup_defect(0.25, 0.25, f, CUBIC, (), 0.5, 0.05) == 0.0
+
+
+    @pytest.mark.parametrize("tau1, tau2, dt0, n_max, name", [
+        (0.5, 0.5, 0.03, 20, "tau1=0.5"),   # 0.5 snaps to 0.51, short of the forcing
+        (0.3, 0.55, 0.1, 20, "tau2=0.55"),
+        (0.6, 0.6, 0.3, 20, "n_max=20"),
+    ])
+    def test_off_grid_shift_is_refused_before_any_solve(self, monkeypatch, tau1, tau2, dt0,
+                                                        n_max, name):
+        solves = []
+        monkeypatch.setattr(fss, "solve_svie", lambda *args: solves.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no snapping warning either
+            with pytest.raises(ValueError,
+                               match=rf"^{name} is not a whole number of steps dt0={dt0}$"):
+                semigroup_defects(tau1, tau2, [1.0], CUBIC, (), 0.5, dt0, 3, RhoParams(n_max))
+        assert solves == []
 
 
 class TestStateSpaceDefect:
