@@ -101,13 +101,19 @@ def _fold_exponent(diag, i_trans, high_count, cell):
 
 
 def classify(diag: BifurcationDiagram) -> str:
-    """Label the diagram 'saddle-node', 'pitchfork' or 'none'."""
+    """Label the diagram 'saddle-node', 'pitchfork' or 'none'.
+
+    A zero count that falls with gamma is labelled as its mirror image, the
+    diagram of gamma -> -gamma with the rows reversed.
+    """
     # Collapse degenerate folds (a single |g'|~0 zero) onto the transition.
     kept = [(i, len(zs)) for i, zs in enumerate(diag.zero_sets) if zs.degenerate() != (True,)]
     transitions = [(i, j, a, b) for (i, a), (j, b) in zip(kept, kept[1:]) if a != b]
     if len(transitions) != 1:
         return "none"
     i_lo, i_hi, low, high = transitions[0]
+    if low > high:
+        return classify(BifurcationDiagram(-diag.gammas[::-1], diag.zero_sets[::-1]))
     # Fold location: a flagged degenerate point if present, else fitted in the cell.
     folds = [i for i in range(i_lo, i_hi + 1) if any(diag.zero_sets[i].degenerate())]
     g = diag.gammas

@@ -214,6 +214,7 @@ def cmd_heteroclinic(args, parser):
         "target": orbit.target,
         "backward_endpoint": float(orbit.values[0]),
         "forward_endpoint": float(orbit.values[-1]),
+        "forward_gap": abs(float(orbit.values[-1]) - orbit.target),
         "backward_solves": sum(orbit.solves),
     })
     return 0

@@ -18,6 +18,7 @@ Implicit multiplication is rejected on purpose: "2x" is a syntax error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,10 @@ FUNCTIONS = {
     "tanh": math.tanh,
     "abs": abs,
 }
-# Derivatives (see diff) also call log and sign; the grammar accepts neither.
-POINT_FUNCTIONS = {**FUNCTIONS, "log": math.log, "sign": lambda v: float((v > 0) - (v < 0))}
+# Derivatives (see diff) also call log and sign; the grammar accepts neither.  A
+# power that reads a coordinate calls power (see _codegen).
+POINT_FUNCTIONS = {**FUNCTIONS, "log": math.log, "sign": lambda v: float((v > 0) - (v < 0)),
+                   "power": operator.pow}
 NP_FUNCTIONS = {name: getattr(np, name) for name in POINT_FUNCTIONS}
 
 
@@ -388,6 +391,13 @@ def _codegen(node):
     if isinstance(node, BinOp):
         if k := _small_power(node):
             return "(" + " * ".join([_codegen(node.lhs)] * k) + ")"
+        # A power that reads a coordinate calls power: np.power rounds a float
+        # as it rounds an array, where ** on floats is libm's pow, so a
+        # compiled_arrays() component called on floats gives eval_points' value.
+        # Powers of constants and parameters alone keep **, as a scan's grid
+        # takes them on a parameter row's floats too.
+        if node.op == "^" and any(isinstance(leaf, Var) for leaf in _leaves(node)):
+            return f"power({_codegen(node.lhs)}, {_codegen(node.rhs)})"
         op = "**" if node.op == "^" else node.op
         return f"({_codegen(node.lhs)} {op} {_codegen(node.rhs)})"
     if isinstance(node, Call):

@@ -23,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .caputo_solver import CaputoProblem, Trajectory, check_grid, check_solve, solve_pece
-from .field_expr import FieldDef, eval_points
+from .field_expr import FieldDef, FieldEvalError, eval_points
 from .mittag_leffler import LOG_DOUBLE_MAX, MLConvergenceError, ml, ml_decay
 
 __all__ = [
@@ -219,30 +219,44 @@ def _scan_grid(scan_interval):
 
 
 def _grid_brackets(g, xs):
-    """Exact zeros of g on the grid xs, the bracketing cells, and g at their left ends."""
+    """Exact zeros of g on the grid xs, and its sign-change cells as (lo, hi, g(lo))."""
     vals = g(xs)
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    return xs[vals == 0.0], cells, vals[cells]
+    return xs[vals == 0.0].tolist(), zip(xs[cells].tolist(), xs[cells + 1].tolist(),
+                                         vals[cells].tolist())
 
 
-def _bisect(g, lo, hi, flo):
-    """Zeros of g in the sign-change cells (lo, hi), bisected to the double.
+def _bisect(fn, p, cells):
+    """Zeros of g = fn((x,), p) in the sign-change cells (lo, hi, g(lo)), bisected
+    to the double one cell at a time on floats.
 
-    Every cell is bisected at once until g vanishes at its midpoint or no
-    double lies between its ends; its zero is then that midpoint.
+    A cell is halved at 0.5 * (lo + hi), keeping the half where g changes sign,
+    until g vanishes at the midpoint or no double lies between its ends; its zero
+    is then that midpoint.  fn is the compiled_arrays() component that evaluated
+    the grid, so each value is the one eval_points gives at that point, and a
+    midpoint where g is complex, not finite or raises is FieldEvalError(component=0).
     """
-    mid = 0.5 * (lo + hi)
-    active = (lo < mid) & (mid < hi)
-    while active.any():
-        fmid = g(mid)
-        left = (flo < 0.0) == (fmid < 0.0)
-        hit = fmid == 0.0
-        lo = np.where(active & (left | hit), mid, lo)
-        hi = np.where(active & (~left | hit), mid, hi)
-        flo = np.where(left, fmid, flo)
-        mid = 0.5 * (lo + hi)
-        active = (lo < mid) & (mid < hi)
-    return mid
+    zeros = []
+    with np.errstate(all="ignore"):
+        for lo, hi, flo in cells:
+            neg, mid = flo < 0.0, 0.5 * (lo + hi)
+            while lo < mid < hi:
+                try:
+                    fmid = fn((mid,), p)
+                except ArithmeticError:  # float division by 0, overflow in **
+                    fmid = math.nan
+                if isinstance(fmid, complex) or not math.isfinite(fmid):
+                    raise FieldEvalError("complex or non-finite value in component 0",
+                                         component=0)
+                if fmid == 0.0:
+                    lo = hi = mid
+                elif (fmid < 0.0) == neg:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            zeros.append(mid)
+    return zeros
 
 
 def scan_zeros(fld, scan_interval, params=()) -> ZeroSet:
@@ -253,20 +267,18 @@ def scan_zeros(fld, scan_interval, params=()) -> ZeroSet:
 def scan_zero_sets(fld, scan_interval, param_sets):
     """scan_zeros for every row of param_sets (k, n_params): a tuple of k ZeroSets.
 
-    Each row's grid is evaluated on its own. The bracketing cells of all rows
-    are then bisected together, and g' at the zeros of all rows comes from one
-    evaluation; each point carries its row's parameters as per-point arrays
-    (see eval_points).
+    Each row's grid is one eval_points call, and its sign-change cells are
+    bisected on floats with that row's parameters (see _bisect).  g' at the
+    zeros of all rows comes from one evaluation, each point carrying its row's
+    parameters as per-point arrays (see eval_points).
     """
     xs = _scan_grid(scan_interval)
     param_sets = np.asarray(param_sets, dtype=float)
-    found = [_grid_brackets(_scalar_fn(fld, tuple(p)), xs) for p in param_sets]
-    cell_params = np.repeat(param_sets, [len(c) for _, c, _ in found], axis=0)
-    cells = np.concatenate([c for _, c, _ in found])
-    flo = np.concatenate([f for _, _, f in found])
-    mids = iter(_bisect(_scalar_fn(fld, tuple(cell_params.T)), xs[cells], xs[cells + 1],
-                        flo).tolist())
-    zeros = [sorted(exact.tolist() + list(islice(mids, len(c)))) for exact, c, _ in found]
+    fn = fld.compiled_arrays()[0]
+    zeros = []
+    for p in map(tuple, param_sets.tolist()):
+        exact, cells = _grid_brackets(_scalar_fn(fld, p), xs)
+        zeros.append(sorted(exact + _bisect(fn, p, cells)))
     zero_params = np.repeat(param_sets, [len(z) for z in zeros], axis=0)
     derivs = iter(_scalar_fn(fld.derivative(0), tuple(zero_params.T))(
         [z for row in zeros for z in row]).tolist())
@@ -406,8 +418,8 @@ def classify_limit(fld, zs: ZeroSet, eta, params=()):
     zeros = zs.zeros
     if not zeros:
         raise ValueError("empty zero set")
-    ends = zs.flow(eta)  # None on a zero or outside the attractor: the nearest zero
-    return ends[1] if ends else min(zeros, key=lambda z: abs(z - eta))
+    ends = zs.flow(eta)  # None on a zero (eta itself) or outside the attractor (an end)
+    return ends[1] if ends else min(max(eta, zeros[0]), zeros[-1])
 
 
 def rate_fit(traj: Trajectory, x_star):

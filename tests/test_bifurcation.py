@@ -12,37 +12,14 @@ from fracdyn import scalar_analysis as sa
 from fracdyn.catalog import get
 from fracdyn.field_expr import FieldEvalError, eval_points
 
+from oracles import reference_scan
+
 SADDLE = get("saddle").fld
 PITCHFORK = get("pitchfork").fld
 
 
-def _reference_scan(fld, scan_interval, resolution, params):
-    """One parameter set: the grid scan, then bisection of its cells."""
-    g = lambda xs: eval_points(fld, np.reshape(xs, (-1, 1)), params)[:, 0]
-    xs = np.linspace(float(scan_interval[0]), float(scan_interval[1]), resolution + 1)
-    vals = g(xs)
-    exact = xs[vals == 0.0]
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi, flo = xs[cells], xs[cells + 1], vals[cells]
-    # Bisect to the double: until g vanishes at the midpoint or no double
-    # lies between a cell's ends.
-    mid = 0.5 * (lo + hi)
-    active = (lo < mid) & (mid < hi)
-    while active.any():
-        fmid = g(mid)
-        left = (flo < 0.0) == (fmid < 0.0)
-        hit = fmid == 0.0
-        lo = np.where(active & (left | hit), mid, lo)
-        hi = np.where(active & (~left | hit), mid, hi)
-        flo = np.where(left, fmid, flo)
-        mid = 0.5 * (lo + hi)
-        active = (lo < mid) & (mid < hi)
-    return sorted(np.concatenate([exact, mid]).tolist())
-
-
-def _reference_sweep(family, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
-                     resolution=2000, base_params=(), gamma_param="gamma"):
-    """sweep as a loop over the parameter values, one scan each."""
+def _reference_sweep(family, gamma_range, n_gammas, base_params=(), gamma_param="gamma"):
+    """sweep as a loop over the parameter values, one reference scan each."""
     gi = family.params.index(gamma_param) if gamma_param in family.params else None
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
     per_gamma = []
@@ -50,10 +27,7 @@ def _reference_sweep(family, gamma_range, n_gammas, scan_interval=(-5.0, 5.0),
         params = list(base_params) if base_params else [0.0] * len(family.params)
         if gi is not None:
             params[gi] = float(gam)
-        params = tuple(params)
-        zeros = _reference_scan(family, scan_interval, resolution, params)
-        derivs = eval_points(family.derivative(0), np.reshape(zeros, (-1, 1)), params)[:, 0]
-        per_gamma.append(sa.ZeroSet(tuple(zeros), tuple(derivs.tolist())))
+        per_gamma.append(reference_scan(family, bif.SCAN_INTERVAL, tuple(params)))
     return bif.BifurcationDiagram(gammas, tuple(per_gamma))
 
 
@@ -122,12 +96,9 @@ class TestSweep:
             bif.sweep(family, (-1.0, 1.0), 11)
 
     def test_sweep_makes_a_bounded_number_of_evaluations(self, monkeypatch):
-        # One grid per parameter value, then one bisection and one derivative
-        # evaluation for all values together: not one bisection per value.
-        # The bisection runs to the double. Its cells are 0.005 wide and its
-        # zeros satisfy |z| >= 0.1, and log2(0.005 / ulp(0.1)) < 49, so it
-        # takes at most 49 passes (+ 1 for the derivative). Bisecting each
-        # value on its own would take more than 201 * 49.
+        # One grid per parameter value and one derivative evaluation for all
+        # values together. The bisection evaluates g on floats, through the
+        # grid's compiled component, and makes no array evaluation.
         calls = [0]
 
         def counted(*args, **kwargs):
@@ -138,7 +109,7 @@ class TestSweep:
         monkeypatch.setattr(field_expr, "eval_points", counted)
         diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
         assert diag.counts()[-1] == 3
-        assert 201 < calls[0] <= 201 + 50
+        assert calls[0] == 201 + 1
 
     def test_derivative_at_the_zeros_is_one_evaluation(self, monkeypatch):
         # g' at every zero of every parameter value comes from one call, in
@@ -181,6 +152,19 @@ class TestClassification:
         diag = bif.sweep(family, gamma_range, 201)
         assert 0.0 not in diag.gammas
         assert bif.classify(diag) == label
+
+    @pytest.mark.parametrize("gamma_range", [(-1.0, 1.0), (-0.4889, 0.7459)])
+    @pytest.mark.parametrize("source,label", [
+        ("gamma + x^2", "saddle-node"), ("-gamma - x^2", "saddle-node"),
+        ("gamma*x + x^3", "pitchfork"), ("-gamma*x - x^3", "pitchfork"),
+    ])
+    def test_a_falling_count_is_labelled_as_its_mirror(self, source, label, gamma_range):
+        # The zero count falls as gamma rises; gamma -> -gamma makes it rise.
+        diag = bif.sweep(FieldDef.parse([source], ("gamma",)), gamma_range, 201)
+        assert diag.counts()[0] > diag.counts()[-1]
+        assert bif.classify(diag) == label
+        mirror = bif.BifurcationDiagram(-diag.gammas[::-1], diag.zero_sets[::-1])
+        assert bif.classify(mirror) == label
 
     def test_wrong_exponent_is_rejected(self):
         # gamma - x^4 jumps 0 -> 2 but the branch amplitude grows like

@@ -377,9 +377,10 @@ class TestAnalysis:
         assert doc["attractor"] == pytest.approx([-1.0, 1.0], abs=1e-9)
 
     def test_limits_table(self):
-        proc = run("limits", "--catalog", "cubic", "--eta=-2,0.3,0")
+        # Past 2^53 a seed's distances to the zeros tie; it goes to the nearer end.
+        proc = run("limits", "--catalog", "cubic", "--eta=-2,0.3,0,-1e16,9e15,1e16")
         doc = json.loads(proc.stdout)
-        assert doc["limits"] == pytest.approx([-1.0, 1.0, 0.0], abs=1e-9)
+        assert doc["limits"] == pytest.approx([-1.0, 1.0, 0.0, -1.0, 1.0, 1.0], abs=1e-9)
 
     def test_limits_of_seeds_on_exact_zeros(self):
         proc = run("limits", "--component", "(x-2) - (x-2)^3", "--eta=2,1.5", "--scan=-5:8")
@@ -457,6 +458,8 @@ class TestFieldFlags:
         ("gamma - x^2", ("c=0.3",), ("gamma", "c"), (0.0, 0.3)),  # c declared, unused
         ("gamma*x - c*x^3", ("c=2",), ("gamma", "c"), (0.0, 2.0)),
         ("gamma*x - c*x^3", ("c=-1",), ("gamma", "c"), (0.0, -1.0)),  # subcritical
+        ("gamma + x^2", (), ("gamma",), (0.0,)),  # the zero count falls with gamma
+        ("-gamma - x^2", (), ("gamma",), (0.0,)),
     ])
     def test_bifurcate_custom_family(self, tmp_path, component, params, names, base):
         argv = ["bifurcate", "--family", "custom", "--component", component,
@@ -543,6 +546,16 @@ class TestFieldFlags:
         call()
         assert calls[0] == 2
 
+    def test_heteroclinic_reports_a_forward_end_short_of_its_target(self):
+        # The solution from 1e-320 has not left the source 0 by t_fwd = 100.
+        proc = run("heteroclinic", "--catalog", "cubic", "--alpha", "0.6", "--eta", "1e-320",
+                   "--t-back", "5", "--dt", "0.01")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["source"], doc["target"]) == (0.0, 1.0)
+        assert doc["forward_endpoint"] < 1e-250
+        assert doc["forward_gap"] == 1.0 - doc["forward_endpoint"] == 1.0
+
     def test_heteroclinic_orbit(self, tmp_path, monkeypatch):
         out = tmp_path / "orbit.csv"
         solves = []
@@ -560,6 +573,7 @@ class TestFieldFlags:
         assert (doc["source"], doc["target"]) == (orbit.source, orbit.target)
         assert doc["backward_endpoint"] == float(orbit.values[0])
         assert doc["forward_endpoint"] == float(orbit.values[-1])
+        assert doc["forward_gap"] == abs(float(orbit.values[-1]) - orbit.target)
         _reference_write_csv(tmp_path / "ref.csv", ["t", "x1"],
                              [(float(t), float(v)) for t, v in zip(orbit.times, orbit.values)])
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -5,16 +5,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdyn import CaputoProblem, FieldDef, solve_pece
 from fracdyn import scalar_analysis as sa
-from fracdyn.field_expr import eval_points
+from fracdyn.field_expr import FieldEvalError, eval_points
 from fracdyn.mittag_leffler import MLDomainError, ml_decay
+
+from oracles import reference_scan
 
 LINEAR = FieldDef.parse(["-x"])
 CUBIC = FieldDef.parse(["x - x^3"])
 SHIFTED_CUBIC = FieldDef.parse(["(x-2) - (x-2)^3"])  # zeros 1, 2, 3, none on the (-5, 8) grid
 SADDLE = FieldDef.parse(["gamma - x^2"], ("gamma",))
+# Fields of one parameter c whose zeros move off the scan grid with c.
+SHIFTED_FIELDS = [FieldDef.parse([src], ("c",)) for src in (
+    "(x-c) - (x-c)^3", "x^5 - 3*x + c", "x - c*1e-200 - x^3", "exp(x) - 2 - c",
+    "sin(3*x) - c/3", "tanh(x - c) + 0.1*x", "abs(x - c) - 0.5", "2^x - 3 - c",
+)]
 
 
 class TestDissipativity:
@@ -32,6 +41,18 @@ class TestDissipativity:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             sa.check_h1(CUBIC, -1.0, 1.0)
+
+
+def count_evaluations(monkeypatch):
+    """A one-item list counting the eval_points calls scalar_analysis makes from here on."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eval_points(*args, **kwargs)
+
+    monkeypatch.setattr(sa, "eval_points", counted)
+    return calls
 
 
 class TestZeroSets:
@@ -65,17 +86,43 @@ class TestZeroSets:
     def test_zero_at_zero_off_the_grid_is_cheap(self, monkeypatch):
         # The (-5, 5.1) grid misses 0, so 0 becomes a grid point: bisecting a
         # cell toward 0 through the doubles took 1067 evaluations.
-        calls = [0]
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return eval_points(*args, **kwargs)
-
-        monkeypatch.setattr(sa, "eval_points", counted)
+        calls = count_evaluations(monkeypatch)
         zs = sa.scan_zeros(CUBIC, (-5.0, 5.1))
         assert zs.zeros[1] == 0.0 and len(zs) == 3
         assert zs.zeros == pytest.approx((-1.0, 0.0, 1.0), abs=1e-15)
         assert calls[0] <= 64
+
+    @given(fld=st.sampled_from(SHIFTED_FIELDS), c=st.floats(-2.0, 2.0),
+           lo=st.floats(-6.0, 4.0), width=st.floats(0.5, 10.0))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_scan_matches_the_array_bisection(self, fld, c, lo, width):
+        # The bisection on floats gives the zero set, to the bit, that
+        # bisecting every cell at once on arrays gives.
+        interval = (lo, lo + width)
+        assert repr(sa.scan_zeros(fld, interval, (c,))) == repr(
+            reference_scan(fld, interval, (c,)))
+
+    @pytest.mark.parametrize("source", ["1/(x - 0.0012345)", "(x - 0.0012345)^(-1)"])
+    def test_a_pole_is_a_field_error_in_both(self, source, monkeypatch):
+        # The bisection closes on the pole, off the grid, and evaluates g there:
+        # a float division by 0 raises, a power of 0 is inf.  Either fails the
+        # scan before g' is evaluated, after the grid's one array evaluation.
+        pole = FieldDef.parse([source])
+        for scan in (reference_scan, sa.scan_zeros):
+            with pytest.raises(FieldEvalError) as exc:
+                scan(pole, (-5.0, 5.0))
+            assert exc.value.component == 0
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(FieldEvalError):
+            sa.scan_zeros(pole, (-5.0, 5.0))
+        assert calls[0] == 1
+
+    def test_one_row_is_two_array_evaluations(self, monkeypatch):
+        # The grid and g' at the zeros; the zeros +-1 lie off the grid.
+        calls = count_evaluations(monkeypatch)
+        zs = sa.find_zeros(FieldDef.parse(["x*(1 - x^2)"]), (-3.0, 3.0))
+        assert zs.zeros == (-1.0, 0.0, 1.0)
+        assert calls[0] == 2
 
     def test_degenerate_flags_each_zero_below_the_floor(self):
         zs = sa.ZeroSet((-1.0, 0.0, 1.0), (-2.0, sa.H2_DERIVATIVE_FLOOR / 2, sa.H2_DERIVATIVE_FLOOR))
@@ -237,8 +284,10 @@ class TestEnvelopes:
 class TestLimits:
     def test_classification_table(self):
         zs = sa.find_zeros(CUBIC, (-5.0, 5.0))
+        # Past 2^53 a seed's distances to the zeros tie; it goes to the nearer end.
         cases = [(-2.5, -1.0), (-0.3, -1.0), (0.4, 1.0), (1.0, 1.0),
-                 (2.2, 1.0), (0.0, 0.0)]
+                 (2.2, 1.0), (0.0, 0.0), (9e15, 1.0), (1e16, 1.0), (-1e16, -1.0),
+                 (1e300, 1.0), (-1e300, -1.0)]
         for eta, expect in cases:
             assert sa.classify_limit(CUBIC, zs, eta) == pytest.approx(
                 expect, abs=1e-9
