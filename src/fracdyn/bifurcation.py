@@ -1,10 +1,13 @@
 """One-parameter sweeps of scalar families g(gamma, x): branch diagrams,
-saddle-node/pitchfork classification and divergence detection."""
+divergence detection, and saddle-node/pitchfork labels from the normal form at
+the fold g = g_x = 0, which the FDE shares with the ODE of the same field (the
+paper's attractor theorem), found by Newton's method with gamma a coordinate."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -15,14 +18,12 @@ from .field_expr import FieldDef
 __all__ = [
     "BifurcationDiagram",
     "sweep",
+    "fold",
     "classify",
     "divergence_check",
 ]
 
-FOLD_FIT_POINTS = 10
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 GAMMA = "gamma"  # the swept parameter's name in a family's params
-MIDDLE_BRANCH_TOL = 0.05  # largest shift of the pitchfork's middle zero at the fold
 SCAN_INTERVAL = (-5.0, 5.0)  # where each parameter value's zeros are scanned
 
 
@@ -30,6 +31,9 @@ SCAN_INTERVAL = (-5.0, 5.0)  # where each parameter value's zeros are scanned
 class BifurcationDiagram:
     gammas: np.ndarray
     zero_sets: tuple  # one sa.ZeroSet per gamma
+    family: FieldDef
+    base_params: tuple  # the family's parameter row, GAMMA's entry aside
+    _kept: dict = field(default_factory=dict, compare=False, repr=False)  # fold's answer
 
     def counts(self):
         return [len(zs) for zs in self.zero_sets]
@@ -47,94 +51,101 @@ def sweep(family: FieldDef, gamma_range, n_gammas, base_params=()) -> Bifurcatio
         raise ValueError(f"need an ascending parameter range lo < hi, got "
                          f"{gamma_range[0]}:{gamma_range[1]}")
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
-    base = list(base_params) if base_params else [0.0] * len(family.params)
+    base = tuple(map(float, base_params)) if base_params else (0.0,) * len(family.params)
     param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))
     if GAMMA in family.params:
         param_sets[:, family.params.index(GAMMA)] = gammas
-    return BifurcationDiagram(gammas, sa.scan_zero_sets(family, SCAN_INTERVAL, param_sets))
+    return BifurcationDiagram(gammas, sa.scan_zero_sets(family, SCAN_INTERVAL, param_sets),
+                              family, base)
 
 
-def _power_fit(gs, amps, gamma_star):
-    """(exponent, residual) of the least-squares line log amp ~ log(gamma - gamma*)."""
-    coef, res, *_ = np.polyfit(np.log(gs - gamma_star), np.log(amps), 1, full=True)
-    return float(coef[0]), float(res[0]) if len(res) else 0.0
+def _start(diag):
+    """((gamma_lo, gamma_hi), x): the cell of the single change of zero count, by
+    2 (rows of one degenerate zero left out), and the x where Newton starts: the
+    middle of the closest pair of zeros in the row with more, or the one of the
+    pair kept from the other row between two new zeros (a pitchfork)."""
+    rows = [zs.zeros for zs in diag.zero_sets]
+    kept = [i for i, zs in enumerate(diag.zero_sets)
+            if len(rows[i]) != 1 or not zs.degenerate()[0]]
+    steps = [(i, j) for i, j in zip(kept, kept[1:]) if len(rows[i]) != len(rows[j])]
+    if len(steps) != 1:
+        return None
+    i, j = steps[0]
+    low, high = sorted((rows[i], rows[j]), key=len)
+    if len(high) - len(low) != 2:
+        return None
+    gaps = np.diff(high)
+    k = int(np.argmin(gaps))
+    x = 0.5 * (high[k] + high[k + 1])
+    for m in (k, k + 1):
+        if 0 < m < len(high) - 1 and any(abs(y - high[m]) < gaps[k] for y in low):
+            x = high[m]
+    return (float(diag.gammas[i]), float(diag.gammas[j])), x
 
 
-def _golden_min(f, lo, hi, tol):
-    """A minimiser of f inside (lo, hi): golden-section search to width tol."""
-    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(max(0, math.ceil(math.log(tol / (hi - lo)) / math.log(INV_PHI)))):
-        if fc < fd:  # a minimum lies in (lo, d)
-            hi, d, fd = d, c, fc
-            c = hi - INV_PHI * (hi - lo)
-            fc = f(c)
+def _partials(diag, s, *paths):
+    """The derivatives of g at s = (x, gamma) along paths ((0, 1) is g_x,gamma) of
+    the family with GAMMA lifted to coordinate 2; None if one is complex, not
+    finite or raises."""
+    lifted = diag.family.lift(GAMMA)
+    with np.errstate(all="ignore"):
+        try:
+            vals = [reduce(FieldDef.derivative, path, lifted).compiled_arrays()[0](
+                s, diag.base_params) for path in paths]
+        except ArithmeticError:  # float division by 0, overflow in **
+            return None
+    return [float(v) for v in vals] if all(
+        isinstance(v, float) and math.isfinite(v) for v in vals) else None
+
+
+def fold(diag: BifurcationDiagram):
+    """(gamma*, x*) where g = g_x = 0, by Newton's method from _start; None
+    without a single change of zero count, or when Newton fails to evaluate g,
+    to converge in 50 steps or to end within a cell's width of its cell.
+    Solved once per diagram and kept."""
+    if "fold" not in diag._kept:
+        diag._kept["fold"] = _newton(diag)
+    return diag._kept["fold"]
+
+
+def _newton(diag):
+    if (start := _start(diag)) is None:
+        return None
+    (lo, hi), x = start
+    gam = mid = 0.5 * (lo + hi)
+    for _ in range(50):
+        if (vals := _partials(diag, (x, gam), (), (0,), (1,), (0, 0), (0, 1))) is None:
+            return None
+        g, gx, gg, gxx, gxg = vals
+        det = gx * gxg - gg * gxx  # of the Jacobian of (g, g_x) in (x, gamma)
+        if det == 0.0:  # singular, as at a pitchfork: only the fold itself is an answer
+            if g or gx:
+                return None
+            dx = dg = 0.0
         else:
-            lo, c, fc = c, d, fd
-            d = lo + INV_PHI * (hi - lo)
-            fd = f(d)
-    return c if fc < fd else d
-
-
-def _fold_exponent(diag, i_trans, high_count, cell):
-    """Fitted exponent of the branch amplitude above the fold.
-
-    The fold lies in cell = (lo, hi): at lo when lo == hi (a degenerate grid
-    point), else where the amplitudes fit a power law best, found by a
-    golden-section search over the cell to 1e-12.
-    """
-    gs, amps = [], []
-    for g, zs in zip(diag.gammas[i_trans:], diag.zero_sets[i_trans:]):
-        if len(zs) != high_count or g <= cell[0]:
-            continue
-        amps.append((zs.zeros[-1] - zs.zeros[0]) / 2.0)
-        gs.append(g)
-        if len(gs) >= FOLD_FIT_POINTS:
-            break
-    if len(gs) < 3 or min(amps) <= 0:
-        return math.nan
-    gs, amps = np.asarray(gs), np.asarray(amps)
-    gamma_star = cell[0]
-    if cell[0] < cell[1]:
-        gamma_star = _golden_min(lambda g: _power_fit(gs, amps, g)[1], *cell, 1e-12)
-    return _power_fit(gs, amps, gamma_star)[0]
+            dx, dg = (gg * gx - gxg * g) / det, (gxx * g - gx * gx) / det
+        x, gam = x + dx, gam + dg
+        if abs(dx) + abs(dg) <= 1e-13 * (1.0 + abs(x) + abs(gam)):
+            # a cell's width of slack: the scan misses zeros closer than its spacing
+            return (gam, x) if abs(gam - mid) <= 1.5 * (hi - lo) and math.isfinite(x) else None
+    return None
 
 
 def classify(diag: BifurcationDiagram) -> str:
-    """Label the diagram 'saddle-node', 'pitchfork' or 'none'.
-
-    A zero count that falls with gamma is labelled as its mirror image, the
-    diagram of gamma -> -gamma with the rows reversed.
-    """
-    # Collapse degenerate folds (a single |g'|~0 zero) onto the transition.
-    kept = [(i, len(zs)) for i, zs in enumerate(diag.zero_sets) if zs.degenerate() != (True,)]
-    transitions = [(i, j, a, b) for (i, a), (j, b) in zip(kept, kept[1:]) if a != b]
-    if len(transitions) != 1:
+    """'saddle-node', 'pitchfork' or 'none' from the normal form at the fold
+    (Kuznetsov 2004, ch. 3): g_xx != 0 and g_gamma != 0 for a saddle-node,
+    g_xx = g_gamma = 0, g_xxx != 0 and g_x,gamma != 0 for a pitchfork, where
+    "= 0" is below H2_DERIVATIVE_FLOOR; 'none' without a fold."""
+    at = fold(diag)
+    if at is None:
         return "none"
-    i_lo, i_hi, low, high = transitions[0]
-    if low > high:
-        return classify(BifurcationDiagram(-diag.gammas[::-1], diag.zero_sets[::-1]))
-    # Fold location: a flagged degenerate point if present, else fitted in the cell.
-    folds = [i for i in range(i_lo, i_hi + 1) if any(diag.zero_sets[i].degenerate())]
-    g = diag.gammas
-    cell = (g[folds[0]], g[folds[0]]) if folds else (g[i_lo], g[i_hi])
-    expo = _fold_exponent(diag, i_hi, high, cell)
-    sqrt_like = not math.isnan(expo) and abs(expo - 0.5) <= 0.1
-
-    if low == 0 and high == 2 and sqrt_like:
+    vals = _partials(diag, at[::-1], (0, 0), (1,), (0, 0, 0), (0, 1))
+    if vals is None:
+        return "none"
+    gxx, gg, gxxx, gxg = (abs(v) >= sa.H2_DERIVATIVE_FLOOR for v in vals)
+    if gxx and gg:
         return "saddle-node"
-    if low == 1 and high == 3 and sqrt_like and _middle_branch_persists(diag, i_lo, i_hi):
-        return "pitchfork"
-    return "none"
-
-
-def _middle_branch_persists(diag, i_lo, i_hi):
-    pre = diag.zero_sets[i_lo].zeros
-    if len(pre) != 1:
-        return False
-    post = diag.zero_sets[i_hi].zeros
-    middle = post[len(post) // 2]
-    return abs(middle - pre[0]) <= MIDDLE_BRANCH_TOL
+    return "pitchfork" if not (gxx or gg) and gxxx and gxg else "none"
 
 
 def divergence_check(family: FieldDef, gamma, alpha, x0, t_end, dt=0.01) -> bool:

@@ -275,6 +275,7 @@ def cmd_bifurcate(args, parser):
     lo, hi, m = _flag_values("--gamma-range", args.gamma_range, "LO:HI:M with an integer M",
                              (float, float, int))
     diag = bif.sweep(fld, (lo, hi), m, base_params=params)
+    fold = bif.fold(diag)  # solved once: classify reads the one kept on diag
     label = bif.classify(diag)
     rows = [(gam, z, "degenerate" if flat else "stable" if d < 0 else "unstable")
             for gam, zs in zip(diag.gammas.tolist(), diag.zero_sets)
@@ -286,6 +287,7 @@ def cmd_bifurcate(args, parser):
         "version": __version__,
         "config": {"family": args.family, "gamma_range": args.gamma_range},
         "classification": label,
+        "fold": None if fold is None else list(fold),
         "zero_counts": diag.counts(),
     })
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "FieldDef",
     "parse_expr",
     "diff",
+    "substitute",
     "eval_points",
 ]
 
@@ -332,7 +333,8 @@ def diff(node, i):
 
     An exponent b free of x_i (a number, a parameter) gives b*a^(b-1)*a', so
     x^3 becomes 3*x^2 and keeps its product form; any other exponent gives
-    a^b*(b'*log(a) + b*a'/a).  abs' is sign, which is 0 at the kink x = 0.
+    a^b*(b'*log(a) + b*a'/a).  abs' is sign, which is 0 at the kink x = 0,
+    and sign' is 0, so every node that diff makes has a derivative too.
     """
     if isinstance(node, (Num, Param)):
         return Num(0.0)
@@ -344,7 +346,7 @@ def diff(node, i):
         a = node.arg
         outer = {"exp": node, "sin": Call("cos", a), "cos": _neg(Call("sin", a)),
                  "tanh": _op("-", Num(1.0), _op("*", node, node)),
-                 "abs": Call("sign", a)}[node.fn]
+                 "abs": Call("sign", a), "sign": Num(0.0), "log": _op("/", Num(1.0), a)}[node.fn]
         return _op("*", outer, diff(a, i))
     if not isinstance(node, BinOp):
         raise TypeError(f"not an AST node: {node!r}")
@@ -360,6 +362,15 @@ def diff(node, i):
         b1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, Num(1.0))
         return _op("*", _op("*", b, _op("^", a, b1)), da)
     return _op("*", node, _op("+", _op("*", db, Call("log", a)), _op("*", b, _op("/", da, a))))
+
+
+def substitute(node, mapping):
+    """node with each leaf that mapping holds, a Var or a Param, replaced by mapping[leaf]."""
+    if isinstance(node, (Neg, Call)):
+        return replace(node, arg=substitute(node.arg, mapping))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.lhs, mapping), substitute(node.rhs, mapping))
+    return mapping.get(node, node)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +486,13 @@ class FieldDef:
             raise ValueError(f"coordinate {i} is outside 0..{self.dimension - 1}")
         return self._keep(i, lambda: FieldDef(
             self.dimension, tuple(diff(a, i) for a in self.components), self.params))
+
+    def lift(self, name):
+        """The field over (x_1..x_d, name): parameter name read as coordinate d + 1,
+        held constant by a last component 0; built once and kept, like derivative."""
+        leaf, d = Param(self.params.index(name), name), self.dimension
+        return self._keep(("lift", name), lambda: FieldDef(d + 1, tuple(
+            substitute(a, {leaf: Var(d)}) for a in self.components) + (Num(0.0),), self.params))
 
 
 def eval_points(f, points, params=()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import scalar_analysis as sa
-from .field_expr import BinOp, Call, FieldDef, Neg, Num, Var, diff, eval_points
+from .field_expr import BinOp, FieldDef, Num, Var, diff, eval_points, substitute
 
 __all__ = [
     "TriangularField",
@@ -32,19 +32,6 @@ class TriangularValidationError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _remap_vars(node, mapping):
-    """node with each Var(j) replaced by the node mapping[j]."""
-    if isinstance(node, Var):
-        return mapping[node.index]
-    if isinstance(node, Neg):
-        return Neg(_remap_vars(node.arg, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _remap_vars(node.lhs, mapping), _remap_vars(node.rhs, mapping))
-    if isinstance(node, Call):
-        return Call(node.fn, _remap_vars(node.arg, mapping))
-    return node
 
 
 @dataclass(frozen=True)
@@ -95,9 +82,8 @@ class TriangularField:
         f_i does not depend on the other coordinates (see __post_init__), so
         any value may stand for them: 1, where 0/x_j and 0*log(x_j) are finite.
         """
-        mapping = {j: Num(1.0) for j in range(self.dimension)}
-        mapping[i] = Var(0)
-        return self._keep(i, lambda: FieldDef(1, (_remap_vars(self.f_factors[i], mapping),)))
+        mapping = {Var(j): Var(0) if j == i else Num(1.0) for j in range(self.dimension)}
+        return self._keep(i, lambda: FieldDef(1, (substitute(self.f_factors[i], mapping),)))
 
 
 @dataclass(frozen=True)

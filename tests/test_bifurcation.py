@@ -1,5 +1,6 @@
 """Parameter sweeps, bifurcation classification and divergence detection."""
 
+import functools
 import math
 
 import numpy as np
@@ -16,19 +17,30 @@ from oracles import reference_scan
 
 SADDLE = get("saddle").fld
 PITCHFORK = get("pitchfork").fld
+# (x - c)-shifted catalog families: the fold is at gamma = 0, x = c
+SHIFTED_SADDLE = FieldDef.parse(["gamma - (x - c)^2"], ("gamma", "c"))
+SHIFTED_PITCHFORK = FieldDef.parse(["gamma*(x - c) - (x - c)^3"], ("gamma", "c"))
+SHIFTS = (0.3, -0.7, 1 / 3)
+SPECTATOR = FieldDef.parse(["gamma - (x - 0.3)^2 + 0.2*x^3"], ("gamma",))  # and a far zero
+# saddles whose derivatives read sign (from abs) and log (from 2^x); the fold
+# of the second solves 2x = 0.1*log(2)*2^x, a contraction from x = 0
+KINKED = FieldDef.parse(["gamma - x^2 + 0.1*abs(x + 2)"], ("gamma",))
+EXPONENTIAL = FieldDef.parse(["gamma - x^2 + 0.1*2^x"], ("gamma",))
+X_EXP = functools.reduce(lambda x, _: 0.05 * math.log(2.0) * 2.0**x, range(40), 0.0)
 
 
 def _reference_sweep(family, gamma_range, n_gammas, base_params=(), gamma_param="gamma"):
     """sweep as a loop over the parameter values, one reference scan each."""
     gi = family.params.index(gamma_param) if gamma_param in family.params else None
     gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
+    base = tuple(map(float, base_params)) if base_params else (0.0,) * len(family.params)
     per_gamma = []
     for gam in gammas:
-        params = list(base_params) if base_params else [0.0] * len(family.params)
+        params = list(base)
         if gi is not None:
             params[gi] = float(gam)
         per_gamma.append(reference_scan(family, bif.SCAN_INTERVAL, tuple(params)))
-    return bif.BifurcationDiagram(gammas, tuple(per_gamma))
+    return bif.BifurcationDiagram(gammas, tuple(per_gamma), family, base)
 
 
 class TestSweep:
@@ -143,15 +155,47 @@ class TestClassification:
         assert bif.classify(bif.sweep(shifted, (-1.0, 1.0), 51)) == "none"
 
     @pytest.mark.parametrize("gamma_range", [(-0.7459, 0.4889), (-0.3946, 0.805)])
-    @pytest.mark.parametrize("family,label", [
-        (SADDLE, "saddle-node"), (PITCHFORK, "pitchfork"),
-    ], ids=["saddle", "pitchfork"])
-    def test_fold_between_grid_values(self, family, label, gamma_range):
-        # gamma = 0 is not on these grids; the fold is fitted inside the
-        # transition cell together with the amplitude exponent
-        diag = bif.sweep(family, gamma_range, 201)
+    @pytest.mark.parametrize("family,c,label", [
+        (SADDLE, 0.0, "saddle-node"), (PITCHFORK, 0.0, "pitchfork"),
+        *[(fam, c, label) for c in SHIFTS
+          for fam, label in ((SHIFTED_SADDLE, "saddle-node"), (SHIFTED_PITCHFORK, "pitchfork"))],
+    ], ids=["saddle", "pitchfork",
+            *[f"{name}-{c:.4g}" for c in SHIFTS for name in ("saddle", "pitchfork")]])
+    def test_fold_between_grid_values(self, family, c, label, gamma_range):
+        # gamma = 0 is not on these grids; Newton finds the fold (0, c) inside
+        # the transition cell
+        diag = bif.sweep(family, gamma_range, 201, base_params=(0.0, c) if c else ())
         assert 0.0 not in diag.gammas
         assert bif.classify(diag) == label
+        gam, x = bif.fold(diag)
+        assert abs(gam) < 1e-12 and abs(x - c) < 1e-12
+
+    @pytest.mark.parametrize("family,base,grid,label,fold", [
+        # beside a far zero: 1 -> 3 zeros
+        (SPECTATOR, (), (-1.0, 1.0, 201), "saddle-node", (-17 / 2700, 1 / 3)),
+        # the middle grid value rounds to the fold, where the scan misses the
+        # double zero: the fold lies on the edge of the transition cell
+        (SPECTATOR, (), (-17 / 2700 - 0.5, -17 / 2700 + 0.5, 201), "saddle-node",
+         (-17 / 2700, 1 / 3)),
+        # the imperfect pitchfork
+        (FieldDef.parse(["gamma*x - x^3 + 0.1"], ("gamma",)), (), (-1.0, 1.0, 201),
+         "saddle-node", (3 * 0.05 ** (2 / 3), -(0.05 ** (1 / 3)))),
+        (KINKED, (), (-1.0, 1.0, 201), "saddle-node", (-0.2025, 0.05)),
+        (EXPONENTIAL, (), (-1.0, 1.0, 201), "saddle-node", (X_EXP**2 - 0.1 * 2.0**X_EXP, X_EXP)),
+        *[(fam, (0.0, c), (-1.0, 1.0, 201), label, (0.0, c)) for c in SHIFTS
+          for fam, label in ((SHIFTED_SADDLE, "saddle-node"), (SHIFTED_PITCHFORK, "pitchfork"))],
+        # the scan finds the three zeros near x = 0.3 only from the row after
+        # gamma = 8.2e-6: the count changes a cell after the fold
+        (SHIFTED_PITCHFORK, (0.0, 0.3), (-0.32724353981496745, 0.12799283533210815, 282),
+         "pitchfork", (0.0, 0.3)),
+    ], ids=["spectator", "spectator-centred", "imperfect", "abs", "2^x",
+            *[f"{name}-{c:.4g}" for c in SHIFTS for name in ("saddle", "pitchfork")],
+            "pitchfork-0.3-late-count"])
+    def test_fold_from_the_normal_form(self, family, base, grid, label, fold):
+        diag = bif.sweep(family, grid[:2], grid[2], base_params=base)
+        assert bif.classify(diag) == label
+        assert bif.fold(diag) == pytest.approx(fold, rel=0, abs=1e-12)
+        assert bif.fold(diag) is bif.fold(diag)  # solved once and kept
 
     @pytest.mark.parametrize("gamma_range", [(-1.0, 1.0), (-0.4889, 0.7459)])
     @pytest.mark.parametrize("source,label", [
@@ -159,18 +203,35 @@ class TestClassification:
         ("gamma*x + x^3", "pitchfork"), ("-gamma*x - x^3", "pitchfork"),
     ])
     def test_a_falling_count_is_labelled_as_its_mirror(self, source, label, gamma_range):
-        # The zero count falls as gamma rises; gamma -> -gamma makes it rise.
+        # The zero count falls as gamma rises; the family of -gamma, swept over
+        # the mirrored range, is the same diagram with the count rising.
         diag = bif.sweep(FieldDef.parse([source], ("gamma",)), gamma_range, 201)
+        mirror = bif.sweep(FieldDef.parse([source.replace("gamma", "(-gamma)")], ("gamma",)),
+                           (-gamma_range[1], -gamma_range[0]), 201)
         assert diag.counts()[0] > diag.counts()[-1]
-        assert bif.classify(diag) == label
-        mirror = bif.BifurcationDiagram(-diag.gammas[::-1], diag.zero_sets[::-1])
-        assert bif.classify(mirror) == label
+        assert mirror.counts()[0] < mirror.counts()[-1]
+        assert bif.classify(diag) == bif.classify(mirror) == label
+        assert bif.fold(diag) == bif.fold(mirror) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_wrong_exponent_is_rejected(self):
-        # gamma - x^4 jumps 0 -> 2 but the branch amplitude grows like
-        # gamma^(1/4), outside the square-root window
-        quartic = FieldDef.parse(["gamma - x^4"], ("gamma",))
-        diag = bif.sweep(quartic, (-1.0, 1.0), 201)
+        # gamma - x^4 jumps 0 -> 2, but g_xx = 0 at its fold (0, 0): no
+        # saddle-node; gamma*x - x^5 keeps its middle zero, but g_xxx = 0 there
+        for source in ("gamma - x^4", "gamma*x - x^5"):
+            diag = bif.sweep(FieldDef.parse([source], ("gamma",)), (-1.0, 1.0), 201)
+            assert bif.classify(diag) == "none"
+
+    @pytest.mark.parametrize("source,gamma_range", [
+        # finite everywhere, but g_x = -1.5*(x^2)^(-0.25)*x is 0 * inf at x = 0,
+        # where Newton starts between the zeros +-gamma^(2/3)
+        ("gamma - (x^2)^0.75", (-0.7459, 0.4889)),
+        # 1.2*gamma*x - x^3, but 1/gamma divides by 0 at the fold gamma = 0 (an
+        # array row takes 1/0 as inf)
+        ("gamma*x - x^3 + 0.1*(x + x)/(1/gamma)", (-1.0, 1.0)),
+    ], ids=["nan", "raises"])
+    def test_a_field_failing_at_the_fold_is_none(self, source, gamma_range):
+        diag = bif.sweep(FieldDef.parse([source], ("gamma",)), gamma_range, 201)
+        assert abs(diag.counts()[-1] - diag.counts()[0]) == 2
+        assert bif.fold(diag) is None
         assert bif.classify(diag) == "none"
 
 

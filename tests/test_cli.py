@@ -10,10 +10,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracdyn import CaputoProblem, bifurcation, catalog, cli, solve_pece, verification
 from fracdyn import scalar_analysis as sa
-from fracdyn.field_expr import FieldDef, parse_expr
+from fracdyn.field_expr import FieldDef, FieldEvalError, parse_expr
 from fracdyn.triangular_systems import TriangularField, product_attractor, validate_triangular
 
 CLI = [sys.executable, "-m", "fracdyn.cli"]
@@ -392,6 +394,7 @@ class TestAnalysis:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["classification"] == "saddle-node"
+        assert doc["fold"] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert doc["zero_counts"][0] == 0 and doc["zero_counts"][-1] == 2
 
     def test_semigroup_json(self):
@@ -460,6 +463,9 @@ class TestFieldFlags:
         ("gamma*x - c*x^3", ("c=-1",), ("gamma", "c"), (0.0, -1.0)),  # subcritical
         ("gamma + x^2", (), ("gamma",), (0.0,)),  # the zero count falls with gamma
         ("-gamma - x^2", (), ("gamma",), (0.0,)),
+        # the fold's derivatives read sign (from abs) and log (from 2^x)
+        ("gamma - x^2 + 0.1*abs(x + 2)", (), ("gamma",), (0.0,)),
+        ("gamma - x^2 + 0.1*2^x", (), ("gamma",), (0.0,)),
     ])
     def test_bifurcate_custom_family(self, tmp_path, component, params, names, base):
         argv = ["bifurcate", "--family", "custom", "--component", component,
@@ -472,6 +478,8 @@ class TestFieldFlags:
                                  base_params=base)
         doc = json.loads(proc.stdout)
         assert doc["classification"] == bifurcation.classify(diag)
+        fold = bifurcation.fold(diag)
+        assert doc["fold"] == (None if fold is None else list(fold))
         assert doc["zero_counts"] == diag.counts()
         _reference_write_csv(tmp_path / "ref.csv", ["gamma", "zero", "stability"],
                              _bifurcate_rows(diag))
@@ -577,3 +585,47 @@ class TestFieldFlags:
         _reference_write_csv(tmp_path / "ref.csv", ["t", "x1"],
                              [(float(t), float(v)) for t, v in zip(orbit.times, orbit.values)])
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@st.composite
+def random_fields(draw):
+    """Random fields of depth <= 3 over x and gamma."""
+    def go(depth):
+        if depth == 0:
+            return draw(st.sampled_from(["x", "gamma", "1", "0.5", "2"]))
+        op = draw(st.sampled_from(["+", "-", "*", "/", "^", "call"]))
+        if op == "call":
+            fn = draw(st.sampled_from(["sin", "cos", "tanh", "exp", "abs"]))
+            return f"{fn}({go(depth - 1)})"
+        return f"({go(depth - 1)}) {op} ({go(depth - 1)})"
+
+    return go(draw(st.integers(0, 3)))
+
+
+class TestRandomFields:
+    @given(random_fields())
+    @example("abs(x + 2)")
+    @example("2 ^ x")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_command_exits_with_a_code(self, src):
+        # An answer (0), a failed check (1) or a refusal (2); any other
+        # exception propagates out of run() and fails the test.
+        gamma = ("--component", src, "--param", "gamma=0.5")
+        runs = [("attractor", *gamma), ("limits", *gamma, "--eta=-1,0.3,2"),
+                ("heteroclinic", *gamma, "--alpha", "0.6", "--eta", "0.3",
+                 "--t-back", "2", "--t-fwd", "2", "--dt", "0.05"),
+                ("bifurcate", "--family", "custom", "--component", src, "--gamma-range=-1:1:41")]
+        for args in runs:
+            assert run(*args).returncode in (0, 1, 2)
+        # The field also perturbs a saddle-node and a pitchfork, whose sweeps
+        # mostly have a single change of zero count, so that bifurcate solves
+        # for a fold.  Where the sweep itself succeeds, so must bifurcate.
+        for family in (f"gamma - x^2 + 0.1*({src})", f"gamma*x - x^3 + 0.1*({src})"):
+            try:
+                bifurcation.sweep(FieldDef.parse([family], ("gamma",)), (-1.0, 1.0), 41)
+                want = 0
+            except FieldEvalError:
+                want = 2
+            proc = run("bifurcate", "--family", "custom", "--component", family,
+                       "--gamma-range=-1:1:41")
+            assert proc.returncode == want, proc.stderr

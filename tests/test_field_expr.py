@@ -241,6 +241,19 @@ class TestFieldDef:
         with pytest.raises(ValueError):
             f.derivative(1)
 
+    def test_lift_reads_a_parameter_as_a_coordinate(self):
+        f = FieldDef.parse(["a*x - gamma*x^2"], ("a", "gamma"))
+        lifted = f.lift("gamma")
+        assert lifted is f.lift("gamma")  # built once and kept, as derivative(i) is
+        assert lifted.dimension == 2 and lifted.params == ("a", "gamma")
+        assert lifted.components == (parse_expr("a*x1 - x2*x1^2", 2, ("a", "gamma")), Num(0.0))
+        # (x, gamma) = (3, 0.5) at a = 2: g = 1.5, g_gamma = -x^2
+        assert eval_points(lifted, [(3.0, 0.5)], (2.0, 99.0)).tolist() == [[1.5, 0.0]]
+        assert eval_points(lifted.derivative(1), [(3.0, 0.5)], (2.0, 99.0)).tolist() == [
+            [-9.0, 0.0]]
+        with pytest.raises(ValueError):
+            f.lift("delta")
+
     def test_param_names_validated(self):
         f = FieldDef.parse(["gamma*x"], ("gamma",))
         assert f.params == ("gamma",)
@@ -331,6 +344,20 @@ class TestDerivatives:
         with pytest.raises(FieldEvalError) as exc:
             eval_points(root.derivative(0), [(4.0,), (0.0,)])
         assert exc.value.component == 0
+
+    def test_derivatives_of_derivatives(self):
+        # diff makes sign (from abs) and log (from a power that reads a
+        # coordinate), so a second or third derivative differentiates them
+        fld = FieldDef.parse(["abs(x + 2) * x + 2^x + x^x - tanh(x)^3"])
+        ast = fld.components[0]
+        for x in (0.4, 1.3, 2.9):
+            nth = fld
+            for n in (1, 2, 3):
+                nth = nth.derivative(0)
+                with mpmath.workdps(50):
+                    want = float(mpmath.diff(lambda t: mp_eval(ast, [t], ()), mpmath.mpf(x), n))
+                got = eval_points(nth, [(x,)])[0, 0]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, x)
 
     def test_folding_keeps_overflow_out(self):
         # gamma*exp(x) differentiates to gamma*exp(x), not 0*exp(x) + gamma*exp(x),
