@@ -8,7 +8,9 @@ on a uniform grid by product integration (Diethelm, Ford & Freed 2002)
 with g linear on each step (the trapezoid rule), which makes each step an
 implicit equation x = b + w*g(x).  `_trapezoid_weights` alone assembles
 the rule's weights, from the per-offset rule `_weights` that the memory
-integral `prefix_memory` takes too.  The corrector solves
+integral `prefix_memory` takes too, by one FFT product per component.  A
+solve first checks x0 by the one-point rule of `field_expr.point_value`,
+which refuses a complex or non-finite g(x0).  The corrector solves
 the equation by Newton's method with the field's exact Jacobian (Garrappa
 2018, Mathematics 6:16), which needs no predictor.  Each step starts with
 one chord update of the last state x(m-1) by a kept Jacobian J*, the
@@ -51,14 +53,13 @@ equation.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .field_expr import FieldDef, Num, eval_points
+from .field_expr import FieldDef, check_args, point_value
 
 __all__ = [
     "CaputoProblem",
@@ -191,14 +192,18 @@ def _weights(alpha, n):
 def prefix_memory(alpha, dt, g, n):
     """The memory of a solved prefix at the nodes after it: I^alpha over
     [0, m*dt] of g, shape (m + 1, d), at the nodes m .. m + n by the trapezoid
-    rule, sum_j far[m+i-j] g_j + near[m+i-j] g_(j+1) at node m + i, one pair
-    of convolutions per component.  Row 0 is the solver's own memory at m."""
+    rule, sum_j far[m+i-j] g_j + near[m+i-j] g_(j+1) at node m + i.  Both
+    sums are linear convolutions, of length 2m + n - 1, taken by FFT at a
+    power of two past that, so that nothing wraps: the spectra's products
+    far g[:-1] + near g[1:] are added, and one inverse transform per
+    component gives its outputs m - 1 .. m + n - 1.  Row 0 is the solver's
+    own memory at m."""
     m = g.shape[0] - 1
     far, near = _weights(alpha, m + n)
-    memory = np.column_stack([
-        np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
-        for c in range(g.shape[1])
-    ])
+    size = 1 << (2 * m + n - 2).bit_length()
+    spectrum = np.fft.rfft(far[1:], size) * np.fft.rfft(g[:-1].T, size)
+    spectrum += np.fft.rfft(near[1:], size) * np.fft.rfft(g[1:].T, size)
+    memory = np.fft.irfft(spectrum, size)[:, m - 1 : m + n].T
     return dt**alpha / math.gamma(alpha) * memory
 
 
@@ -234,13 +239,11 @@ def _block_spectrum(W, L):
 
 
 def _jacobian(fld):
-    """J's nonzero pattern, pattern[k][i] false where diff folds dg_k/dx_i to
-    0, and the compiled() lambdas of its nonzero entries, row by row."""
-    d = fld.dimension
-    cols = [fld.derivative(i) for i in range(d)]
-    pattern = tuple(tuple(cols[i].components[k] != Num(0.0) for i in range(d))
-                    for k in range(d))
-    jac = [cols[i].compiled()[k] for k in range(d) for i in range(d) if pattern[k][i]]
+    """J's nonzero pattern (FieldDef.jacobian_pattern) and the compiled()
+    lambdas of its nonzero entries, row by row."""
+    pattern = fld.jacobian_pattern()
+    jac = [fld.derivative(i).compiled()[k]
+           for k, row in enumerate(pattern) for i, nonzero in enumerate(row) if nonzero]
     return pattern, jac
 
 
@@ -502,48 +505,56 @@ def _pece_loop(alpha, fld, params, forcing, dt):
     states[0] = forcing[0]
     escape_index, escape_sign, failed = None, 0, False
     params = tuple(params)
+    check_args(fld, d, params)
+    x0 = tuple(states[0].tolist())
+    with np.errstate(all="ignore"):  # FieldEvalError unless real and finite at x0
+        for i, fn in enumerate(fld.compiled_arrays()):
+            point_value(fn, x0, params, i)
     eval_fns = fld.compiled()
     pattern, jac = _jacobian(fld)
     correct = _corrector(pattern)
-    eval_points(fld, states[:1], params)  # FieldEvalError unless real and finite
-    fvals[:, 0] = [float(fn(states[0].tolist(), params)) for fn in eval_fns]
+    fvals[:, 0] = [float(fn(x0, params)) for fn in eval_fns]
     counts = (0, 0.0, 1, 0, 0, 0)  # SolverMeta's fields but steps; see _corrector
     spectra = {}  # L -> _block_spectrum, kept while a later block has size L
+    # The kernel's flat views of the states and of g's rows, released on leaving.
+    views = tuple(memoryview(a) for a in (states.reshape(-1), *fvals))
 
     # Overflow on the way to an escape is expected; the escape check catches it.
-    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as stack:
-        # The kernel's flat views of the states and of g's rows, released on leaving.
-        views = tuple(stack.enter_context(memoryview(a)) for a in (states.reshape(-1), *fvals))
-        xb = forcing + node0[:, None] * fvals[:, 0]
-        del node0
-        for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
-            if s:  # the leaf before ends here: add its block to the nodes ahead
-                L = s & -s
-                w = spectra.get(L)
-                if w is None:
-                    w = _block_spectrum(padded[SUB:], L)
-                    if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
-                        spectra[L] = w
-                src = np.fft.rfft(fvals[:, s - L : s], 2 * L)
-                src *= w
-                hi = min(s + L, N + 1)
-                # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.
-                xb[s:hi] += np.fft.irfft(src, 2 * L)[:, L - 1 : L - 1 + hi - s].T
-            # The leaf's offsets are complete.  Its own earlier nodes are added
-            # last, so that a one-leaf solve sums exactly as a solve without leaves.
-            counts, escaped = correct(eval_fns, jac, params, padded, fvals, xb, views, s,
-                                      min(s + LEAF, N + 1), w_self, counts)
-            if escaped is None:
-                continue
-            # nan takes the sign of the last state; +-inf clamps like any overflow.
-            m, x, failed = escaped
-            x = np.where(np.isnan(x), np.sign(states[m - 1]) * ESCAPE_THRESHOLD, x)
-            x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
-            states[m:] = x
-            escape_index = m
-            peak = x[int(np.argmax(np.abs(x)))]
-            escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
-            break
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xb = forcing + node0[:, None] * fvals[:, 0]
+            del node0
+            for s in range(0, N + 1, LEAF):  # the leaf of nodes s .. s + LEAF - 1
+                if s:  # the leaf before ends here: add its block to the nodes ahead
+                    L = s & -s
+                    w = spectra.get(L)
+                    if w is None:
+                        w = _block_spectrum(padded[SUB:], L)
+                        if s + 2 * L <= N:  # the leaf end s + 2L takes a block of size L too
+                            spectra[L] = w
+                    src = np.fft.rfft(fvals[:, s - L : s], 2 * L)
+                    src *= w
+                    hi = min(s + L, N + 1)
+                    # Outputs L - 1 .. 2L - 2 of the circular convolution do not wrap.
+                    xb[s:hi] += np.fft.irfft(src, 2 * L)[:, L - 1 : L - 1 + hi - s].T
+                # The leaf's offsets are complete.  Its own earlier nodes are added
+                # last, so that a one-leaf solve sums exactly as a solve without leaves.
+                counts, escaped = correct(eval_fns, jac, params, padded, fvals, xb, views, s,
+                                          min(s + LEAF, N + 1), w_self, counts)
+                if escaped is None:
+                    continue
+                # nan takes the sign of the last state; +-inf clamps like any overflow.
+                m, x, failed = escaped
+                x = np.where(np.isnan(x), np.sign(states[m - 1]) * ESCAPE_THRESHOLD, x)
+                x = np.clip(x, -ESCAPE_THRESHOLD, ESCAPE_THRESHOLD)
+                states[m:] = x
+                escape_index = m
+                peak = x[int(np.argmax(np.abs(x)))]
+                escape_sign = int(np.sign(peak)) if abs(peak) == ESCAPE_THRESHOLD else 0
+                break
+    finally:
+        for view in views:
+            view.release()
 
     # Each step's chord start: one evaluation of g, and one iteration unless g failed there.
     steps = escape_index or N

@@ -37,7 +37,9 @@ __all__ = [
     "parse_expr",
     "diff",
     "substitute",
+    "check_args",
     "eval_points",
+    "point_value",
 ]
 
 FUNCTIONS = {
@@ -487,12 +489,48 @@ class FieldDef:
         return self._keep(i, lambda: FieldDef(
             self.dimension, tuple(diff(a, i) for a in self.components), self.params))
 
+    def jacobian_pattern(self):
+        """J's nonzero pattern: pattern[k][i] is false where diff folds
+        d g_k / d x_i to 0.  Built once and kept, like derivative."""
+        d = self.dimension
+        return self._keep("pattern", lambda: tuple(
+            tuple(self.derivative(i).components[k] != Num(0.0) for i in range(d))
+            for k in range(d)))
+
     def lift(self, name):
         """The field over (x_1..x_d, name): parameter name read as coordinate d + 1,
         held constant by a last component 0; built once and kept, like derivative."""
         leaf, d = Param(self.params.index(name), name), self.dimension
         return self._keep(("lift", name), lambda: FieldDef(d + 1, tuple(
             substitute(a, {leaf: Var(d)}) for a in self.components) + (Num(0.0),), self.params))
+
+
+def check_args(f, d, params):
+    """The rules of every evaluation of f: points of d coordinates, d equal to
+    f's dimension, and one value per declared parameter (ValueError otherwise)."""
+    if d != f.dimension:
+        raise ValueError(f"state length {d} != dimension {f.dimension}")
+    if len(params) != len(f.params):
+        raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
+
+
+def point_value(fn, x, p, component=0):
+    """fn(x, p) at one point x, a tuple of floats, where fn is component
+    `component` of a compiled_arrays() list: the value eval_points gives there.
+
+    Raises FieldEvalError(component=component) when the value is complex or
+    not finite, or when fn raises ArithmeticError, ValueError or TypeError (a
+    float division by 0, an overflow in **).  numpy warns on floats as on
+    arrays, so the caller holds np.errstate(all="ignore") around its calls.
+    """
+    try:
+        v = fn(x, p)
+    except (ArithmeticError, ValueError, TypeError):
+        v = math.nan
+    if isinstance(v, complex) or not math.isfinite(v):
+        raise FieldEvalError(f"complex or non-finite value in component {component}",
+                             component=component)
+    return v
 
 
 def eval_points(f, points, params=()):
@@ -506,10 +544,7 @@ def eval_points(f, points, params=()):
     non-finite at any point.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[1] != f.dimension:
-        raise ValueError(f"state length {pts.shape[1]} != dimension {f.dimension}")
-    if len(params) != len(f.params):
-        raise ValueError(f"expected {len(f.params)} parameters, got {len(params)}")
+    check_args(f, pts.shape[1], params)
     fns = f.compiled_arrays()
     cols = np.ascontiguousarray(pts.T)
     p = np.asarray(params, dtype=float)

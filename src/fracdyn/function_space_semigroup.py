@@ -5,7 +5,9 @@ breaks concatenation), but the shift-plus-memory operators T_tau acting on
 continuous functions f: R+ -> R^d through the forced Volterra equation do
 compose: T_{t1+t2} = T_{t1} T_{t2}.  This module realizes the metric of
 uniform convergence on compacts, the operators, and numerical defects
-quantifying both facts.
+quantifying both facts.  The memory tail of T_tau is the solver's own
+trapezoid rule at the nodes after the solved prefix (`prefix_memory`), summed
+by FFT in O((m + n) log(m + n)) for m prefix and n output nodes.
 """
 
 from __future__ import annotations

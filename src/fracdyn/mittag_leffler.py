@@ -8,6 +8,9 @@ s^(alpha-beta) / (s^alpha - z) at t = 1 by the trapezoidal rule on Garrappa's
 optimal parabolic contour (SIAM J. Numer. Anal. 53 (2015) 1350), plus the
 residues of poles right of the contour; one rule serves an array, and sums
 half of its conjugate-paired nodes in real arithmetic (Weideman & Trefethen 2007).
+A rule's node arrays depend on (alpha, beta) and its parameters alone and are
+kept per rule; the arguments are summed in blocks of a fixed element budget, so
+that a few hundred of them take one pass of in-place array arithmetic.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ CONTOUR_MAX_NODES = 200
 # refinements; past p ~ 240 the powers overflow, and p = inf never settles.
 CONTOUR_MAX_REFINEMENTS = 200
 LOG_EPS = math.log(np.finfo(float).eps)
-# z values per block of the contour rule: its (128, N + 1) float temporaries stay
-# below glibc's mmap threshold (128 KiB) for N <= 126 and are reused from the heap.
-Z_BLOCK = 128
+# Doubles per buffer of the contour rule: a block of z values takes
+# BLOCK_ELEMENTS // (N + 1) rows of N + 1 nodes, so that each of its two float
+# buffers holds at most 128 KiB (glibc's default mmap threshold) for any N, and
+# the 301 z of a 300-step envelope at N = 27 are one block.
+BLOCK_ELEMENTS = 16384
 # Past |z| = Z_FAR the nodes s^alpha vanish beside z in rounding and the rule's
 # sum is c / |z|: it is taken at -Z_FAR, where z^2 still fits, and scaled.
 Z_FAR = 1e150
@@ -199,26 +204,47 @@ def _cheapest_rule(p0, phi):
     raise MLConvergenceError(f"no contour rule meets a 1e-2 target (p0={p0}, phi={phi})")
 
 
-def _trapezoid(alpha, beta, z, n, mu, h):
-    """(1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds on s = mu (1 + iu)^2.
-
-    For real z the term at node u = -hk is minus the conjugate of that at hk, so
-    the rule is (h / 2 pi) sum_{k=0..n} c_k Im(w_k / (s_k^alpha - z)), c_0 = 1,
-    c_k = 2, with w = e^s s^(alpha-beta) ds/du = p + iq and s^alpha - z = A + iB:
-    Im = (qA - pB) / (A^2 + B^2).  Each block of Z_BLOCK z sums along its rows.
-    """
+@lru_cache(maxsize=256)
+def _nodes(alpha, beta, n, mu, h):
+    """The node arrays of one rule (see _trapezoid): Re s^alpha, q, p Im s^alpha
+    and (Im s^alpha)^2 at u = hk, k = 0..n; kept per rule and read-only."""
     v = 1.0 + np.arange(n + 1) * (1j * h)
     s = mu * v**2
     log_s = np.log(s)
     weight = np.exp(s + (alpha - beta) * log_s) * ((2j * mu * h / math.pi) * v)
     weight[0] *= 0.5
     s_alpha = np.exp(alpha * log_s)
-    q, pb, im2 = weight.imag, weight.real * s_alpha.imag, s_alpha.imag**2
+    nodes = (s_alpha.real.copy(), weight.imag.copy(), weight.real * s_alpha.imag,
+             s_alpha.imag**2)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _trapezoid(alpha, beta, z, n, mu, h):
+    """(1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds on s = mu (1 + iu)^2.
+
+    For real z the term at node u = -hk is minus the conjugate of that at hk, so
+    the rule is (h / 2 pi) sum_{k=0..n} c_k Im(w_k / (s_k^alpha - z)), c_0 = 1,
+    c_k = 2, with w = e^s s^(alpha-beta) ds/du = p + iq and s^alpha - z = A + iB:
+    Im = (qA - pB) / (A^2 + B^2).  Blocks of BLOCK_ELEMENTS // (n + 1) z values
+    are summed along their rows, computed in place in two buffers.
+    """
+    re, q, pb, im2 = _nodes(alpha, beta, n, mu, h)
     zc = np.maximum(z, -Z_FAR)
     out = zc / z
-    for i in range(0, z.shape[0], Z_BLOCK):
-        a = s_alpha.real - zc[i : i + Z_BLOCK, None]
-        out[i : i + Z_BLOCK] *= ((q * a - pb) / (a * a + im2)).sum(axis=1)
+    rows = max(min(z.shape[0], BLOCK_ELEMENTS // (n + 1)), 1)
+    buffers = np.empty((rows, n + 1)), np.empty((rows, n + 1))  # each at most 128 KiB
+    for i in range(0, z.shape[0], rows):
+        zi = zc[i : i + rows, None]
+        a, b = (buf[: zi.shape[0]] for buf in buffers)
+        np.subtract(re, zi, out=a)  # A
+        np.multiply(q, a, out=b)
+        b -= pb  # qA - pB
+        a *= a
+        a += im2  # A^2 + B^2
+        b /= a
+        out[i : i + rows] *= b.sum(axis=1)
     return out
 
 

@@ -23,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .caputo_solver import CaputoProblem, Trajectory, check_grid, check_solve, solve_pece
-from .field_expr import FieldDef, FieldEvalError, eval_points
+from .field_expr import FieldDef, eval_points, point_value
 from .mittag_leffler import LOG_DOUBLE_MAX, MLConvergenceError, ml, ml_decay
 
 __all__ = [
@@ -234,20 +234,15 @@ def _bisect(fn, p, cells):
     until g vanishes at the midpoint or no double lies between its ends; its zero
     is then that midpoint.  fn is the compiled_arrays() component that evaluated
     the grid, so each value is the one eval_points gives at that point, and a
-    midpoint where g is complex, not finite or raises is FieldEvalError(component=0).
+    midpoint where g is complex, not finite or raises is FieldEvalError(component=0)
+    (see point_value).
     """
     zeros = []
     with np.errstate(all="ignore"):
         for lo, hi, flo in cells:
             neg, mid = flo < 0.0, 0.5 * (lo + hi)
             while lo < mid < hi:
-                try:
-                    fmid = fn((mid,), p)
-                except ArithmeticError:  # float division by 0, overflow in **
-                    fmid = math.nan
-                if isinstance(fmid, complex) or not math.isfinite(fmid):
-                    raise FieldEvalError("complex or non-finite value in component 0",
-                                         component=0)
+                fmid = point_value(fn, (mid,), p)
                 if fmid == 0.0:
                     lo = hi = mid
                 elif (fmid < 0.0) == neg:

@@ -1,8 +1,11 @@
 """Oracles shared by the test files: plain reimplementations that the library
 must match bit for bit."""
 
+import math
+
 import numpy as np
 
+from fracdyn import caputo_solver as cs
 from fracdyn import scalar_analysis as sa
 from fracdyn.field_expr import eval_points
 
@@ -33,3 +36,15 @@ def reference_scan(fld, scan_interval, params=()):
     zeros = sorted(np.concatenate([exact, mid]).tolist())
     derivs = eval_points(fld.derivative(0), np.reshape(zeros, (-1, 1)), params)[:, 0]
     return sa.ZeroSet(tuple(zeros), tuple(derivs.tolist()))
+
+
+def direct_prefix_memory(alpha, dt, g, n):
+    """prefix_memory by its direct O(m n) sum: one pair of np.convolve per
+    component of the product rule's weights with the solved prefix g."""
+    m = g.shape[0] - 1
+    far, near = cs._weights(alpha, m + n)
+    memory = np.column_stack([
+        np.convolve(far[1:], g[:-1, c], "valid") + np.convolve(near[1:], g[1:, c], "valid")
+        for c in range(g.shape[1])
+    ])
+    return dt**alpha / math.gamma(alpha) * memory

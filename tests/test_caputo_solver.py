@@ -29,6 +29,7 @@ from fracdyn.caputo_solver import (
 from fracdyn.field_expr import eval_points
 from fracdyn.function_space_semigroup import SampledFunction, apply_T
 from fracdyn.mittag_leffler import ml
+from oracles import direct_prefix_memory
 
 LINEAR = FieldDef.parse(["-x"])
 CUBIC = FieldDef.parse(["x - x^3"])
@@ -163,6 +164,19 @@ class TestForcedEquation:
             ends.append(float(traj.scalar()[-1]))
         assert abs(ends[0] - ends[1]) > abs(ends[1] - ends[2])
         assert abs(ends[1] - ends[2]) < 1e-4
+
+
+class TestPrefixMemory:
+    @pytest.mark.parametrize("m, n, d", [(1, 1, 1), (1, 40, 1), (3, 1, 2), (25, 60, 2),
+                                         (4000, 20, 1), (4000, 2000, 2)])
+    def test_matches_the_direct_sum(self, m, n, d):
+        # The FFT's rounding against the direct O(m n) sum, at a fixed 1e-13 of its size.
+        rng = np.random.default_rng(m + n + d)
+        g = np.cumsum(rng.normal(size=(m + 1, d)), axis=0)
+        got = caputo_solver.prefix_memory(0.6, 0.01, g, n)
+        ref = direct_prefix_memory(0.6, 0.01, g, n)
+        assert got.shape == ref.shape == (n + 1, d)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestConvergenceOrder:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracdyn import CaputoProblem, bifurcation, catalog, cli, solve_pece, verification
 from fracdyn import scalar_analysis as sa
-from fracdyn.field_expr import FieldDef, FieldEvalError, parse_expr
+from fracdyn.field_expr import Call, FieldDef, FieldEvalError, Var, parse_expr
 from fracdyn.triangular_systems import TriangularField, product_attractor, validate_triangular
 
 CLI = [sys.executable, "-m", "fracdyn.cli"]
@@ -315,6 +315,27 @@ class TestSimulate:
         stats = json.loads(last)
         assert stats.pop("solve_s") > 0.0 and stats.pop("csv_s") > 0.0
         assert stats == {**dataclasses.asdict(traj.meta), "escape_index": traj.escape_index}
+
+    @pytest.mark.parametrize("components, x0, component", [
+        (["log(x)"], "-1", 0),
+        # On floats operator.pow makes this abs((-1)^0.5) = 1.0; on arrays it is nan.
+        (["abs(x^0.5)"], "-1", 0),
+        (["1/x"], "0", 0),
+        (["-x", "x - y^0.5"], "1,-1", 1),  # only component 1 fails
+    ], ids=["log", "abs_sqrt", "reciprocal", "second_component"])
+    def test_x0_where_the_field_fails_is_refused(self, components, x0, component):
+        values = tuple(map(float, x0.split(",")))
+        # The grammar has no log, which diff's derivatives call: the CLI refuses it unparsed.
+        unparsed = components == ["log(x)"]
+        fld = FieldDef(1, (Call("log", Var(0)),)) if unparsed else FieldDef.parse(components)
+        with pytest.raises(FieldEvalError) as err:
+            solve_pece(CaputoProblem(0.5, fld, (), values, 1.0, 0.1))
+        assert err.value.component == component
+        proc = run("simulate", *(f"--component={c}" for c in components), "--alpha", "0.5",
+                   f"--x0={x0}", "--t-end", "1", "--dt", "0.1", "--out", "-")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("error: unknown identifier 'log' (at offset 0)\n" if unparsed
+                               else f"error: {err.value}\n")
 
 
 def _reference_write_csv(path, header, rows):

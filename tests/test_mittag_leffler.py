@@ -9,7 +9,7 @@ import pytest
 
 from fracdyn import mittag_leffler
 from fracdyn.mittag_leffler import (
-    Z_BLOCK,
+    BLOCK_ELEMENTS,
     Z_FAR,
     MLConvergenceError,
     MLDomainError,
@@ -177,14 +177,29 @@ class TestContourAccuracy:
             for z in (-60.0, -25.0, -7.0, -1.5, -0.3, -1e-3):
                 assert abs(ml(alpha, beta, z) - ml_series_mp(alpha, beta, z)) <= 1e-12, (beta, z)
 
-    @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (0.97, 1.0), (0.6, 2.5)])
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (0.97, 1.0), (0.6, 2.5), (1.5, 1.0)])
     def test_blocks_of_z_match_single_points(self, alpha, beta):
-        # One full block of Z_BLOCK values and one of a single value.
-        z = -np.geomspace(1e-3, 1e3, Z_BLOCK + 1)
+        # One full block of the rule's rows and one of a single value; alpha > 1
+        # takes its rule per z, over as many z.
+        def rule(beta):
+            return mittag_leffler._cheapest_rule(max(0.0, 2.0 * (beta - alpha - 1.0)), 0.0)[:3]
+
+        def rows(beta):
+            return BLOCK_ELEMENTS // (rule(beta)[0] + 1)
+
+        z = -np.geomspace(1e-3, 1e3, rows(beta) + 1)
         one_by_one = [ml_eval(MLQuery(alpha, beta, float(zi))) for zi in z]
         assert np.array_equal(_contour(alpha, beta, z), one_by_one)
-        t = np.linspace(0.0, 50.0, Z_BLOCK + 1)
-        assert np.array_equal(ml_decay(alpha, 1.0, t), [ml_decay(alpha, 1.0, ti) for ti in t])
+        if alpha < 1.0:
+            t = np.linspace(0.0, 50.0, rows(1.0) + 1)
+            assert np.array_equal(ml_decay(alpha, 1.0, t),
+                                  [ml_decay(alpha, 1.0, ti) for ti in t])
+        # The kept node arrays are shared by every call of the rule: read-only.
+        nodes = mittag_leffler._nodes(alpha, beta, *rule(beta))
+        assert mittag_leffler._nodes(alpha, beta, *rule(beta)) is nodes
+        for a in nodes:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.97, 1.0, 1.1, 1.5, 1.9])
     def test_half_nodes_match_the_full_complex_rule(self, alpha, monkeypatch):
