@@ -47,10 +47,11 @@ def sweep(family: FieldDef, gamma_range, n_gammas, base_params=()) -> Bifurcatio
     """
     if n_gammas < 3:
         raise ValueError(f"need at least 3 parameter values, got {n_gammas}")
-    if not gamma_range[0] < gamma_range[1]:
-        raise ValueError(f"need an ascending parameter range lo < hi, got "
-                         f"{gamma_range[0]}:{gamma_range[1]}")
-    gammas = np.linspace(gamma_range[0], gamma_range[1], n_gammas)
+    lo, hi = (float(v) for v in gamma_range)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"need an ascending parameter range lo < hi with a finite "
+                         f"hi - lo, got {lo}:{hi}")
+    gammas = np.linspace(lo, hi, n_gammas)
     base = tuple(map(float, base_params)) if base_params else (0.0,) * len(family.params)
     param_sets = np.tile(np.asarray(base, dtype=float), (n_gammas, 1))
     if GAMMA in family.params:

@@ -39,6 +39,7 @@ __all__ = [
     "substitute",
     "check_args",
     "eval_points",
+    "eval_rows",
     "point_value",
 ]
 
@@ -50,7 +51,7 @@ FUNCTIONS = {
     "abs": abs,
 }
 # Derivatives (see diff) also call log and sign; the grammar accepts neither.  A
-# power that reads a coordinate calls power (see _codegen).
+# power that reads a coordinate or a parameter calls power (see _codegen).
 POINT_FUNCTIONS = {**FUNCTIONS, "log": math.log, "sign": lambda v: float((v > 0) - (v < 0)),
                    "power": operator.pow}
 NP_FUNCTIONS = {name: getattr(np, name) for name in POINT_FUNCTIONS}
@@ -404,12 +405,15 @@ def _codegen(node):
     if isinstance(node, BinOp):
         if k := _small_power(node):
             return "(" + " * ".join([_codegen(node.lhs)] * k) + ")"
-        # A power that reads a coordinate calls power: np.power rounds a float
-        # as it rounds an array, where ** on floats is libm's pow, so a
-        # compiled_arrays() component called on floats gives eval_points' value.
-        # Powers of constants and parameters alone keep **, as a scan's grid
-        # takes them on a parameter row's floats too.
-        if node.op == "^" and any(isinstance(leaf, Var) for leaf in _leaves(node)):
+        # A power that reads a coordinate or a parameter calls power: np.power
+        # rounds a float as it rounds an array, where ** on floats is libm's
+        # pow, so a compiled_arrays() component gives one value whether its
+        # points and parameters come as floats or as arrays (a sweep's rows
+        # take their parameters as arrays).  The exception is numpy's own:
+        # an exponent of 2, 0.5 or -1 given as one value is squared, rooted
+        # or inverted, and an array of them is not.  Powers of constants
+        # alone keep **.
+        if node.op == "^" and next(_leaves(node), None) is not None:
             return f"power({_codegen(node.lhs)}, {_codegen(node.rhs)})"
         op = "**" if node.op == "^" else node.op
         return f"({_codegen(node.lhs)} {op} {_codegen(node.rhs)})"
@@ -473,6 +477,18 @@ class FieldDef:
             self._kept[key] = build()
         return self._kept[key]
 
+    def last(self, name, key, build, keep=lambda value: True):
+        """build(), unless the value last kept under name was kept with an equal
+        key: then that value.  Each name keeps one (key, value), the last value
+        for which keep is true; an exception is never kept."""
+        kept = self._kept.get(name)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        value = build()
+        if keep(value):
+            self._kept[name] = (key, value)
+        return value
+
     def compiled(self):
         """Per-point lambdas fn(s, p), one per component, built once."""
         return self._keep("points", lambda: [_lambda(a, POINT_FUNCTIONS) for a in self.components])
@@ -533,6 +549,22 @@ def point_value(fn, x, p, component=0):
     return v
 
 
+def _checked(fn, s, p, component):
+    """fn(s, p) on arrays: FieldEvalError(component=component) when a value is
+    complex or not finite, or when fn raises ArithmeticError (constant
+    subexpressions use Python floats).  The caller holds
+    np.errstate(all="ignore")."""
+    try:
+        v = fn(s, p)
+        ok = not np.iscomplexobj(v) and np.isfinite(v).all()
+    except ArithmeticError:
+        ok = False
+    if not ok:
+        raise FieldEvalError(f"complex or non-finite value in component {component}",
+                             component=component)
+    return v
+
+
 def eval_points(f, points, params=()):
     """Evaluate a FieldDef at every row of an (n, d) array: an (n, d) result.
 
@@ -551,13 +583,23 @@ def eval_points(f, points, params=()):
     out = np.empty((pts.shape[0], len(fns)))
     with np.errstate(all="ignore"):
         for i, fn in enumerate(fns):
-            try:
-                v = fn(cols, p)
-                ok = not np.iscomplexobj(v) and np.isfinite(v).all()
-            except ArithmeticError:  # constant subexpressions use Python floats
-                ok = False
-            if not ok:
-                raise FieldEvalError(f"complex or non-finite value in component {i}",
-                                     component=i)
-            out[:, i] = v
+            out[:, i] = _checked(fn, cols, p, i)
     return out
+
+
+def eval_rows(f, xs, rows):
+    """A one-dimensional f at the points xs (n,) under each parameter row of
+    rows (k, n_params): a (k, n) array whose row j is what eval_points gives
+    at xs with the parameters rows[j].
+
+    Each parameter enters as a (k, 1) column that numpy broadcasts against
+    xs, so neither xs nor the parameters are copied k or n times; where f
+    reads only x or only the parameters, the result is a read-only broadcast
+    view.  Raises FieldEvalError(component=0) as eval_points does.
+    """
+    rows = np.asarray(rows, dtype=float)
+    check_args(f, 1, rows[0])
+    with np.errstate(all="ignore"):
+        v = _checked(f.compiled_arrays()[0], (xs,), tuple(rows.T[:, :, None]), 0)
+    shape = (len(rows), len(xs))
+    return v if np.shape(v) == shape else np.broadcast_to(v, shape)

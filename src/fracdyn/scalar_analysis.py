@@ -23,8 +23,8 @@ from itertools import islice
 import numpy as np
 
 from .caputo_solver import CaputoProblem, Trajectory, check_grid, check_solve, solve_pece
-from .field_expr import FieldDef, eval_points, point_value
-from .mittag_leffler import LOG_DOUBLE_MAX, MLConvergenceError, ml, ml_decay
+from .field_expr import FieldDef, eval_points, eval_rows, point_value
+from .mittag_leffler import BLOCK_ELEMENTS, LOG_DOUBLE_MAX, MLConvergenceError, ml, ml_decay
 
 __all__ = [
     "DissipativityCertificate",
@@ -164,10 +164,14 @@ class EnvelopeReport:
     slack: float
 
 
-def _scalar_fn(fld: FieldDef, params=()):
-    """g on a 1-D array of points."""
+def _check_scalar(fld: FieldDef):
     if fld.dimension != 1:
         raise ValueError(f"scalar analysis needs d=1, got d={fld.dimension}")
+
+
+def _scalar_fn(fld: FieldDef, params=()):
+    """g on a 1-D array of points."""
+    _check_scalar(fld)
     return lambda xs: eval_points(fld, np.reshape(xs, (-1, 1)), params)[:, 0]
 
 
@@ -255,25 +259,90 @@ def _bisect(fn, p, cells):
 
 
 def scan_zeros(fld, scan_interval, params=()) -> ZeroSet:
-    """Bracketing scan + bisection: the ZeroSet of g, without H2 checks."""
-    return scan_zero_sets(fld, scan_interval, [params])[0]
+    """Bracketing scan + bisection: the ZeroSet of g, without H2 checks.
+
+    The last scan is kept on fld, keyed by the exact doubles of the scan
+    interval and the parameters (-0.0 is not 0.0): a repeat returns the same
+    ZeroSet and evaluates nothing.  An error is not kept, nor is a zero set
+    with a degenerate zero, which find_zeros refuses on every call.
+    """
+    key = (np.asarray(scan_interval, dtype=float).tobytes(),
+           np.asarray(params, dtype=float).tobytes())
+    return fld.last("scan", key, lambda: scan_zero_sets(fld, scan_interval, [params])[0],
+                    keep=lambda zs: not any(zs.degenerate()))
+
+
+def _bisect_rows(fld, lo, hi, neg, params):
+    """_bisect on arrays: the zeros in the cells (lo, hi), where g(lo) < 0 if
+    neg, each cell's parameters a row of params, all halved together.
+
+    Each pass is one evaluation at the midpoints of the cells still open, and
+    moves lo or hi by _bisect's rules, so each zero is the double _bisect
+    finds for its cell on floats (a compiled_arrays() component gives one
+    value on floats and on arrays; see _codegen for numpy's exception).  A
+    failing midpoint is FieldEvalError(component=0), as there.
+    """
+    mid = 0.5 * (lo + hi)
+    live = np.flatnonzero((lo < mid) & (mid < hi))
+    while live.size:
+        m = mid[live]
+        fm = _scalar_fn(fld, tuple(params[live].T))(m)
+        hit = fm == 0.0
+        down = (fm < 0.0) == neg[live]
+        lo[live[down | hit]] = m[down | hit]
+        hi[live[~down | hit]] = m[~down | hit]
+        mid[live] = m = 0.5 * (lo[live] + hi[live])
+        live = live[(lo[live] < m) & (m < hi[live])]
+    return mid
+
+
+def _scan_rows(fld, xs, rows):
+    """The sorted zeros on the grid xs of each parameter row of rows (k, n_params).
+
+    Each eval_rows call takes a block of whole rows, about BLOCK_ELEMENTS
+    points: temporaries of that size stay in cache, where one call on all
+    rows took longer than a loop over them.  The sign-change cells of all
+    rows are then bisected together (see _bisect_rows).
+    """
+    _check_scalar(fld)
+    n, block = len(xs), max(BLOCK_ELEMENTS // len(xs), 1)
+    found, row_of, cells = [], [], []
+    for r0 in range(0, len(rows), block):
+        vals = eval_rows(fld, xs, rows[r0:r0 + block])
+        r, c = np.divmod(np.flatnonzero(vals == 0.0), n)
+        found.append(xs[c])
+        row_of.append(r + r0)
+        r, c = np.divmod(np.flatnonzero(vals[:, :-1] * vals[:, 1:] < 0.0), n - 1)
+        cells.append((r + r0, c, vals[r, c] < 0.0))
+    r, c, neg = (np.concatenate(v) for v in zip(*cells))
+    found.append(_bisect_rows(fld, xs[c], xs[c + 1], neg, rows[r]))
+    row_of.append(r)
+    zeros, row_of = np.concatenate(found), np.concatenate(row_of)
+    order = np.lexsort((zeros, row_of))
+    ends = np.cumsum(np.bincount(row_of, minlength=len(rows)))[:-1]
+    return [z.tolist() for z in np.split(zeros[order], ends)]
 
 
 def scan_zero_sets(fld, scan_interval, param_sets):
     """scan_zeros for every row of param_sets (k, n_params): a tuple of k ZeroSets.
 
-    Each row's grid is one eval_points call, and its sign-change cells are
-    bisected on floats with that row's parameters (see _bisect).  g' at the
-    zeros of all rows comes from one evaluation, each point carrying its row's
-    parameters as per-point arrays (see eval_points).
+    One row (scan_zeros) is one eval_points call on its grid, with its
+    sign-change cells bisected on floats (see _bisect).  More rows (a sweep)
+    are scanned in blocks of rows and bisected together on arrays (see
+    _scan_rows); both give the same zeros to the bit.  g' at the zeros of all
+    rows comes from one evaluation, each point carrying its row's parameters
+    as per-point arrays (see eval_points).
     """
     xs = _scan_grid(scan_interval)
     param_sets = np.asarray(param_sets, dtype=float)
-    fn = fld.compiled_arrays()[0]
-    zeros = []
-    for p in map(tuple, param_sets.tolist()):
+    if not len(param_sets):
+        return ()
+    if len(param_sets) == 1:
+        p = tuple(param_sets[0].tolist())
         exact, cells = _grid_brackets(_scalar_fn(fld, p), xs)
-        zeros.append(sorted(exact + _bisect(fn, p, cells)))
+        zeros = [sorted(exact + _bisect(fld.compiled_arrays()[0], p, cells))]
+    else:
+        zeros = _scan_rows(fld, xs, param_sets)
     zero_params = np.repeat(param_sets, [len(z) for z in zeros], axis=0)
     derivs = iter(_scalar_fn(fld.derivative(0), tuple(zero_params.T))(
         [z for row in zeros for z in row]).tolist())

@@ -4,7 +4,8 @@ When every prefactor h_i is sign-constant, coordinate i follows the scalar
 factor sign(h_i) * f_i, so the scalar attractor theory applies coordinate by
 coordinate: the attractor is the product of the per-coordinate zero-set
 intervals and limits classify componentwise.  validate_triangular makes that
-analysis once; its report gives the attractor and the limits.
+analysis once and keeps its last report on the field; the report gives the
+attractor and the limits.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class TriangularField:
     when diff does not fold its derivative in x_j to 0, the rule by which the
     solver drops zero entries of the Jacobian.  The factors take no
     parameters.  The assembled field, the h_i and the scalar factors are
-    built once and kept on the field."""
+    built once and kept on the field, and so is the last validation."""
 
     dimension: int
     h_factors: tuple  # ExprAst over x_1..x_{i-1}
@@ -66,6 +67,15 @@ class TriangularField:
         if key not in self._factors:
             self._factors[key] = build()
         return self._factors[key]
+
+    def last(self, name, key, build):
+        """build(), unless the value last kept under name was kept with an equal
+        key: then that value.  One (key, value) per name; an exception is never
+        kept."""
+        kept = self._factors.get(name)
+        if kept is None or kept[0] != key:
+            kept = self._factors[name] = (key, build())
+        return kept[1]
 
     def assembled(self) -> FieldDef:
         """The full vector field with components h_i * f_i, built once."""
@@ -131,9 +141,21 @@ def validate_triangular(tf: TriangularField, box=None, a=None, b=None):
     [-10, 10]^d), is bounded away from zero with constant sign, and that
     every f_i is hyperbolic at its zeros.  Dissipativity of the assembled
     field is certified only when a and b are given; otherwise the report's
-    certificate is None."""
+    certificate is None.
+
+    The last report is kept on tf, keyed by the exact doubles of the box and
+    by a and b: a repeat returns the same report and evaluates nothing, so it
+    does not repeat find_zeros' warning of an even zero count.  An error is
+    never kept.
+    """
     if box is None:
         box = [(-10.0, 10.0)] * tf.dimension
+    corners = np.asarray(box, dtype=float)
+    key = (corners.shape, corners.tobytes(), a, b)
+    return tf.last("report", key, lambda: _validate(tf, box, a, b))
+
+
+def _validate(tf, box, a, b):
     signs, min_abs = [], []
     for i in range(tf.dimension):
         pts, vals = _sample_h(tf, i, box)

@@ -11,7 +11,7 @@ from fracdyn import bifurcation as bif
 from fracdyn import field_expr
 from fracdyn import scalar_analysis as sa
 from fracdyn.catalog import get
-from fracdyn.field_expr import FieldEvalError, eval_points
+from fracdyn.field_expr import FieldEvalError, eval_points, eval_rows
 
 from oracles import reference_scan
 
@@ -77,11 +77,16 @@ class TestSweep:
             bif.sweep(SADDLE, (-1.0, 1.0), 2)
 
     @pytest.mark.parametrize("family", [SADDLE, PITCHFORK], ids=["saddle", "pitchfork"])
-    @pytest.mark.parametrize("gamma_range", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0)])
+    @pytest.mark.parametrize("gamma_range", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0),
+                                             (-math.inf, 1.0), (-1e308, 1e308)])
     def test_empty_or_descending_range_rejected(self, family, gamma_range):
-        # A descending grid would be classified "none" instead of the family's label.
-        with pytest.raises(ValueError, match="ascending"):
+        # A descending grid would be classified "none" instead of the family's
+        # label; a range with an infinite end or width, whose np.linspace is
+        # not finite, would blame the field.  Each is refused before g is evaluated.
+        lo, hi = gamma_range
+        with pytest.raises(ValueError, match="ascending") as exc:
             bif.sweep(family, gamma_range, 11)
+        assert str(exc.value).endswith(f"got {lo}:{hi}")
 
     @pytest.mark.parametrize("family,gamma_range,base_params", [
         (SADDLE, (-1.0, 1.0), ()),  # gamma = 0 on the grid
@@ -108,20 +113,25 @@ class TestSweep:
             bif.sweep(family, (-1.0, 1.0), 11)
 
     def test_sweep_makes_a_bounded_number_of_evaluations(self, monkeypatch):
-        # One grid per parameter value and one derivative evaluation for all
-        # values together. The bisection evaluates g on floats, through the
-        # grid's compiled component, and makes no array evaluation.
-        calls = [0]
+        # The 201 grids in blocks of 8 rows (eval_rows), then one eval_points
+        # call per pass of the bisection of all rows' cells together and one
+        # for g' at every zero.  The 49 passes close the cells at +-0.1
+        # (gamma = 0.01), 0.005 wide, on doubles 2^-56 apart: 0.005 / 2^-56
+        # ~ 2^48.4.
+        calls = {"eval_points": 0, "eval_rows": 0}
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return eval_points(*args, **kwargs)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(sa, "eval_points", counted)
-        monkeypatch.setattr(field_expr, "eval_points", counted)
+        for name, fn in (("eval_points", eval_points), ("eval_rows", eval_rows)):
+            monkeypatch.setattr(sa, name, counted(name, fn))
+            monkeypatch.setattr(field_expr, name, counted(name, fn))
         diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
         assert diag.counts()[-1] == 3
-        assert calls[0] == 201 + 1
+        assert calls == {"eval_rows": 26, "eval_points": 49 + 1}
 
     def test_derivative_at_the_zeros_is_one_evaluation(self, monkeypatch):
         # g' at every zero of every parameter value comes from one call, in
@@ -133,9 +143,12 @@ class TestSweep:
             return eval_points(f, *args, **kwargs)
 
         monkeypatch.setattr(sa, "eval_points", recorded)
-        sa.find_zeros(get("cubic").fld, (-5.0, 5.0))
-        assert sum(f is get("cubic").fld.derivative(0) for f in fields) == 1
+        cubic = FieldDef.parse(["x - x^3"])  # no scan kept yet
+        sa.find_zeros(cubic, (-5.0, 5.0))
+        assert sum(f is cubic.derivative(0) for f in fields) == 1
         fields.clear()
+        sa.find_zeros(cubic, (-5.0, 5.0))  # the kept scan: nothing is evaluated
+        assert fields == []
         diag = bif.sweep(PITCHFORK, (-1.0, 1.0), 201)
         assert sum(diag.counts()) > 201
         assert sum(f is PITCHFORK.derivative(0) for f in fields) == 1

@@ -107,12 +107,14 @@ class TestExitCodes:
         ("limits", "--catalog", "fig2", "--eta", "0.5"),
         ("attractor", "--catalog", "cubic", "--scan", "5"),                # no hi
         ("bifurcate", "--family", "saddle", "--gamma-range=-1:1"),         # no M
+        ("bifurcate", "--family", "saddle", "--gamma-range=-inf:1:11"),   # an infinite end
+        ("bifurcate", "--family", "saddle", "--gamma-range=-1e308:1e308:11"),  # width overflows
     ])
     def test_usage_errors_are_two(self, args):
         proc = run(*args)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "warning:" not in proc.stderr
 
     @pytest.mark.parametrize("args, message", [
         (("attractor", "--catalog", "cubic", "--scan", "5"), "--scan expects lo:hi, got '5'"),
@@ -563,7 +565,12 @@ class TestFieldFlags:
         lambda: verification.run_check("triangular", "componentwise_limits_fig2"),
     ], ids=["cli_triangular", "componentwise_limits_fig2"])
     def test_one_validation_per_call(self, monkeypatch, call):
-        # One validate_triangular scans each coordinate's factor once.
+        # One validate_triangular scans each coordinate's factor once, and a
+        # repeat takes the report kept on the field.  The catalog's fig2 keeps
+        # reports across tests, so a fresh copy stands in for it.
+        entry = catalog.get("fig2")
+        fresh = TriangularField(entry.fld.dimension, entry.fld.h_factors, entry.fld.f_factors)
+        monkeypatch.setitem(catalog.CATALOG, "fig2", dataclasses.replace(entry, fld=fresh))
         calls = [0]
         original = sa.find_zeros
 
@@ -572,6 +579,8 @@ class TestFieldFlags:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(sa, "find_zeros", counting)
+        call()
+        assert calls[0] == 2
         call()
         assert calls[0] == 2
 

@@ -23,6 +23,7 @@ from fracdyn.field_expr import (
     Var,
     _small_power,
     eval_points,
+    eval_rows,
     parse_expr,
     to_source,
 )
@@ -211,6 +212,55 @@ class TestFieldDef:
             assert arr[i] == eval_points(f, pts[i:i + 1], (gammas[i], 2.0))[0, 0]
             one = eval_points(f.derivative(0), pts[i:i + 1], (gammas[i], 2.0))[0, 0]
             assert derivs[i] == one == gammas[i] - 2.0 * (3.0 * (pts[i, 0] * pts[i, 0]))
+
+    @pytest.mark.parametrize("source", [
+        "gamma*x - b*x^3", "x*1.3^gamma - b^2.5", "tanh(x - gamma) + exp(b*x)",
+        "gamma", "2.0", "(gamma + b)^x",
+    ])
+    def test_rows_are_what_eval_points_gives(self, source):
+        # eval_rows broadcasts a (k, 1) column per parameter against the points;
+        # each row equals eval_points at the same points with that row's
+        # parameters as floats.
+        f = FieldDef.parse([source], ("gamma", "b"))
+        xs = np.linspace(0.1, 2.0, 11)
+        rng = np.random.default_rng(7)
+        rows = np.column_stack([rng.uniform(-1.0, 1.0, 64), rng.uniform(1.5, 3.0, 64)])
+        got = eval_rows(f, xs, rows)
+        assert got.shape == (64, 11)
+        for j, row in enumerate(rows):
+            floats = eval_points(f, xs[:, None], tuple(row.tolist()))[:, 0]
+            assert np.array_equal(got[j], floats)
+
+    @pytest.mark.parametrize("source, rows", [
+        ("x*1.3^gamma - b^2.5", None),
+        ("x^gamma + b", [(2.0, 0.0), (0.5, 1.0), (-1.0, 2.0)]),
+        # np.power squares, roots or inverts for an exponent of 2.0, 0.5 or
+        # -1.0 given as one value (a float, a numpy scalar) and takes its pow
+        # loop for an array of exponents: here x, and 2.0 is in xs.
+        pytest.param("(gamma + b)^x", None, marks=pytest.mark.xfail(strict=True)),
+    ])
+    def test_floats_round_as_arrays(self, source, rows):
+        # A compiled_arrays() component on floats (a bisection's midpoint, a
+        # solve's x0) gives eval_points' value.  A power of parameters alone
+        # calls np.power, not libm's pow, as it does on arrays.
+        f = FieldDef.parse([source], ("gamma", "b"))
+        fn = f.compiled_arrays()[0]
+        xs = np.linspace(0.1, 2.0, 11)
+        rng = np.random.default_rng(7)
+        if rows is None:
+            rows = np.column_stack([rng.uniform(-1.0, 1.0, 64), rng.uniform(1.5, 3.0, 64)])
+        for row in np.asarray(rows):
+            p = tuple(row.tolist())
+            floats = [fn((x,), p) for x in xs.tolist()]
+            assert floats == eval_points(f, xs[:, None], p)[:, 0].tolist()
+
+    def test_rows_fail_as_eval_points_does(self):
+        f = FieldDef.parse(["gamma - x^0.5"], ("gamma",))
+        with pytest.raises(FieldEvalError) as exc:
+            eval_rows(f, np.linspace(-1.0, 1.0, 5), [(0.0,), (1.0,)])
+        assert exc.value.component == 0
+        with pytest.raises(ValueError, match="expected 1 parameters, got 2"):
+            eval_rows(f, np.linspace(0.0, 1.0, 5), [(0.0, 1.0)])
 
     def test_eval_error_carries_component(self):
         f = FieldDef.parse(["x", "exp(x^2)"])

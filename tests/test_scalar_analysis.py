@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fracdyn import CaputoProblem, FieldDef, solve_pece
 from fracdyn import scalar_analysis as sa
-from fracdyn.field_expr import FieldEvalError, eval_points
-from fracdyn.mittag_leffler import MLDomainError, ml_decay
+from fracdyn.field_expr import FieldEvalError, eval_points, eval_rows, to_source
+from fracdyn.mittag_leffler import BLOCK_ELEMENTS, MLDomainError, ml_decay
 
 from oracles import reference_scan
 
@@ -44,14 +44,18 @@ class TestDissipativity:
 
 
 def count_evaluations(monkeypatch):
-    """A one-item list counting the eval_points calls scalar_analysis makes from here on."""
+    """A one-item list counting the eval_points and eval_rows calls
+    scalar_analysis makes from here on."""
     calls = [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return eval_points(*args, **kwargs)
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(sa, "eval_points", counted)
+    monkeypatch.setattr(sa, "eval_points", counted(eval_points))
+    monkeypatch.setattr(sa, "eval_rows", counted(eval_rows))
     return calls
 
 
@@ -158,6 +162,132 @@ class TestZeroSets:
         assert (iv.lo, iv.hi) == (zs.zeros[0], zs.zeros[-1])
         assert iv.distance(0.3) == 0.0
         assert iv.distance(1.5) == pytest.approx(0.5, abs=1e-9)
+
+
+# Fields of one parameter gamma for scan_zero_sets.
+GAMMA_FIELDS = [FieldDef.parse([src], ("gamma",)) for src in (
+    "tanh(x - gamma) + 0.1*x", "exp(x) - 2 - gamma", "sin(3*x) - gamma/3",
+    "1.3^x - 2 - gamma", "x - gamma*1e-200 - x^3",
+)]
+# g fails at a midpoint of the bisection (the pole) or on the grid (x < 0).
+FAILING_GAMMA_FIELDS = [FieldDef.parse([src], ("gamma",)) for src in (
+    "1/(x - 0.0012345) + gamma", "gamma - x^0.5",
+)]
+
+
+def _block():
+    """Rows per eval_rows call on the scan grid of (-5, 5)."""
+    return BLOCK_ELEMENTS // len(sa._scan_grid((-5.0, 5.0)))
+
+
+class TestZeroSetsOfManyRows:
+    @pytest.mark.parametrize("n", [0, 1, 2, _block() - 1, _block() + 1, 201])
+    @pytest.mark.parametrize("fld", GAMMA_FIELDS + FAILING_GAMMA_FIELDS,
+                             ids=lambda f: to_source(f.components[0]))
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_rows_match_one_reference_scan_each(self, n, fld, data):
+        # Blocks of rows and the bisection of all their cells together give,
+        # to the bit, what a scan of each row alone gives; a field that fails
+        # anywhere fails both with FieldEvalError(component=0).  The rows take
+        # up to 13 values of gamma, one of them 0, so that each value's
+        # reference scan (hundreds of passes on the 1e-200 field) runs once.
+        pool = [0.0] + data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
+        rows = [(g,) for g in data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                                 max_size=n))]
+        if n:
+            rows[data.draw(st.integers(0, n - 1))] = (0.0,)
+        try:
+            scans = {row: reference_scan(fld, (-5.0, 5.0), row) for row in set(rows)}
+            want = tuple(scans[row] for row in rows)
+        except FieldEvalError as exc:
+            assert exc.component == 0 and fld in FAILING_GAMMA_FIELDS
+            with pytest.raises(FieldEvalError) as got:
+                sa.scan_zero_sets(fld, (-5.0, 5.0), rows)
+            assert got.value.component == 0
+            return
+        assert repr(sa.scan_zero_sets(fld, (-5.0, 5.0), rows)) == repr(want)
+        assert fld not in FAILING_GAMMA_FIELDS or not rows
+
+    def test_a_power_of_the_parameter_rounds_as_on_floats(self):
+        # A power of parameters alone is np.power on a row's floats and on
+        # the per-point arrays of a block alike (libm's pow and numpy's differ
+        # in about 5% of these rows).
+        fld = FieldDef.parse(["x*1.3^gamma - x^3"], ("gamma",))
+        rows = [(g,) for g in np.random.default_rng(11).uniform(-2.0, 2.0, 201)]
+        want = tuple(reference_scan(fld, (-5.0, 5.0), row) for row in rows)
+        assert repr(sa.scan_zero_sets(fld, (-5.0, 5.0), rows)) == repr(want)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "np.power squares for an exponent 2.0 given as one value, as a row's "
+        "float gamma is, and takes its pow loop for per-point arrays of gamma, "
+        "as in g' at the zeros of many rows"))
+    def test_a_parameter_exponent_of_two_rounds_as_on_floats(self):
+        fld = FieldDef.parse(["x*2.4106611339916153^gamma - x^3"], ("gamma",))
+        rows = [(2.0,), (1.0,)]
+        want = tuple(reference_scan(fld, (-5.0, 5.0), row) for row in rows)
+        assert repr(sa.scan_zero_sets(fld, (-5.0, 5.0), rows)) == repr(want)
+
+
+class TestKeptScans:
+    def test_a_repeat_returns_the_kept_scan(self, monkeypatch):
+        fld = FieldDef.parse(["x - x^3"])
+        zs = sa.scan_zeros(fld, (-5.0, 5.0))
+        calls = count_evaluations(monkeypatch)
+        assert sa.scan_zeros(fld, (-5, 5)) is zs  # the same doubles
+        assert sa.find_zeros(fld, (-5.0, 5.0)) is zs
+        assert calls[0] == 0
+
+    def test_a_changed_interval_or_parameter_rescans(self, monkeypatch):
+        fld = FieldDef.parse(["x - c"], ("c",))
+        calls = count_evaluations(monkeypatch)
+        for interval, c, evals in [
+            ((-5.0, 5.0), 0.0, 2), ((-5.0, 5.0), 0.0, 0),  # the grid and g'
+            ((-5.0, 5.0), -0.0, 2), ((-5.0, 5.0), -0.0, 0),  # -0.0 is not 0.0
+            ((-5.0, 5.0), 0.0, 2), ((-5.0, 5.000000000000001), 0.0, 2),
+            ((-5.0, 5.000000000000001), 0.0, 0), ((-5.0, 5.0), 0.25, 2),
+        ]:
+            calls[0] = 0
+            zs = sa.scan_zeros(fld, interval, (c,))
+            assert calls[0] == evals, (interval, c)
+            assert zs.zeros == (c,)
+
+    def test_errors_are_raised_again_on_every_call(self, monkeypatch):
+        pole = FieldDef.parse(["1/(x - 0.0012345)"])
+        flat = FieldDef.parse(["x^3"])  # g'(0) = 0
+        calls = count_evaluations(monkeypatch)
+        for _ in range(2):
+            calls[0] = 0
+            with pytest.raises(FieldEvalError):
+                sa.scan_zeros(pole, (-5.0, 5.0))
+            assert calls[0] == 1
+            calls[0] = 0
+            with pytest.raises(sa.DegenerateZeroError):
+                sa.find_zeros(flat, (-2.0, 2.0))
+            assert calls[0] == 2
+
+    def test_the_even_count_warning_fires_on_every_call(self, monkeypatch):
+        fld = FieldDef.parse(["gamma - x^2"], ("gamma",))
+        calls = count_evaluations(monkeypatch)
+        for evals in (2, 0, 0):
+            calls[0] = 0
+            with pytest.warns(UserWarning, match="even number") as record:
+                sa.find_zeros(fld, (-5.0, 5.0), params=(4.0,))
+            assert calls[0] == evals
+            assert [w.filename for w in record] == [__file__]
+
+    def test_the_field_keeps_one_scan(self, monkeypatch):
+        fld = FieldDef.parse(["x - c"], ("c",))
+        cs = np.linspace(-1.0, 1.0, 1000).tolist()
+        for c in cs:
+            sa.scan_zeros(fld, (-5.0, 5.0), (c,))
+        kept = [v for v in fld._kept.values() if isinstance(v, tuple)]
+        assert len(kept) == 1 and kept[0][1].zeros == pytest.approx((cs[-1],), abs=1e-15)
+        calls = count_evaluations(monkeypatch)
+        sa.scan_zeros(fld, (-5.0, 5.0), (cs[-1],))
+        assert calls[0] == 0
+        sa.scan_zeros(fld, (-5.0, 5.0), (cs[-2],))
+        assert calls[0] == 2
 
 
 class TestDecayRate:

@@ -211,3 +211,50 @@ class TestCompiledOnce:
             compiles[0] = 0
             call()
             assert compiles[0] == 0
+
+
+class TestKeptReports:
+    def count_evaluations(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eval_points(*args, **kwargs)
+
+        monkeypatch.setattr(tri, "eval_points", counted)
+        monkeypatch.setattr(sa, "eval_points", counted)
+        return calls
+
+    def test_a_repeat_returns_the_kept_report(self, monkeypatch):
+        tf = make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "y*(1 - y^2)"])
+        calls = self.count_evaluations(monkeypatch)
+        report = validate_triangular(tf, BOX2, a=2.5, b=1.0)
+        assert calls[0] > 0
+        calls[0] = 0
+        assert validate_triangular(tf, [[-3, 3], [-3, 3]], a=2.5, b=1.0) is report
+        assert calls[0] == 0
+
+    def test_a_new_box_or_certificate_revalidates(self, monkeypatch):
+        tf = make_tf(["1", "1 + x^2"], ["x*(1 - x^2)", "1 - y"])  # the zero y = 1
+        calls = self.count_evaluations(monkeypatch)
+        for box, ab, evaluates in [
+            (BOX2, (None, None), True), (BOX2, (None, None), False),
+            (BOX2, (2.5, 0.5), True), (BOX2, (2.5, 0.5), False),
+            ([(-3.0, 3.0), (-3.0, 3.5)], (2.5, 0.5), True),
+            ([(-3.0, 3.0), (-0.0, 3.5)], (None, None), True),
+            ([(-3.0, 3.0), (0.0, 3.5)], (None, None), True),  # -0.0 is not 0.0
+            ([(-3.0, 3.0), (0.0, 3.5)], (None, None), False),
+        ]:
+            calls[0] = 0
+            validate_triangular(tf, box, *ab)
+            assert (calls[0] > 0) == evaluates, (box, ab)
+        assert validate_triangular(tf) is validate_triangular(tf, [(-10.0, 10.0)] * 2)
+
+    def test_a_failed_validation_is_never_kept(self, monkeypatch):
+        tf = make_tf(["1", "x"], ["x*(1 - x^2)", "y*(1 - y^2)"])
+        calls = self.count_evaluations(monkeypatch)
+        for _ in range(2):
+            calls[0] = 0
+            with pytest.raises(TriangularValidationError):
+                validate_triangular(tf, BOX2)
+            assert calls[0] > 0
